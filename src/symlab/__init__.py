@@ -20,7 +20,6 @@ from .poly import (
     Pole,
     RationalFunction,
     UniPoly,
-    ratfunc_equal,
 )
 from .linalg import Matrix, laplace_det
 from .quotient import (
@@ -37,7 +36,7 @@ from .quotient import (
     split_roots,
     vandermonde_pair,
 )
-from .chi import Chi, all_chis, chi_compose, chi_power, no_s3_check, order_class
+from .chi import Chi, all_chis, no_s3_check, order_class
 from .families import (
     InternalInconsistencyError,
     PermAutomorphism,

@@ -87,14 +87,6 @@ class Chi:
         return f"chi({self.a}, {self.b})"
 
 
-def chi_compose(f: Chi, g: Chi) -> Chi:
-    return f.compose(g)
-
-
-def chi_power(f: Chi, n: int) -> Chi:
-    return f.power(n)
-
-
 def all_chis(field: Field):
     """All group elements over a finite field, in canonical order."""
     if field.size() is None:

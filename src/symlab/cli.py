@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .chi import no_s3_check, order_class
@@ -195,10 +196,6 @@ def _as_field_values(ratfuncs, field: Field, symbols):
     return [r.as_constant() for r in ratfuncs]
 
 
-def _map_str(m: SubstitutionMap) -> str:
-    return str(m)
-
-
 # -- aut ---------------------------------------------------------------------
 
 
@@ -235,7 +232,7 @@ def _cmd_aut(args) -> dict:
         coeffs = _parse_ratfunc_list(args.check_map, base, symbols)
         g = SubstitutionMap(algebra, UniPoly(field, _as_field_values(coeffs, field, symbols)))
         results["check_map"] = {
-            "map": _map_str(g),
+            "map": str(g),
             "endomorphism": g.is_endomorphism(),
             "automorphism": g.is_automorphism(),
         }
@@ -243,13 +240,11 @@ def _cmd_aut(args) -> dict:
         if base.size() is None or symbols:
             raise InputError("--brute-force requires a finite field and no symbols")
         auts = brute_force_automorphisms(algebra)
-        profile: dict = {}
-        for a in auts:
-            profile[a.order()] = profile.get(a.order(), 0) + 1
+        profile = Counter(a.order() for a in auts)
         results["brute_force"] = {
             "count": len(auts),
             "order_profile": {str(k): v for k, v in sorted(profile.items())},
-            "elements": [_map_str(a) for a in auts],
+            "elements": [str(a) for a in auts],
         }
     return _report(
         "aut",
@@ -337,7 +332,7 @@ def _status_dict(sigma, st) -> dict:
     d = {"perm": perm_to_cycles(sigma)}
     if isinstance(st, Survives):
         d["status"] = "survives"
-        d["map"] = _map_str(st.limit_map)
+        d["map"] = str(st.limit_map)
     else:
         d["status"] = "pole"
         d["coeff_index"] = st.coeff_index
@@ -730,7 +725,7 @@ def _cmd_conj(args) -> dict:
     results = {
         "source": f"k[X]/({source.modulus})",
         "target": f"k[X]/({target.modulus})",
-        "conjugated_map": _map_str(result_map),
+        "conjugated_map": str(result_map),
         "endomorphism_identity": result_map.is_endomorphism(),
     }
     if args.limit is not None:

@@ -23,6 +23,32 @@ class FieldError(ValueError):
     """Invalid field construction, or arithmetic across different fields."""
 
 
+def signed_sum(terms, wrap: bool = False) -> str:
+    """Join (coefficient string, monomial) pairs as "c*m + m - c*m".
+
+    An empty monomial marks the constant term; coefficients 1 and -1 of a
+    monomial are left implicit.  With `wrap`, a compound coefficient (one
+    holding "+", "/", a space or an inner "-") is parenthesized first.
+    No terms renders as "0".
+    """
+    parts = []
+    for cs, mon in terms:
+        if wrap and (any(ch in cs for ch in "+/ ") or "-" in cs[1:]):
+            cs = f"({cs})"
+        if not mon:
+            parts.append(cs)
+        elif cs in ("1", "-1"):
+            parts.append(cs[:-1] + mon)
+        else:
+            parts.append(f"{cs}*{mon}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -149,18 +175,19 @@ class FieldElement:
 
 
 class Field:
-    """Base descriptor. Subclasses implement the raw-value protocol."""
+    """Base descriptor. Subclasses implement the raw-value protocol and set
+    the immutable elements `zero` and `one` once, at construction.
+
+    They are plain attributes, not a cached_property: writing the instance
+    __dict__ directly turns off CPython 3.11's specialized attribute lookups
+    on that object, and field attributes are read on every operation.
+    """
+
+    zero: FieldElement
+    one: FieldElement
 
     def coerce(self, x) -> FieldElement:
         raise NotImplementedError
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.coerce(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self.coerce(1)
 
     def characteristic(self) -> int:
         raise NotImplementedError
@@ -207,6 +234,9 @@ class Field:
 
 class RationalField(Field):
     """The rational numbers, with Fraction raw values."""
+
+    def __init__(self):
+        self.zero, self.one = self.coerce(0), self.coerce(1)
 
     def coerce(self, x):
         if isinstance(x, FieldElement):
@@ -261,6 +291,7 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
+        self.zero, self.one = self.coerce(0), self.coerce(1)
 
     def coerce(self, x):
         if isinstance(x, FieldElement):
@@ -321,73 +352,6 @@ class PrimeField(Field):
         return f"F{self.p}"
 
 
-# -- dense polynomial helpers on lists of raw base values (used internally
-#    by ExtensionField; coefficient index = degree) --
-
-
-def _ptrim(cs, base):
-    while cs and base._is_zero(cs[-1]):
-        cs.pop()
-    return cs
-
-
-def _padd(a, b, base):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(base._add(x, y))
-    return _ptrim(out, base)
-
-
-def _pmul(a, b, base):
-    if not a or not b:
-        return []
-    zero = base.coerce(0).value
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = base._add(out[i + j], base._mul(x, y))
-    return _ptrim(out, base)
-
-
-def _pdivmod(a, b, base):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [base.coerce(0).value] * max(len(a) - len(b) + 1, 0)
-    inv_lead = base._inv(b[-1])
-    while len(rem) >= len(b):
-        c = base._mul(rem[-1], inv_lead)
-        k = len(rem) - len(b)
-        quo[k] = c
-        for i, bc in enumerate(b):
-            rem[k + i] = base._sub(rem[k + i], base._mul(c, bc))
-        _ptrim(rem, base)
-        if not rem:
-            break
-    return _ptrim(quo, base), rem
-
-
-def _pxgcd(a, b, base):
-    """Return (g, u, v) with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [base.coerce(1).value], []
-    t0, t1 = [], [base.coerce(1).value]
-    while r1:
-        q, r = _pdivmod(r0, r1, base)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, [base._neg(c) for c in _pmul(q, s1, base)], base)
-        t0, t1 = t1, _padd(t0, [base._neg(c) for c in _pmul(q, t1, base)], base)
-    return r0, s0, t0
-
-
 class ExtensionField(Field):
     """base[Y]/(m(Y)) with m monic irreducible of degree 2 or 3.
 
@@ -403,19 +367,20 @@ class ExtensionField(Field):
         deg = len(coeffs) - 1
         if deg < 2:
             raise FieldError("extension modulus must have degree at least 2")
-        if not base._eq(coeffs[-1], base.coerce(1).value):
+        if not base._eq(coeffs[-1], base.one.value):
             raise FieldError("extension modulus must be monic")
         self.modulus = tuple(coeffs)
         self.degree = deg
         self.generator_name = generator_name
         self._check_irreducible()
+        self.zero, self.one = self.coerce(0), self.coerce(1)
 
     def _check_irreducible(self):
         if self.base.size() is not None:
             if self.degree > 3:
                 raise FieldError("extensions of degree > 3 are not supported")
             for x in self.base.elements():
-                acc = self.base.coerce(0).value
+                acc = self.base.zero.value
                 for c in reversed(self.modulus):
                     acc = self.base._add(self.base._mul(acc, x.value), c)
                 if self.base._is_zero(acc):
@@ -431,11 +396,7 @@ class ExtensionField(Field):
         )
 
     def generator(self) -> FieldElement:
-        zero = self.base.coerce(0).value
-        one = self.base.coerce(1).value
-        cs = [zero] * self.degree
-        cs[1] = one
-        return FieldElement(self, tuple(cs))
+        return self._from_list([self.base.zero.value, self.base.one.value])
 
     def coerce(self, x):
         if isinstance(x, FieldElement):
@@ -449,12 +410,8 @@ class ExtensionField(Field):
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def _from_list(self, cs):
-        cs = list(cs)
-        if len(cs) >= len(self.modulus):
-            _, cs = _pdivmod(cs, list(self.modulus), self.base)
-        zero = self.base.coerce(0).value
-        cs = cs + [zero] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs[: self.degree]))
+        """Pad fewer than `degree` base values with zeros."""
+        return FieldElement(self, tuple(cs) + (self.base.zero.value,) * (self.degree - len(cs)))
 
     def characteristic(self):
         return self.base.characteristic()
@@ -468,30 +425,37 @@ class ExtensionField(Field):
         for tup in itertools.product(base_vals, repeat=self.degree):
             yield FieldElement(self, tup)
 
-    def _trimmed(self, a):
-        cs = list(a)
-        return _ptrim(cs, self.base)
-
     def _add(self, a, b):
-        return self._from_list(_padd(self._trimmed(a), self._trimmed(b), self.base)).value
+        return tuple(map(self.base._add, a, b))
 
     def _sub(self, a, b):
-        nb = [self.base._neg(c) for c in b]
-        return self._add(a, tuple(nb))
+        return tuple(map(self.base._sub, a, b))
 
     def _mul(self, a, b):
-        prod = _pmul(self._trimmed(a), self._trimmed(b), self.base)
-        return self._from_list(prod).value
+        base, d, m = self.base, self.degree, self.modulus
+        add, sub, mul = base._add, base._sub, base._mul
+        prod = [base.zero.value] * (2 * d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = add(prod[i + j], mul(x, y))
+        # Y^d = -(m_0 + m_1*Y + ... + m_(d-1)*Y^(d-1)): fold the top degrees down
+        for k in range(2 * d - 2, d - 1, -1):
+            for i in range(d):
+                prod[k - d + i] = sub(prod[k - d + i], mul(prod[k], m[i]))
+        return tuple(prod[:d])
 
     def _neg(self, a):
         return tuple(self.base._neg(c) for c in a)
 
     def _inv(self, a):
-        g, u, _ = _pxgcd(self._trimmed(a), list(self.modulus), self.base)
-        if len(g) != 1:
-            raise FieldError("modulus is not irreducible")  # unreachable after check
-        scale = self.base._inv(g[0])
-        return self._from_list([self.base._mul(c, scale) for c in u]).value
+        q = self.size()
+        if q is not None:
+            return (FieldElement(self, a) ** (q - 2)).value
+        # Q(zeta3) is the only infinite extension admitted; its norm form
+        # gives (x + y*Y)(x - y - y*Y) = x^2 - x*y + y^2.
+        x, y = a
+        n = x * x - x * y + y * y
+        return ((x - y) / n, -y / n)
 
     def _is_zero(self, a):
         return all(self.base._is_zero(c) for c in a)
@@ -507,28 +471,11 @@ class ExtensionField(Field):
 
     def _fmt(self, a):
         name = self.generator_name
-        parts = []
-        for i in range(self.degree - 1, -1, -1):
-            c = a[i]
-            if self.base._is_zero(c):
-                continue
-            cs = self.base._fmt(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = name if i == 1 else f"{name}^{i}"
-                if cs == "1":
-                    parts.append(head)
-                elif cs == "-1":
-                    parts.append(f"-{head}")
-                else:
-                    parts.append(f"{cs}*{head}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_sum(
+            (self.base._fmt(a[i]), "" if i == 0 else name if i == 1 else f"{name}^{i}")
+            for i in range(len(a) - 1, -1, -1)
+            if not self.base._is_zero(a[i])
+        )
 
     def __eq__(self, other):
         return (
@@ -541,15 +488,7 @@ class ExtensionField(Field):
         return hash(("ext", self.base, self.modulus))
 
     def __repr__(self):
-        mon = []
-        for i in range(self.degree, -1, -1):
-            c = self.modulus[i] if i < len(self.modulus) else None
-            if c is None or self.base._is_zero(c):
-                continue
-            s = self.base._fmt(c)
-            head = "" if i == 0 else (self.generator_name if i == 1 else f"{self.generator_name}^{i}")
-            mon.append(head if (s == "1" and head) else (s if not head else f"{s}*{head}"))
-        return f"{self.base}[{self.generator_name}]/({' + '.join(mon)})"
+        return f"{self.base}[{self.generator_name}]/({self._fmt(self.modulus)})"
 
 
 QQ = RationalField()

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .families import is_perm_group
+
 INTERSECTING = "intersecting"
 PARALLEL = "parallel-distinct"
 COINCIDENT = "coincident"
@@ -109,21 +111,6 @@ class GenericSymmetry:
         return len(self.group)
 
 
-def _perm_group_closed(perms) -> bool:
-    perms = set(perms)
-    if tuple(range(4)) not in perms:
-        return False
-    for p in perms:
-        inv = [0] * 4
-        for i, v in enumerate(p):
-            inv[v] = i
-        if tuple(inv) not in perms:
-            return False
-    return all(
-        tuple(p[q[i]] for i in range(4)) in perms for p in perms for q in perms
-    )
-
-
 def generic_symmetry(config: Config4) -> GenericSymmetry:
     """All permutations preserving the pairwise intersection pattern."""
     rel = {}
@@ -153,7 +140,7 @@ def generic_symmetry(config: Config4) -> GenericSymmetry:
             coarse.append(p)
         if ok_fine:
             fine.append(p)
-    if not _perm_group_closed(coarse) or not _perm_group_closed(fine):
+    if not is_perm_group(set(coarse)) or not is_perm_group(set(fine)):
         raise RuntimeError("pattern stabilizer failed the subgroup check")
     return GenericSymmetry(group=tuple(sorted(coarse)), fine_group=tuple(sorted(fine)))
 
@@ -165,13 +152,6 @@ class Isometry:
     matrix: tuple  # ((o11, o12), (o21, o22))
     translation: tuple
     kind: str
-
-    def apply_point(self, p):
-        (o11, o12), (o21, o22) = self.matrix
-        return (
-            o11 * p[0] + o12 * p[1] + self.translation[0],
-            o21 * p[0] + o22 * p[1] + self.translation[1],
-        )
 
 
 INFINITE = "infinite"

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, FieldElement, FieldError, RationalField
+from .fields import Field, FieldElement, FieldError, RationalField, signed_sum
 
 
 class UniPoly:
@@ -189,32 +189,13 @@ class UniPoly:
         return hash((self.field, tuple(self.field._hash_key(c.value) for c in self.coeffs)))
 
     def to_str(self, var: str = "X", ascending: bool = False) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
         rng = range(len(self.coeffs)) if ascending else range(len(self.coeffs) - 1, -1, -1)
-        for i in rng:
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            wrap = any(ch in cs for ch in "+/ ") or ("-" in cs[1:])
-            if wrap:
-                cs = f"({cs})"
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = var if i == 1 else f"{var}^{i}"
-                if cs == "1":
-                    parts.append(head)
-                elif cs == "-1":
-                    parts.append(f"-{head}")
-                else:
-                    parts.append(f"{cs}*{head}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        terms = [
+            (str(self.coeffs[i]), "" if i == 0 else var if i == 1 else f"{var}^{i}")
+            for i in rng
+            if not self.coeffs[i].is_zero()
+        ]
+        return signed_sum(terms, wrap=True)
 
     def __str__(self):
         return self.to_str()
@@ -241,15 +222,7 @@ class MultiPoly:
             if len(exps) != len(self.symbols):
                 raise ValueError("exponent vector does not match symbol list")
             if not c.is_zero():
-                e = tuple(exps)
-                if e in clean:
-                    s = clean[e] + c
-                    if s.is_zero():
-                        del clean[e]
-                    else:
-                        clean[e] = s
-                else:
-                    clean[e] = c
+                clean[tuple(exps)] = c
         self.terms = clean
 
     @classmethod
@@ -368,11 +341,6 @@ class MultiPoly:
     def __hash__(self):  # pragma: no cover - not used as dict keys
         raise TypeError("MultiPoly is not hashable")
 
-    def total_degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("degree of the zero polynomial")
-        return max(sum(e) for e in self.terms)
-
     def _idx(self, name):
         if name not in self.symbols:
             raise ValueError(f"unknown symbol {name!r} (have {self.symbols})")
@@ -406,14 +374,15 @@ class MultiPoly:
         i = self._idx(name)
         value = self.field.coerce(value)
         rest = self.symbols[:i] + self.symbols[i + 1 :]
-        out = MultiPoly.zero(self.field, rest)
+        out = {}
         powers = {0: self.field.one}
         for e, c in self.terms.items():
             k = e[i]
             if k not in powers:
                 powers[k] = value**k
-            out = out + MultiPoly(self.field, rest, {e[:i] + e[i + 1 :]: c * powers[k]})
-        return out
+            r, c = e[:i] + e[i + 1 :], c * powers[k]
+            out[r] = out[r] + c if r in out else c
+        return MultiPoly(self.field, rest, out)
 
     def shift(self, name, value) -> "MultiPoly":
         """Substitute name -> name + value, keeping the symbol list."""
@@ -421,18 +390,15 @@ class MultiPoly:
         value = self.field.coerce(value)
         if value.is_zero():
             return self
-        out = MultiPoly.zero(self.field, self.symbols)
+        out = {}
         for e, c in self.terms.items():
             k = e[i]
             # binomial expansion of (name + value)^k
             for j in range(k + 1):
+                ne = e[:i] + (j,) + e[i + 1 :]
                 coef = c * self.field.coerce(math.comb(k, j)) * value ** (k - j)
-                if coef.is_zero():
-                    continue
-                ne = list(e)
-                ne[i] = j
-                out = out + MultiPoly(self.field, self.symbols, {tuple(ne): coef})
-        return out
+                out[ne] = out[ne] + coef if ne in out else coef
+        return MultiPoly(self.field, self.symbols, out)
 
     def eval_all(self, values: dict) -> FieldElement:
         """Evaluate at a full assignment of symbols to field elements."""
@@ -457,40 +423,15 @@ class MultiPoly:
                 return c
         raise ValueError("polynomial is not constant")
 
-    def is_constant(self) -> bool:
-        return self.is_zero() or (
-            len(self.terms) == 1 and all(x == 0 for x in next(iter(self.terms)))
-        )
-
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
+        terms = []
         for e, c in self._sorted_terms():
-            mon = "*".join(
-                (s if k == 1 else f"{s}^{k}")
-                for s, k in zip(self.symbols, e)
-                if k > 0
-            )
-            cs = str(c)
-            wrap = any(ch in cs for ch in "+/ ") or ("-" in cs[1:])
-            if wrap:
-                cs = f"({cs})"
-            if not mon:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mon)
-            elif cs == "-1":
-                parts.append(f"-{mon}")
-            else:
-                parts.append(f"{cs}*{mon}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            mon = "*".join(s if k == 1 else f"{s}^{k}" for s, k in zip(self.symbols, e) if k > 0)
+            terms.append((str(c), mon))
+        return signed_sum(terms, wrap=True)
 
     def __repr__(self):
         return self.__str__()
@@ -722,13 +663,6 @@ class RationalFunction:
     def as_constant(self) -> FieldElement:
         return self.num.as_constant() / self.den.as_constant()
 
-    def is_constant(self) -> bool:
-        try:
-            self.as_constant()
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
-
     def __str__(self):
         if self.den == MultiPoly.constant(self.field, self.symbols, 1):
             return str(self.num)
@@ -760,11 +694,6 @@ def _is_wrapped(s: str) -> bool:
     return depth == 0
 
 
-def ratfunc_equal(r1: RationalFunction, r2) -> bool:
-    """Cross-multiplication equality (p1*q2 == p2*q1)."""
-    return r1 == r2
-
-
 class FunctionField(Field):
     """Field of rational functions over a base field in fixed symbols.
 
@@ -775,6 +704,7 @@ class FunctionField(Field):
     def __init__(self, base: Field, symbols):
         self.base = base
         self.symbols = tuple(symbols)
+        self.zero, self.one = self.coerce(0), self.coerce(1)
 
     def coerce(self, x):
         if isinstance(x, FieldElement):

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, FieldElement, FieldError, parse_field_spec
+from .fields import Field, FieldElement, FieldError, parse_field_spec, signed_sum
 from .linalg import Matrix
 from .poly import FunctionField, Pole
 
@@ -187,25 +187,13 @@ class StructElement:
         )
 
     def __str__(self):
-        parts = []
-        for name, c in zip(self.algebra.basis_names, self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if any(ch in cs for ch in "+/ ") or "-" in cs[1:]:
-                cs = f"({cs})"
-            if cs == "1":
-                parts.append(name)
-            elif cs == "-1":
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{cs}*{name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        # a basis vector named "1" is still a monomial: 2*1, not 2
+        terms = [
+            (str(c), name)
+            for name, c in zip(self.algebra.basis_names, self.coeffs)
+            if not c.is_zero()
+        ]
+        return signed_sum(terms, wrap=True)
 
     def __repr__(self):
         return self.__str__()

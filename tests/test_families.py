@@ -13,6 +13,7 @@ from symlab.families import (
     analyze_at,
     compose_perm,
     conjugate_through_iso,
+    is_perm_group,
     perm_coeff_vector,
     perm_to_cycles,
     scaled_family,
@@ -56,6 +57,21 @@ def fam_0_t_1():
 def fam_0_t_t2():
     t = tsym()
     return RootFamily(QQ, T, [tconst(0), t, t * t])
+
+
+def test_is_perm_group():
+    s3 = set(all_perms(3))
+    assert is_perm_group(s3)
+    for sub in [{(0, 1, 2)}, {(0, 1, 2), CYCLE123, CYCLE132}] + [
+        {(0, 1, 2), swap} for swap in (SWAP12, SWAP13, SWAP23)
+    ]:
+        assert is_perm_group(sub)
+    klein = {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
+    assert is_perm_group(klein)
+    assert not is_perm_group(set())
+    assert not is_perm_group(s3 - {(0, 1, 2)})  # no identity
+    assert not is_perm_group({(0, 1, 2), CYCLE123})  # no inverse
+    assert not is_perm_group({(0, 1, 2), SWAP12, SWAP13})  # not closed
 
 
 class TestRootFamily:

@@ -13,10 +13,11 @@ from symlab.fields import (
     primitive_cube_root,
     rationals_with_cube_root,
 )
+from symlab.poly import UniPoly
 
 
 def sample_fields():
-    return [QQ, GF(5), GF(7), GF(2, 2), GF(3, 2), rationals_with_cube_root()]
+    return [QQ, GF(5), GF(7), GF(2, 2), GF(3, 2), GF(2, 3), GF(3, 3), rationals_with_cube_root()]
 
 
 def random_element(field, rng):
@@ -51,6 +52,24 @@ def test_field_axioms_randomized():
             if not a.is_zero():
                 assert a * a.inverse() == field.one
             assert a + (-a) == field.zero
+
+
+def test_extension_arithmetic_matches_polynomials_mod_the_modulus():
+    # reference: the same coefficient tuples as UniPoly over the prime field
+    for p, k in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]:
+        field = GF(p, k)
+        base = field.base
+        modulus = UniPoly(base, list(field.modulus))
+        elems = list(field.elements())
+        if field.size() <= 27:
+            for a in elems:
+                pa = UniPoly(base, [base.coerce(c) for c in a.value])
+                for b in elems:
+                    pb = UniPoly(base, [base.coerce(c) for c in b.value])
+                    ref = (pa * pb) % modulus
+                    assert (a * b).value == tuple(ref.coeff(i).value for i in range(k))
+        for a in elems[1:]:
+            assert a * a.inverse() == field.one
 
 
 def test_frobenius_in_characteristic_p():

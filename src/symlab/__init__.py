@@ -34,6 +34,7 @@ from .quotient import (
     fpa_decompose,
     idempotents,
     split_roots,
+    vandermonde_adjugate,
     vandermonde_pair,
 )
 from .chi import Chi, all_chis, no_s3_check, order_class

@@ -106,6 +106,9 @@ def _field_and_symbols(args) -> tuple[Field, tuple]:
     symbols = tuple(s.strip() for s in args.symbols.split(",") if s.strip()) if getattr(
         args, "symbols", None
     ) else ()
+    for i, s in enumerate(symbols):
+        if s in symbols[:i]:
+            raise InputError(f"symbol {s!r} is repeated in --symbols")
     return base, symbols
 
 
@@ -353,9 +356,7 @@ def _cmd_family(args) -> dict:
         "generic_maps": [],
         "at": [],
     }
-    perms = all_perms(fam.n)
-    if args.perm:
-        perms = [parse_cycles(args.perm, fam.n)]
+    perms = [parse_cycles(args.perm, fam.n)] if args.perm else all_perms(fam.n)
     for sigma in perms:
         pa = perm_coeff_vector(fam, sigma)
         results["generic_maps"].append(
@@ -371,8 +372,7 @@ def _cmd_family(args) -> dict:
     )
     for t0 in at_values:
         if args.perm:
-            sigma = parse_cycles(args.perm, fam.n)
-            statuses = [(sigma, analyze_at(fam, sigma, t0))]
+            statuses = [(perms[0], analyze_at(fam, perms[0], t0))]
             surviving = None
         else:
             rep = surviving_subgroup(fam, t0)

@@ -8,6 +8,16 @@ a substitution map whose coefficients are rational functions of t; taking
 exact limits of those coefficients decides which permutations survive at a
 critical value, collapse (pole), or degenerate.
 
+The coefficient vector c(sigma) of sigma's map X -> g_sigma(X) solves
+M c = (r_sigma(1), ..., r_sigma(n)) for the Vandermonde matrix M of the
+roots, so c(sigma) = adj(M) (r_sigma(1), ..., r_sigma(n)) / det(M).  Each
+family builds adj(M) and det(M) once, as polynomials and without division
+(quotient.vandermonde_adjugate), over one common denominator q of its roots
+r_j = p_j/q: since g_r(X) = g_p(qX)/q, the X^k coefficient for the roots
+r_j is c_k(p) * q^(k-1).  Every permutation then costs polynomial products
+and sums plus one rational-function construction per coefficient, and is
+computed once per family.
+
 Permutation convention: a permutation sigma acts on the coordinate vector
 of X in the idempotent basis by (v_1, ..., v_n) -> (v_{sigma(1)}, ...,
 v_{sigma(n)}).  Permutations are 0-indexed tuples with sigma[i] = image of
@@ -22,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldElement, RationalField
-from .linalg import laplace_det
 from .poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly
-from .quotient import AlgebraHom, MonogenicAlgebra, SubstitutionMap, vandermonde_pair
+from .quotient import AlgebraHom, MonogenicAlgebra, SubstitutionMap, vandermonde_adjugate
+from .quotient import vandermonde_pair  # noqa: F401 - perfbench's tracer test reads it here
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -37,12 +47,6 @@ def identity_perm(n: int) -> tuple:
 def compose_perm(p: tuple, q: tuple) -> tuple:
     """Apply q, then p."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-def invert_perm(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
 
 def all_perms(n: int):
     return [tuple(p) for p in itertools.permutations(range(n))]
@@ -66,14 +70,14 @@ def perm_to_cycles(p: tuple) -> str:
     return "".join(out) if out else "id"
 
 def is_perm_group(perms: set) -> bool:
+    """A finite set of permutations is a group iff it is nonempty, holds the
+    identity and is closed under composition; inverses follow, since
+    p^(-1) = p^(ord p - 1)."""
     if not perms:
         return False
     n = len(next(iter(perms)))
     if identity_perm(n) not in perms:
         return False
-    for p in perms:
-        if invert_perm(p) not in perms:
-            return False
     return all(compose_perm(p, q) in perms for p in perms for q in perms)
 
 
@@ -101,6 +105,11 @@ class RootFamily:
                         f"roots {i + 1} and {j + 1} coincide as rational functions"
                     )
         self.roots = tuple(rs)
+        # per-family memo: interpolation table, permutation vectors and
+        # specialized algebras, freed with the family
+        self._table = None
+        self._perm_vectors = {}
+        self._algebras = {}
 
     @property
     def n(self) -> int:
@@ -124,7 +133,44 @@ class RootFamily:
         return out
 
     def algebra_at(self, t0) -> MonogenicAlgebra:
-        return MonogenicAlgebra.from_roots(self.field, self.roots_at(t0))
+        t0 = self.field.coerce(t0)
+        if t0 not in self._algebras:
+            self._algebras[t0] = MonogenicAlgebra.from_roots(self.field, self.roots_at(t0))
+        return self._algebras[t0]
+
+    def interpolation_table(self):
+        """Rows (adj_k, den_k), k = 0..n-1, with the X^k coefficient of
+        sigma's map equal to sum_i adj_k[i] * p_sigma(i) / den_k, and the
+        root numerators p_j over one common denominator q.
+
+        adj_k is row k of the Vandermonde adjugate of the p_j scaled by
+        q^(k-1); den_k is det * q for k = 0 and det otherwise.  Built once
+        per family, without division.
+        """
+        if self._table is None:
+            one = MultiPoly.constant(self.field, self.symbols, 1)
+            dens = []
+            for r in self.roots:
+                if all(r.den != d for d in dens):
+                    dens.append(r.den)
+            q = one
+            for d in dens:
+                q = q * d
+            ps = []
+            for r in self.roots:
+                p = r.num
+                for d in dens:
+                    if d != r.den:
+                        p = p * d
+                ps.append(p)
+            adj, det = vandermonde_adjugate(ps, one)
+            rows = [(adj[0], det * q)]
+            scale = one
+            for k in range(1, self.n):
+                rows.append(([a * scale for a in adj[k]], det))
+                scale = scale * q
+            self._table = (tuple(rows), tuple(ps))
+        return self._table
 
     def critical_values(self) -> list[FieldElement]:
         """Parameter values where two roots collide: roots of the numerator
@@ -211,15 +257,29 @@ class PermAutomorphism:
 
 def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> PermAutomorphism:
     """Solve M c = (r_{sigma(1)}, ..., r_{sigma(n)}) for the Vandermonde M
-    of the roots; entry k of c is the coefficient of X^k."""
-    if sorted(sigma) != list(range(fam.n)):
-        raise ValueError(f"{sigma} is not a permutation of 0..{fam.n - 1}")
-    ff = fam.function_field()
-    roots = [ff.coerce(r) for r in fam.roots]
-    _, m_inv = vandermonde_pair(ff, roots)
-    permuted = [roots[sigma[i]] for i in range(fam.n)]
-    coeffs = m_inv.mul_vec(permuted)
-    return PermAutomorphism(sigma=tuple(sigma), coeffs=tuple(c.value for c in coeffs))
+    of the roots; entry k of c is the coefficient of X^k.
+
+    c = adj(M) (r_{sigma(1)}, ..., r_{sigma(n)}) / det(M), read off the
+    family's interpolation table: with the roots written r_j = p_j/q,
+    c_k = c_k(p) * q^(k-1), where c_k(p) = sum_i adj(M_p)[k][i] p_sigma(i)
+    / det(M_p).  Each entry is one RationalFunction construction; the
+    vector is memoized on the family.
+    """
+    sigma = tuple(sigma)
+    pa = fam._perm_vectors.get(sigma)
+    if pa is None:
+        if sorted(sigma) != list(range(fam.n)):
+            raise ValueError(f"{sigma} is not a permutation of 0..{fam.n - 1}")
+        rows, ps = fam.interpolation_table()
+        images = [ps[j] for j in sigma]
+        coeffs = []
+        for adj_k, den in rows:
+            num = adj_k[0] * images[0]
+            for a, p in zip(adj_k[1:], images[1:]):
+                num = num + a * p
+            coeffs.append(RationalFunction(num, den))
+        pa = fam._perm_vectors[sigma] = PermAutomorphism(sigma=sigma, coeffs=tuple(coeffs))
+    return pa
 
 
 @dataclass(frozen=True)
@@ -378,24 +438,13 @@ def survival_condition(sigma: tuple, field: Field = None) -> SurvivalCondition:
 
     t = sym("t")
     xs = [sym("x1"), sym("x2"), sym("x3")]
-    rows = []
-    for x in xs:
-        z = t * x
-        rows.append([MultiPoly.constant(field, full, 1), z, z * z])
-    det = laplace_det(rows)
-
-    def cofactor(i, j):
-        minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-        d = laplace_det(minor)
-        return -d if (i + j) % 2 else d
-
-    # adjugate rows: adj[k][i] = cofactor(i, k)
+    adj, det = vandermonde_adjugate([t * x for x in xs], MultiPoly.constant(field, full, 1))
     permuted = [t * xs[sigma[i]] for i in range(3)]
     c1_num = MultiPoly.zero(field, full)
     c2_num = MultiPoly.zero(field, full)
     for i in range(3):
-        c1_num = c1_num + cofactor(i, 1) * permuted[i]
-        c2_num = c2_num + cofactor(i, 2) * permuted[i]
+        c1_num = c1_num + adj[1][i] * permuted[i]
+        c2_num = c2_num + adj[2][i] * permuted[i]
 
     # det = t^3 * D(x); c2_num * t = t^3 * R(x); c1_num = t^3 * L(x),
     # so taking the t^3 coefficient leaves polynomials in x1, x2, x3 only

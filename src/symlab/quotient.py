@@ -324,9 +324,48 @@ def idempotents(algebra: MonogenicAlgebra, roots) -> list[AlgebraElement]:
     return out
 
 
+def vandermonde_adjugate(roots, one):
+    """Adjugate and determinant of the Vandermonde matrix M with rows
+    (1, z_i, ..., z_i^(n-1)), without division, so that M^(-1) = adj/det.
+
+    det = prod_{j<l} (z_l - z_j).  Column i of adj holds the coefficients
+    (X^0 first) of the Lagrange numerator prod_{j != i} (X - z_j), times
+    (-1)^(n-1-i) and the product of the differences z_l - z_j (j < l) that
+    do not involve i.  Entries need only +, -, *: FieldElement and
+    MultiPoly entries work alike, with `one` the unit of their ring.
+    """
+    zs = list(roots)
+    n = len(zs)
+
+    def differences(skip):
+        acc = one
+        for j in range(n):
+            for l in range(j + 1, n):
+                if skip not in (j, l):
+                    acc = acc * (zs[l] - zs[j])
+        return acc
+
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        numer = [one]  # prod_{j != i} (X - z_j), lowest degree first
+        for j, z in enumerate(zs):
+            if j != i:
+                numer = (
+                    [-(z * numer[0])]
+                    + [a - z * b for a, b in zip(numer, numer[1:])]
+                    + [numer[-1]]
+                )
+        scale = differences(i)
+        if (n - 1 - i) % 2:
+            scale = -scale
+        for k in range(n):
+            adj[k][i] = scale * numer[k]
+    return adj, differences(None)
+
+
 def vandermonde_pair(field: Field, roots) -> tuple[Matrix, Matrix]:
     """Vandermonde matrix with rows (1, z_i, ..., z_i^(n-1)) and its exact
-    inverse; raises ValueError on repeated roots."""
+    inverse adj/det; raises ValueError on repeated roots."""
     zs = [field.coerce(z) for z in roots]
     n = len(zs)
     rows = []
@@ -335,12 +374,11 @@ def vandermonde_pair(field: Field, roots) -> tuple[Matrix, Matrix]:
         for _ in range(n - 1):
             row.append(row[-1] * z)
         rows.append(row)
-    m = Matrix(field, rows)
-    try:
-        m_inv = m.inverse()
-    except ValueError:
-        raise ValueError("repeated roots make the Vandermonde matrix singular") from None
-    return m, m_inv
+    adj, det = vandermonde_adjugate(zs, field.one)
+    if det.is_zero():
+        raise ValueError("repeated roots make the Vandermonde matrix singular")
+    inv = det.inverse()
+    return Matrix(field, rows), Matrix(field, [[a * inv for a in row] for row in adj])
 
 
 @dataclass(frozen=True)

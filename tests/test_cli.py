@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,21 @@ def test_golden_output(name, argv):
     assert code == 0
     expected = (GOLDEN_DIR / f"{name}.txt").read_text()
     assert text == expected
+
+
+def test_five_root_family_golden_in_subprocess():
+    # the full S5 survival table of a 5-root family, run as a fresh process
+    # under a time bound; the golden is the JSON report, byte for byte
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["family", "--roots", "0,t,1,2*t,3", "--at", "0", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symlab.cli", *argv],
+        capture_output=True, env=env, timeout=10, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / "family_five_roots.json").read_bytes()
 
 
 def test_output_is_deterministic():
@@ -99,6 +117,22 @@ class TestExitCodes:
     def test_input_errors_exit_1(self, argv, capsys):
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["idem", "--roots", "0,t,1", "--symbols", "t,t"],
+            ["aut", "--field", "Q", "--poly", "factored:(X)(X-a)", "--symbols", "a, b,a"],
+            ["conj", "--field", "Q", "--symbols", "a,t,t", "--source-roots", "0,0,t",
+             "--target-roots", "0,0,1", "--iso", "0,t", "--aut", "0,a,1-a"],
+        ],
+    )
+    def test_repeated_symbols_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeated" in err
+        repeated = argv[argv.index("--symbols") + 1].split(",")[-1].strip()
+        assert f"'{repeated}'" in err
 
     def test_success_exit_0(self, capsys):
         assert main(["chi", "--field", "Fp(5)"]) == 0

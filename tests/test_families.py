@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+
+from symlab.cli import run
 
 from symlab.families import (
     InternalInconsistencyError,
@@ -22,6 +25,8 @@ from symlab.families import (
     surviving_subgroup,
 )
 from symlab.fields import GF, QQ, primitive_cube_root, rationals_with_cube_root
+from symlab.linalg import Matrix
+from symlab.parse import parse_ratfunc
 from symlab.poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly
 from symlab.quotient import MonogenicAlgebra, SubstitutionMap, idempotents
 
@@ -530,3 +535,113 @@ class TestNormalizeTriple:
 
         with pytest.raises(ValueError):
             normalize_scaled_triple([QQ.one, QQ.one, QQ.zero])
+
+
+# -- differential test: adjugate table against Gauss-Jordan ------------------
+
+DIFF_FIELDS = [("Q", QQ), ("Fp(5)", GF(5)), ("Fp(7)", GF(7)), ("Fp(11)", GF(11))]
+
+
+def gauss_jordan_vectors(fam, perms):
+    """The pre-adjugate path, kept as a test-only oracle: invert the
+    Vandermonde matrix of the roots over the function field by Gauss-Jordan
+    elimination and apply it to every permuted root vector."""
+    ff = fam.function_field()
+    roots = [ff.coerce(r) for r in fam.roots]
+    m_inv = Matrix(ff, [[r**k for k in range(fam.n)] for r in roots]).inverse()
+    return {
+        sigma: [c.value for c in m_inv.mul_vec([roots[j] for j in sigma])]
+        for sigma in perms
+    }
+
+
+def random_root_text(rng, kinds, bound):
+    """A constant (kind 0), a linear (1) or quadratic (2) polynomial in t,
+    or a quotient with denominator t + 1 or t + 2 (3), in CLI syntax, with
+    integer coefficients in [-bound, bound]."""
+    a, b, c = (rng.randint(-bound, bound) for _ in range(3))
+    kind = rng.choice(kinds)
+    if kind == 0:
+        return f"{a}"
+    if kind == 1:
+        return f"{a}*t+({b})"
+    if kind == 2:
+        return f"({a})*t^2+({b})*t+({c})"
+    return f"({a}+({b})*t)/(t+{rng.choice([1, 2])})"
+
+
+def random_family(rng, field, n, cli_spec=None):
+    """Root texts and family of n distinct roots.  Up to four roots, every
+    other family starts with the rational-function root 1/(t+1); quadratic
+    roots come with at most three roots and five roots are constant or
+    linear with coefficients in [-1, 1], which keeps the oracle's
+    elimination cheap.  With `cli_spec`,
+    only families whose full `family` run succeeds (no root has a pole at
+    a critical value) are returned."""
+    kinds = {2: (0, 1, 2, 3), 3: (0, 1, 2, 3), 4: (0, 1, 3), 5: (0, 1)}[n]
+    while True:
+        texts = ["1/(t+1)"] if n < 5 and rng.random() < 0.5 else []
+        bound = 1 if n == 5 else 3
+        texts += [random_root_text(rng, kinds, bound) for _ in range(n - len(texts))]
+        roots = [parse_ratfunc(x, field, T) for x in texts]
+        try:
+            fam = RootFamily(field, T, roots)
+        except ValueError:
+            continue
+        if cli_spec is None:
+            return texts, fam
+        code, text = run(["family", "--roots", ",".join(texts), "--field", cli_spec, "--json"])
+        if code == 0:
+            return texts, json.loads(text)["results"]
+
+
+class TestAdjugateAgainstGaussJordan:
+    @pytest.mark.parametrize("spec,field", DIFF_FIELDS, ids=[f[0] for f in DIFF_FIELDS])
+    def test_every_permutation_matches_oracle(self, spec, field):
+        rng = random.Random(f"adjugate-{spec}")
+        for n in (2, 3, 4, 5):
+            _, fam = random_family(rng, field, n)
+            perms = all_perms(n)
+            expected = gauss_jordan_vectors(fam, perms)
+            for sigma in perms:
+                got = perm_coeff_vector(fam, sigma).coeffs
+                assert list(got) == expected[sigma], (fam.roots, sigma)
+
+    def test_rational_function_roots_with_shared_and_distinct_denominators(self):
+        texts = ["1/(t+1)", "t/(t+1)", "1/(t+2)", "t"]
+        fam = RootFamily(QQ, T, [parse_ratfunc(x, QQ, T) for x in texts])
+        perms = all_perms(4)
+        expected = gauss_jordan_vectors(fam, perms)
+        for sigma in perms:
+            assert list(perm_coeff_vector(fam, sigma).coeffs) == expected[sigma]
+
+    def test_symbolic_scaled_family_matches_oracle(self):
+        fam = scaled_family()
+        perms = all_perms(3)
+        expected = gauss_jordan_vectors(fam, perms)
+        for sigma in perms:
+            assert list(perm_coeff_vector(fam, sigma).coeffs) == expected[sigma]
+
+    def test_memoized_vector_is_shared(self, fam_0_t_1):
+        assert perm_coeff_vector(fam_0_t_1, SWAP12) is perm_coeff_vector(fam_0_t_1, list(SWAP12))
+        assert fam_0_t_1.algebra_at(0) is fam_0_t_1.algebra_at(QQ.coerce(0))
+
+    @pytest.mark.parametrize("spec,field", DIFF_FIELDS, ids=[f[0] for f in DIFF_FIELDS])
+    def test_single_perm_run_matches_full_run(self, spec, field):
+        rng = random.Random(f"perm-run-{spec}")
+        for n in (3, 4):
+            texts, full = random_family(rng, field, n, cli_spec=spec)
+            base = ["family", "--roots", ",".join(texts), "--field", spec, "--json"]
+            for sigma in all_perms(n):
+                cycles = perm_to_cycles(sigma)
+                code, text = run(base + ["--perm", cycles])
+                assert code == 0
+                one = json.loads(text)["results"]
+                assert one["generic_maps"] == [
+                    g for g in full["generic_maps"] if g["perm"] == cycles
+                ]
+                assert [e["t"] for e in one["at"]] == [e["t"] for e in full["at"]]
+                for e_one, e_full in zip(one["at"], full["at"]):
+                    assert e_one["statuses"] == [
+                        st for st in e_full["statuses"] if st["perm"] == cycles
+                    ]

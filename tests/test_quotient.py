@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from symlab.fields import GF, QQ, FieldError
-from symlab.linalg import Matrix
-from symlab.poly import FunctionField, UniPoly
+from symlab.linalg import Matrix, laplace_det
+from symlab.poly import FunctionField, MultiPoly, UniPoly
 from symlab.quotient import (
     AlgebraHom,
     MonogenicAlgebra,
@@ -15,6 +15,7 @@ from symlab.quotient import (
     fpa_decompose,
     idempotents,
     split_roots,
+    vandermonde_adjugate,
     vandermonde_pair,
 )
 
@@ -234,6 +235,22 @@ class TestVandermonde:
     def test_repeated_roots_rejected(self):
         with pytest.raises(ValueError):
             vandermonde_pair(QQ, [1, 1, 2])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_adjugate_equals_cofactors_for_polynomial_roots(self, n):
+        # division-free on symbolic roots z_i: adj[k][i] is the (i, k)
+        # cofactor and det the Laplace determinant, exactly as polynomials
+        syms = tuple(f"z{i}" for i in range(n))
+        one = MultiPoly.constant(QQ, syms, 1)
+        zs = [MultiPoly.symbol(QQ, syms, s) for s in syms]
+        rows = [[z**k for k in range(n)] for z in zs]
+        adj, det = vandermonde_adjugate(zs, one)
+        assert det == laplace_det(rows)
+        for i in range(n):
+            for k in range(n):
+                minor = [r[:k] + r[k + 1 :] for j, r in enumerate(rows) if j != i]
+                cof = laplace_det(minor) if n > 1 else one
+                assert adj[k][i] == (-cof if (i + k) % 2 else cof)
 
 
 class TestDecomposition:

@@ -50,7 +50,7 @@ from .quotient import (
     brute_force_automorphisms,
     fpa_decompose,
     idempotents,
-    vandermonde_pair,
+    vandermonde_adjugate,
 )
 from . import structure
 
@@ -302,11 +302,11 @@ def _cmd_idem(args) -> dict:
     )
     verified = verified and sum(es[1:], es[0]) == algebra.one()
     verified = verified and all(x * e == z * e for z, e in zip(roots, es))
-    m, _ = vandermonde_pair(field, roots)
+    _, det = vandermonde_adjugate(roots, field.one)
     results = {
         "modulus": str(algebra.modulus),
         "idempotents": [str(e) for e in es],
-        "vandermonde_det": str(m.det()),
+        "vandermonde_det": str(det),
         "verified": verified,
     }
     return _report(
@@ -341,6 +341,12 @@ def _status_dict(sigma, st) -> dict:
         d["coeff_index"] = st.coeff_index
         d["order"] = st.order
     return d
+
+
+def _status_text(st: dict) -> str:
+    if st["status"] == "survives":
+        return f"survives as {st['map']}"
+    return f"pole in the X^{st['coeff_index']} coefficient (order {st['order']})"
 
 
 def _cmd_family(args) -> dict:
@@ -402,13 +408,7 @@ def _text_family(res: dict) -> list[str]:
     for entry in res["at"]:
         out.append(f"at t = {entry['t']}:")
         for st in entry["statuses"]:
-            if st["status"] == "survives":
-                out.append(f"  {st['perm']}: survives as {st['map']}")
-            else:
-                out.append(
-                    f"  {st['perm']}: pole in the X^{st['coeff_index']} "
-                    f"coefficient (order {st['order']})"
-                )
+            out.append(f"  {st['perm']}: {_status_text(st)}")
         if "surviving_subgroup" in entry:
             out.append(
                 f"  surviving subgroup (order {entry['surviving_order']}): "
@@ -461,14 +461,7 @@ def _text_survival(res: dict) -> list[str]:
             f"witness x = ({', '.join(w['x'])}): condition "
             + ("holds" if w["condition_holds"] else "fails")
         )
-        st = w["at_zero"]
-        if st["status"] == "survives":
-            out.append(f"  at t = 0: survives as {st['map']}")
-        else:
-            out.append(
-                f"  at t = 0: pole in the X^{st['coeff_index']} coefficient "
-                f"(order {st['order']})"
-            )
+        out.append(f"  at t = 0: {_status_text(w['at_zero'])}")
     return out
 
 

@@ -298,10 +298,12 @@ def analyze_at(fam: RootFamily, sigma: tuple, t0):
 
     Returns Survives(map) with the limit substitution verified as an
     automorphism of the specialized algebra, or PoleAt(index, order) for the
-    first coefficient without a limit.  A finite limit that fails the
-    automorphism check raises InternalInconsistencyError.
+    first coefficient without a limit.  A root with a pole at t0 raises
+    ValueError before any limit is taken, whatever sigma is; a finite limit
+    that fails the automorphism check raises InternalInconsistencyError.
     """
     t0 = fam.field.coerce(t0)
+    algebra = fam.algebra_at(t0)
     pa = perm_coeff_vector(fam, sigma)
     limits = []
     for k, c in enumerate(pa.coeffs):
@@ -312,7 +314,6 @@ def analyze_at(fam: RootFamily, sigma: tuple, t0):
         if isinstance(lim, Pole):
             return PoleAt(coeff_index=k, order=lim.order)
         limits.append(lim.as_constant())
-    algebra = fam.algebra_at(t0)
     limit_map = SubstitutionMap(algebra, UniPoly(fam.field, limits))
     if not limit_map.is_automorphism():
         raise InternalInconsistencyError(

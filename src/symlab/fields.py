@@ -23,6 +23,10 @@ class FieldError(ValueError):
     """Invalid field construction, or arithmetic across different fields."""
 
 
+# Most candidates a brute-force automorphism search may enumerate.
+ENUMERATION_BUDGET = 10**8
+
+
 def signed_sum(terms, wrap: bool = False) -> str:
     """Join (coefficient string, monomial) pairs as "c*m + m - c*m".
 
@@ -47,6 +51,18 @@ def signed_sum(terms, wrap: bool = False) -> str:
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
+
+
+def power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply; `one` is the unit of the
+    ring of `base`, which needs only *.  Callers decide what n < 0 means."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base
+        n >>= 1
+    return acc
 
 
 def _is_prime(n: int) -> bool:
@@ -128,15 +144,8 @@ class FieldElement:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+            return power(self.inverse(), -n, self.field.one)
+        return power(self, n, self.field.one)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""

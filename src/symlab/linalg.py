@@ -32,6 +32,83 @@ def laplace_det(rows):
     return acc
 
 
+class CoordinateVector:
+    """Element of a finite-dimensional algebra, held as its coordinates in
+    the algebra's basis.  A scalar c operand stands for c times the unit.
+
+    Subclasses supply `_product` (the algebra product of two elements of
+    one algebra), hashing and rendering; the algebra supplies `field`,
+    `dim` and `one()`.
+    """
+
+    __slots__ = ("algebra", "coeffs")
+
+    def __init__(self, algebra, coeffs):
+        cs = [algebra.field.coerce(c) for c in coeffs]
+        if len(cs) != algebra.dim:
+            raise ValueError("coordinate vector length must equal the dimension")
+        self.algebra = algebra
+        self.coeffs = tuple(cs)
+
+    def _check(self, other):
+        """`other` as an element of this algebra, or None for a foreign type."""
+        if isinstance(other, type(self)):
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
+                raise ValueError("elements of different algebras")
+            return other
+        try:
+            c = self.algebra.field.coerce(other)
+        except TypeError:
+            return None
+        return self.algebra.one() * c
+
+    def __add__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return type(self)(self.algebra, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return type(self)(self.algebra, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __rsub__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return type(self)(self.algebra, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(self._check(other))
+        try:
+            c = self.algebra.field.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return type(self)(self.algebra, [a * c for a in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def __eq__(self, other):
+        o = self._check(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __repr__(self):
+        return self.__str__()
+
+
 class Matrix:
     """Immutable dense matrix over a field."""
 
@@ -98,13 +175,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.nrows == other.nrows
-            and all(
-                a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-            )
-        )
+        return self.field == other.field and self.rows == other.rows
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("Matrix is not hashable")

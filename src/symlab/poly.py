@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, FieldElement, FieldError, RationalField, signed_sum
+from .fields import Field, FieldElement, FieldError, RationalField, power, signed_sum
 
 
 class UniPoly:
@@ -126,14 +126,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        acc = UniPoly.constant(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return power(self, n, UniPoly.constant(self.field, 1))
 
     def __divmod__(self, other):
         o = self._same_field(other)
@@ -323,14 +316,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        acc = MultiPoly.constant(self.field, self.symbols, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return power(self, n, MultiPoly.constant(self.field, self.symbols, 1))
 
     def __eq__(self, other):
         o = self._check(other)

@@ -14,8 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .fields import Field, FieldError
-from .linalg import Matrix
+from .fields import ENUMERATION_BUDGET, Field, FieldError, power
+from .linalg import CoordinateVector, Matrix
 from .poly import UniPoly
 
 
@@ -72,92 +72,21 @@ class MonogenicAlgebra:
         return f"{self.field}[X]/({self.modulus})"
 
 
-class AlgebraElement:
+class AlgebraElement(CoordinateVector):
     """Element in the basis 1, X, ..., X^(n-1) of its algebra."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: MonogenicAlgebra, coeffs):
-        cs = [algebra.field.coerce(c) for c in coeffs]
-        if len(cs) != algebra.dim:
-            raise ValueError("coefficient vector length must equal the dimension")
-        self.algebra = algebra
-        self.coeffs = tuple(cs)
-
-    def _check(self, other):
-        if isinstance(other, AlgebraElement):
-            if other.algebra != self.algebra:
-                raise ValueError("elements of different algebras")
-            return other
-        try:
-            c = self.algebra.field.coerce(other)
-        except TypeError:
-            return None
-        return self.algebra.element([c])
+    __slots__ = ()
 
     def as_poly(self) -> UniPoly:
         return UniPoly(self.algebra.field, self.coeffs)
 
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraElement(
-            self.algebra, [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraElement(
-            self.algebra, [a - b for a, b in zip(self.coeffs, o.coeffs)]
-        )
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            if other.algebra != self.algebra:
-                raise ValueError("elements of different algebras")
-            return self.algebra.from_poly(self.as_poly() * other.as_poly())
-        try:
-            c = self.algebra.field.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return AlgebraElement(self.algebra, [a * c for a in self.coeffs])
-
-    __rmul__ = __mul__
+    def _product(self, other):
+        return self.algebra.from_poly(self.as_poly() * other.as_poly())
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        acc = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
+        return power(self, n, self.algebra.one())
 
     def __hash__(self):
         return hash(
@@ -166,9 +95,6 @@ class AlgebraElement:
 
     def __str__(self):
         return self.as_poly().to_str(ascending=True)
-
-    def __repr__(self):
-        return self.__str__()
 
 
 class AlgebraHom:
@@ -313,15 +239,27 @@ def idempotents(algebra: MonogenicAlgebra, roots) -> list[AlgebraElement]:
         raise ValueError("roots do not multiply out to the modulus")
     out = []
     for i, zi in enumerate(zs):
-        num = UniPoly.constant(field, 1)
         den = field.one
         for j, zj in enumerate(zs):
-            if j == i:
-                continue
-            num = num * UniPoly(field, [-zj, field.one])
-            den = den * (zi - zj)
+            if j != i:
+                den = den * (zi - zj)
+        num = UniPoly(field, lagrange_numerator(zs, i, field.one))
         out.append(algebra.from_poly(num * den.inverse()))
     return out
+
+
+def lagrange_numerator(zs, i, one):
+    """Coefficients, X^0 first, of prod_{j != i} (X - z_j); entries need
+    only +, -, *, with `one` the unit of their ring."""
+    numer = [one]
+    for j, z in enumerate(zs):
+        if j != i:
+            numer = (
+                [-(z * numer[0])]
+                + [a - z * b for a, b in zip(numer, numer[1:])]
+                + [numer[-1]]
+            )
+    return numer
 
 
 def vandermonde_adjugate(roots, one):
@@ -347,14 +285,7 @@ def vandermonde_adjugate(roots, one):
 
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
-        numer = [one]  # prod_{j != i} (X - z_j), lowest degree first
-        for j, z in enumerate(zs):
-            if j != i:
-                numer = (
-                    [-(z * numer[0])]
-                    + [a - z * b for a, b in zip(numer, numer[1:])]
-                    + [numer[-1]]
-                )
+        numer = lagrange_numerator(zs, i, one)
         scale = differences(i)
         if (n - 1 - i) % 2:
             scale = -scale
@@ -479,7 +410,7 @@ def brute_force_automorphisms(algebra: MonogenicAlgebra) -> list[SubstitutionMap
     if q is None:
         raise FieldError("brute force needs a finite field")
     n = algebra.dim
-    if q**n > 10**8:
+    if q**n > ENUMERATION_BUDGET:
         raise ValueError("enumeration budget exceeded")
     elems = list(field.elements())
     out = []

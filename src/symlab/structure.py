@@ -14,8 +14,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, FieldElement, FieldError, parse_field_spec, signed_sum
-from .linalg import Matrix
+from .fields import (
+    ENUMERATION_BUDGET, Field, FieldElement, FieldError, parse_field_spec, signed_sum,
+)
+from .linalg import CoordinateVector, Matrix
 from .poly import FunctionField, Pole
 
 
@@ -88,14 +90,8 @@ class StructureConstAlgebra:
             return NotImplemented
         return (
             self.field == other.field
-            and self.dim == other.dim
-            and all(
-                a == b
-                for ra, rb in zip(self.table, other.table)
-                for ca, cb in zip(ra, rb)
-                for a, b in zip(ca, cb)
-            )
-            and all(a == b for a, b in zip(self.unit, other.unit))
+            and self.table == other.table
+            and self.unit == other.unit
         )
 
     def __hash__(self):  # pragma: no cover
@@ -105,81 +101,24 @@ class StructureConstAlgebra:
         return f"<{self.dim}-dim algebra over {self.field}>"
 
 
-class StructElement:
-    __slots__ = ("algebra", "coeffs")
+class StructElement(CoordinateVector):
+    __slots__ = ()
 
-    def __init__(self, algebra: StructureConstAlgebra, coeffs):
-        cs = [algebra.field.coerce(c) for c in coeffs]
-        if len(cs) != algebra.dim:
-            raise ValueError("coordinate vector length must equal the dimension")
-        self.algebra = algebra
-        self.coeffs = tuple(cs)
-
-    def _check(self, other):
-        if isinstance(other, StructElement):
-            if other.algebra is not self.algebra and other.algebra != self.algebra:
-                raise ValueError("elements of different algebras")
-            return other
-        try:
-            c = self.algebra.field.coerce(other)
-        except TypeError:
-            return None
-        return StructElement(
-            self.algebra, [u * c for u in self.algebra.unit]
-        )
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return StructElement(
-            self.algebra, [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return StructElement(
-            self.algebra, [a - b for a, b in zip(self.coeffs, o.coeffs)]
-        )
-
-    def __neg__(self):
-        return StructElement(self.algebra, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, StructElement):
-            if other.algebra != self.algebra:
-                raise ValueError("elements of different algebras")
-            n = self.algebra.dim
-            out = [self.algebra.field.zero] * n
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
+    def _product(self, other):
+        n = self.algebra.dim
+        out = [self.algebra.field.zero] * n
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b.is_zero():
                     continue
-                for j, b in enumerate(other.coeffs):
-                    if b.is_zero():
-                        continue
-                    ab = a * b
-                    cell = self.algebra.table[i][j]
-                    for k in range(n):
-                        if not cell[k].is_zero():
-                            out[k] = out[k] + ab * cell[k]
-            return StructElement(self.algebra, out)
-        try:
-            c = self.algebra.field.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return StructElement(self.algebra, [a * c for a in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
+                ab = a * b
+                cell = self.algebra.table[i][j]
+                for k in range(n):
+                    if not cell[k].is_zero():
+                        out[k] = out[k] + ab * cell[k]
+        return StructElement(self.algebra, out)
 
     def __hash__(self):
         return hash(
@@ -194,9 +133,6 @@ class StructElement:
             if not c.is_zero()
         ]
         return signed_sum(terms, wrap=True)
-
-    def __repr__(self):
-        return self.__str__()
 
 
 class LinearAlgebraMap:
@@ -225,7 +161,7 @@ class LinearAlgebraMap:
         return cls(algebra, algebra, Matrix.identity(algebra.field, algebra.dim))
 
     def __call__(self, u: StructElement) -> StructElement:
-        if u.algebra != self.source:
+        if u.algebra is not self.source and u.algebra != self.source:
             raise ValueError("element of a different algebra")
         return self.target.element(self.matrix.mul_vec(list(u.coeffs)))
 
@@ -340,7 +276,7 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
         (i for i in range(n) if algebra.basis(i) == algebra.one()), None
     )
     free = [i for i in range(n) if i != unit_idx]
-    if q ** (n * len(free)) > 10**8:
+    if q ** (n * len(free)) > ENUMERATION_BUDGET:
         raise ValueError("enumeration budget exceeded")
     elems = list(field.elements())
     all_vectors = [
@@ -396,7 +332,6 @@ def compose_pair(p2: AutPair, p1: AutPair) -> AutPair:
 def pair_to_map(algebra: StructureConstAlgebra, pair: AutPair) -> LinearAlgebraMap:
     """The (b, b') automorphism on T(1) (or the matching transported map on
     any T(t) via transport_aut)."""
-    field = algebra.field
     one = algebra.one()
     e2 = algebra.basis(1)
     e3 = algebra.basis(2)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,11 @@ from pathlib import Path
 import pytest
 
 from symlab.cli import build_parser, emit_report, main, run
+from symlab.fields import parse_field_spec
+from symlab.linalg import Matrix
+from symlab.parse import parse_ratfunc
+from symlab.poly import FunctionField, UniPoly
+from symlab.quotient import MonogenicAlgebra, idempotents, vandermonde_adjugate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -134,6 +140,13 @@ class TestExitCodes:
         repeated = argv[argv.index("--symbols") + 1].split(",")[-1].strip()
         assert f"'{repeated}'" in err
 
+    @pytest.mark.parametrize("perm", [[], ["--perm", "(13)"]], ids=["all", "one_perm"])
+    def test_root_pole_at_critical_value_exit_1(self, perm, capsys):
+        # 1/(t+1) has a pole at the critical value t = -1; the verdict must
+        # not depend on whether one permutation or all of them are analyzed
+        assert main(["family", "--roots", "1/(t+1),0,t+1", *perm]) == 1
+        assert capsys.readouterr().err == "error: root has a pole at t = -1\n"
+
     def test_success_exit_0(self, capsys):
         assert main(["chi", "--field", "Fp(5)"]) == 0
         assert "order 2" in capsys.readouterr().out
@@ -176,3 +189,73 @@ def test_parser_lists_all_subcommands():
     text = parser.format_help()
     for sub in ("aut", "idem", "family", "survival", "chi", "talg", "lines", "conj"):
         assert sub in text
+
+
+# Roots pairwise distinct over Q and over F_7, in one and in two symbols.
+IDEM_ROOTS = {
+    ("t",): ["0", "1", "-2", "1/2", "t", "2*t", "t^2", "t+1", "1/(t+1)", "t/(t+2)",
+             "(t-1)/(t^2+3)", "2/t"],
+    ("a", "t"): ["0", "1", "-2", "t", "a", "2*t", "a*t", "a+t", "1/(t+1)", "t/(a+1)",
+                 "1/(a-t)", "(a+2)/(t+3)"],
+}
+
+
+def _idem_cases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        symbols = rng.choice(list(IDEM_ROOTS))
+        spec = rng.choice(["Q", "Fp(7)"])
+        n = rng.choice([2, 3] if len(symbols) == 2 else [2, 3, 4])
+        yield spec, symbols, rng.sample(IDEM_ROOTS[symbols], n)
+
+
+def _product_idempotent_strings(algebra, zs):
+    """The idempotents as products of the linear factors X - z_j, each
+    divided by prod_{j != i} (z_i - z_j): the construction that the shared
+    Lagrange numerator replaced."""
+    field = algebra.field
+    out = []
+    for i, zi in enumerate(zs):
+        num, den = UniPoly.constant(field, 1), field.one
+        for j, zj in enumerate(zs):
+            if j != i:
+                num = num * UniPoly(field, [-zj, field.one])
+                den = den * (zi - zj)
+        out.append(str(algebra.from_poly(num * den.inverse())))
+    return out
+
+
+def test_idem_adjugate_determinant_against_laplace():
+    # idem prints det = prod_{j<l} (z_l - z_j) from the Vandermonde
+    # adjugate; the oracle expands the Vandermonde matrix by cofactors.  A
+    # function field in one symbol reduces every fraction, and polynomial
+    # roots give polynomial determinants, so there the printed strings
+    # agree too; two symbols with fractional roots leave fractions
+    # unreduced, and only the values must agree.
+    printed = 0
+    for spec, symbols, roots in _idem_cases(60, seed=7):
+        base = parse_field_spec(spec)
+        field = FunctionField(base, symbols)
+        rfs = [parse_ratfunc(r, base, symbols) for r in roots]
+        zs = [field.coerce(r) for r in rfs]
+        _, det = vandermonde_adjugate(zs, field.one)
+        laplace = Matrix(field, [[z**k for k in range(len(zs))] for z in zs]).det()
+        assert det == laplace, (spec, roots)
+        algebra = MonogenicAlgebra.from_roots(field, zs)
+        es = [str(e) for e in idempotents(algebra, zs)]
+        assert es == _product_idempotent_strings(algebra, zs), (spec, roots)
+        polynomial = all(list(r.den.terms) == [(0,) * len(symbols)] for r in rfs)
+        canonical = len(symbols) == 1 or polynomial
+        if canonical:
+            assert str(det) == str(laplace), (spec, roots)
+        if canonical and len(roots) == 2:
+            # the CLI's own check of the idempotents is slow beyond two roots
+            argv = ["idem", "--field", spec, "--symbols", ",".join(symbols),
+                    f"--roots={','.join(roots)}", "--json"]
+            code, text = run(argv)
+            assert code == 0, text
+            res = json.loads(text)["results"]
+            assert res["vandermonde_det"] == str(laplace), argv
+            assert res["idempotents"] == es and res["verified"]
+            printed += 1
+    assert printed >= 5

@@ -10,10 +10,12 @@ from symlab.fields import (
     PrimeField,
     QQ,
     parse_field_spec,
+    power,
     primitive_cube_root,
     rationals_with_cube_root,
 )
-from symlab.poly import UniPoly
+from symlab.poly import MultiPoly, UniPoly
+from symlab.quotient import MonogenicAlgebra
 
 
 def sample_fields():
@@ -170,3 +172,31 @@ def test_finite_field_sizes_and_element_counts():
         elems = list(field.elements())
         assert len(elems) == size
         assert len({e.sort_key() for e in elems}) == size
+
+
+def test_power_behind_every_pow():
+    # one square-and-multiply loop serves field elements, both polynomial
+    # kinds and quotient-algebra elements; the oracle multiplies n times
+    f7 = GF(7)
+    ab = ("a", "b")
+    alg = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
+    cases = [
+        (f7.coerce(3), f7.one),
+        (QQ.coerce(Fraction(-2, 3)), QQ.one),
+        (UniPoly(f7, [3, 1]), UniPoly.constant(f7, 1)),
+        (MultiPoly(QQ, ab, {(1, 0): 2, (0, 1): -1}), MultiPoly.constant(QQ, ab, 1)),
+        (alg.element([1, 2, Fraction(1, 2)]), alg.one()),
+    ]
+    for base, one in cases:
+        expected = one
+        for n in range(38):
+            if n in (0, 1, 37):
+                assert base**n == expected
+                assert power(base, n, one) == expected
+            expected = expected * base
+    # a negative exponent inverts a field element and is refused elsewhere
+    assert f7.coerce(3) ** -2 == (f7.coerce(3) * f7.coerce(3)).inverse()
+    assert QQ.coerce(Fraction(-2, 3)) ** -3 == QQ.coerce(Fraction(-27, 8))
+    for base, _ in cases[2:]:
+        with pytest.raises(ValueError):
+            base**-1

@@ -6,6 +6,8 @@ import pytest
 from symlab.fields import GF, QQ
 from symlab.linalg import Matrix, laplace_det
 from symlab.poly import FunctionField, MultiPoly
+from symlab.quotient import MonogenicAlgebra
+from symlab.structure import build_T
 
 
 def random_matrix(field, n, rng):
@@ -79,3 +81,54 @@ def test_function_field_matrix_inverse():
     inv = m.inverse()
     assert m * inv == Matrix.identity(ff, 2)
     assert m.det() == ff.one - t * t
+
+
+class TestCoordinateVector:
+    """The coordinate arithmetic shared by quotient and structure-constant
+    algebra elements."""
+
+    MAKERS = {
+        "build_T": lambda t: build_T(QQ.coerce(t)),
+        "from_roots": lambda t: MonogenicAlgebra.from_roots(QQ, [0, 1, t + 1]),
+    }
+
+    @pytest.mark.parametrize("kind", list(MAKERS))
+    def test_equal_but_distinct_algebras_interoperate(self, kind):
+        a, b = self.MAKERS[kind](1), self.MAKERS[kind](1)
+        assert a is not b and a == b
+        u, v = a.element([1, 2, 3]), b.element([Fraction(1, 2), -1, 4])
+        assert u + v == a.element([Fraction(3, 2), 1, 7])
+        assert u - v == a.element([Fraction(1, 2), 3, -1])
+        assert -u == a.element([-1, -2, -3])
+        # the product across copies equals the product inside one copy
+        assert u * v == u * a.element(v.coeffs)
+        assert v * u == b.element(v.coeffs) * b.element(u.coeffs)
+        assert u == b.element([1, 2, 3]) and u != v
+        assert (u - b.element(u.coeffs)).is_zero() and not u.is_zero()
+
+    @pytest.mark.parametrize("kind", list(MAKERS))
+    def test_scalars_stand_for_multiples_of_the_unit(self, kind):
+        a = self.MAKERS[kind](1)
+        u = a.element([1, 2, 3])
+        two = a.one() * 2
+        assert u + 2 == 2 + u == u + two
+        assert u - 2 == u - two and 2 - u == two - u
+        assert 3 * u == u * 3 == a.element([3, 6, 9])
+        assert a.one() * 2 == 2 and a.zero() == 0
+
+    @pytest.mark.parametrize("kind", list(MAKERS))
+    def test_different_algebras_raise(self, kind):
+        u = self.MAKERS[kind](1).element([1, 2, 3])
+        w = self.MAKERS[kind](2).element([1, 2, 3])
+        for op in (lambda: u + w, lambda: u - w, lambda: u * w, lambda: u == w):
+            with pytest.raises(ValueError):
+                op()
+
+    def test_the_two_element_kinds_never_compare_equal(self):
+        s = build_T(QQ.one).one()
+        q = MonogenicAlgebra.from_roots(QQ, [0, 1, 2]).one()
+        assert s.coeffs == q.coeffs
+        assert (s == q) is False and (q == s) is False
+        assert s != q
+        with pytest.raises(TypeError):
+            s + q

@@ -14,6 +14,7 @@ from symlab.quotient import (
     brute_force_automorphisms,
     fpa_decompose,
     idempotents,
+    lagrange_numerator,
     split_roots,
     vandermonde_adjugate,
     vandermonde_pair,
@@ -184,6 +185,31 @@ class TestIdempotents:
             assert coords == [QQ.coerce(z) for z in roots]
             done += 1
 
+    def test_idempotents_are_the_columns_of_adj_over_det(self):
+        # M c = (e_i(z_1), ..., e_i(z_n)) = the i-th unit vector, so the
+        # coordinates of e_i form column i of M^(-1) = adj/det
+        ff = FunctionField(QQ, ("t",))
+        t = ff.symbol("t")
+        cases = [
+            (QQ, [0, 1, 2, Fraction(5, 2)]),
+            (GF(7), [1, 3, 4, 6]),
+            (ff, [ff.zero, t, ff.one, (t + ff.one).inverse()]),
+        ]
+        for field, roots in cases:
+            zs = [field.coerce(z) for z in roots]
+            a = MonogenicAlgebra.from_roots(field, zs)
+            adj, det = vandermonde_adjugate(zs, field.one)
+            inv = det.inverse()
+            for i, e in enumerate(idempotents(a, zs)):
+                assert list(e.coeffs) == [adj[k][i] * inv for k in range(len(zs))]
+
+    def test_lagrange_numerator(self):
+        one = QQ.one
+        zs = [QQ.coerce(z) for z in (1, 2, 3)]
+        assert lagrange_numerator(zs, 0, one) == [6, -5, 1]  # (X - 2)(X - 3)
+        assert lagrange_numerator(zs, 2, one) == [2, -3, 1]  # (X - 1)(X - 2)
+        assert lagrange_numerator(zs[:1], 0, one) == [1]
+
     def test_errors(self):
         a = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
         with pytest.raises(ValueError):
@@ -304,6 +330,11 @@ class TestBruteForce:
         for g in auts:
             for h in auts:
                 assert g.compose(h) in auts
+
+    def test_enumeration_budget(self):
+        a = MonogenicAlgebra.from_roots(GF(101), [0, 1, 2, 3, 4])  # 101^5 maps
+        with pytest.raises(ValueError, match="enumeration budget exceeded"):
+            brute_force_automorphisms(a)
 
     def test_infinite_field_rejected(self):
         with pytest.raises(FieldError):

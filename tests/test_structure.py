@@ -145,6 +145,9 @@ class TestBruteForce:
     def test_budget_and_field_guards(self):
         with pytest.raises(FieldError):
             brute_force_automorphisms(build_T(QQ.one))
+        # two free columns of F_101^3: 101^6 candidates
+        with pytest.raises(ValueError, match="enumeration budget exceeded"):
+            brute_force_automorphisms(build_T(GF(101).one))
 
 
 class TestPairModel:

@@ -1,0 +1,47 @@
+"""Every function and method that the benchmark's tracer
+(perfbench/tracing.py) wraps by name must exist in symlab.  The tracer
+resolves its targets only when a traced run starts, so a deleted or renamed
+target would otherwise break traced runs without failing any test here.
+The tracer file is read, never edited.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("symlab_bench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _owner(module: str, qualname: str):
+    owner = importlib.import_module(f"symlab.{module}")
+    *path, attr = qualname.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+@pytest.mark.parametrize("table", ["SPANS", "COUNTERS"])
+def test_every_traced_target_resolves(table):
+    targets = getattr(_load_tracing(), table)
+    assert targets
+    missing = []
+    for name, module, qualname in targets:
+        try:
+            owner, attr = _owner(module, qualname)
+        except (ImportError, AttributeError):
+            missing.append(f"{name}: symlab.{module}.{qualname}")
+            continue
+        # counters replace the attribute found in the owner's own namespace
+        found = vars(owner).get(attr) if table == "COUNTERS" else getattr(owner, attr, None)
+        if not callable(found):
+            missing.append(f"{name}: symlab.{module}.{qualname}")
+    assert not missing, missing

@@ -786,6 +786,27 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# the options that take no value; every other "--" option takes one
+_FLAGS = frozenset({"--json", "--brute-force", "--help"})
+
+
+def _join_dash_values(argv) -> list:
+    """Rewrite "--opt VALUE" as "--opt=VALUE" when VALUE starts with a single
+    "-", as in "--roots -2,t,1": argparse reads such a VALUE as another
+    option, but takes whatever follows "=" as the value."""
+    out = []
+    for a in argv:
+        prev = out[-1] if out else ""
+        if (
+            a.startswith("-") and not a.startswith("--")
+            and prev.startswith("--") and "=" not in prev and prev not in _FLAGS
+        ):
+            out[-1] = f"{prev}={a}"
+        else:
+            out.append(a)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="symlab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -862,7 +883,7 @@ def run(argv) -> tuple[int, str]:
     """Run one invocation; returns (exit code, output text)."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(argv))
         report = _COMMANDS[args.subcommand](args)
     except InternalInconsistencyError as e:
         return 2, f"internal inconsistency: {e}\n"

@@ -18,6 +18,12 @@ r_j is c_k(p) * q^(k-1).  Every permutation then costs polynomial products
 and sums plus one rational-function construction per coefficient, and is
 computed once per family.
 
+The critical values are the t where two roots collide.  They are read off
+the numerator of each difference r_i - r_j separately, never from their
+product: linear factors give their root exactly over any field, and only
+factors of degree >= 2 need a search (all elements of a finite field, the
+rational root theorem over Q).
+
 Permutation convention: a permutation sigma acts on the coordinate vector
 of X in the idempotent basis by (v_1, ..., v_n) -> (v_{sigma(1)}, ...,
 v_{sigma(n)}).  Permutations are 0-indexed tuples with sigma[i] = image of
@@ -173,60 +179,64 @@ class RootFamily:
         return self._table
 
     def critical_values(self) -> list[FieldElement]:
-        """Parameter values where two roots collide: roots of the numerator
-        of prod_{i<j} (r_i - r_j).
+        """Parameter values where two roots collide: the roots of the
+        numerators of the differences r_i - r_j, one difference at a time.
 
-        Exhaustive over finite fields; over Q (and rational-coefficient
-        extensions) found by the rational root theorem plus the monomial
-        factor t^k.  Values outside those searches are not reported.
+        A numerator t^m * g(t) with g(0) != 0 gives 0 when m > 0 and, when g
+        is linear, its root exactly.  The roots of a g of degree >= 2 are
+        found by enumeration over a finite field and by the rational root
+        theorem over Q; over other infinite fields (Q(zeta3)) they are not
+        reported.  Listed 0 first, then over Q by (|numerator|,
+        denominator, positive first) and otherwise by sort_key, which over
+        a finite field is the order of field.elements().
         """
         if self.symbols != (self.param,):
             raise ValueError("family still carries symbols besides the parameter")
-        num = MultiPoly.constant(self.field, self.symbols, 1)
+        field = self.field
+        found = set()
+        factors = {}  # distinct g, each searched once
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                num = num * (self.roots[i] - self.roots[j]).num
-        found = []
-        if self.field.size() is not None:
-            for z in self.field.elements():
-                if num.eval_all({self.param: z}).is_zero():
-                    found.append(z)
-            return found
-        if num.eval_all({self.param: self.field.zero}).is_zero():
-            found.append(self.field.zero)
-        for cand in self._rational_root_candidates(num):
-            if cand.is_zero() or any(cand == f for f in found):
-                continue
-            if num.eval_all({self.param: cand}).is_zero():
-                found.append(cand)
-        return found
+                num = (self.roots[i] - self.roots[j]).num
+                lo, hi = num.order_in(self.param), num.degree_in(self.param)
+                if lo:
+                    found.add(field.zero)
+                g = UniPoly(field, [num.terms.get((k,), field.zero) for k in range(lo, hi + 1)])
+                factors[g] = None
+        for g in factors:
+            if g.degree == 1:
+                found.add(-g.coeffs[0] / g.coeffs[1])
+            elif g.degree >= 2:
+                if field.size() is not None:
+                    candidates = field.elements()
+                elif isinstance(field, RationalField):
+                    candidates = _rational_root_candidates(g)
+                else:
+                    candidates = ()
+                found.update(z for z in candidates if g(z).is_zero())
 
-    def _rational_root_candidates(self, num: MultiPoly):
-        coeffs = {e[0]: c for e, c in num.terms.items()}
-        lo = min(coeffs)
-        hi = max(coeffs)
-        if lo == hi:
-            return []
-        vals = []
-        for c in coeffs.values():
-            if not isinstance(c.value, Fraction):
-                return []  # non-rational coefficients: no candidate search
-            vals.append(c.value)
-        # clear denominators so that root numerators divide the constant
-        # term and root denominators divide the leading term
-        scale = math.lcm(*(v.denominator for v in vals))
-        a0 = abs(int(coeffs[lo].value * scale))
-        an = abs(int(coeffs[hi].value * scale))
-        seen = set()
-        out = []
-        for a in _divisors(a0):
-            for b in _divisors(an):
-                for s in (1, -1):
-                    q = Fraction(s * a, b)
-                    if q not in seen:
-                        seen.add(q)
-                        out.append(self.field.coerce(q))
-        return out
+        def order(z):
+            if isinstance(field, RationalField):
+                return (abs(z.value.numerator), z.value.denominator, z.value < 0)
+            return (not z.is_zero(), z.sort_key())
+
+        return sorted(found, key=order)
+
+
+def _rational_root_candidates(g: UniPoly) -> set:
+    """Every +-a/b with a dividing the constant and b the leading
+    coefficient of g (g(0) != 0, over Q) once both are cleared of
+    denominators: by the rational root theorem, g's rational roots."""
+    vals = [c.value for c in g.coeffs]
+    scale = math.lcm(*(v.denominator for v in vals))
+    a0 = abs(int(vals[0] * scale))
+    an = abs(int(vals[-1] * scale))
+    return {
+        g.field.coerce(Fraction(s * a, b))
+        for a in _divisors(a0)
+        for b in _divisors(an)
+        for s in (1, -1)
+    }
 
 
 def _divisors(n: int):

@@ -13,6 +13,7 @@ stable and fraction growth tame.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,15 @@ class UniPoly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _wrap(cls, field, values):
+        """From raw values of `field`, lowest degree first, with no trailing
+        zero: each is wrapped once, without coercion."""
+        p = cls.__new__(cls)
+        p.field = field
+        p.coeffs = tuple(FieldElement(field, v) for v in values)
+        return p
 
     @classmethod
     def zero(cls, field):
@@ -134,20 +144,22 @@ class UniPoly:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        quo = [self.field.zero] * max(len(rem) - len(o.coeffs) + 1, 0)
-        inv_lead = o.coeffs[-1].inverse()
-        while len(rem) >= len(o.coeffs):
-            c = rem[-1] * inv_lead
-            k = len(rem) - len(o.coeffs)
+        f = self.field
+        mul, sub, is_zero = f._mul, f._sub, f._is_zero
+        rem = [c.value for c in self.coeffs]
+        low = [c.value for c in o.coeffs[:-1]]
+        quo = [f.zero.value] * max(len(rem) - len(low), 0)
+        inv_lead = f._inv(o.coeffs[-1].value)
+        while len(rem) > len(low):
+            # the leading term cancels exactly; only the lower ones change
+            c = mul(rem.pop(), inv_lead)
+            k = len(rem) - len(low)
             quo[k] = c
-            for i, bc in enumerate(o.coeffs):
-                rem[k + i] = rem[k + i] - c * bc
-            while rem and rem[-1].is_zero():
+            for i, b in enumerate(low):
+                rem[k + i] = sub(rem[k + i], mul(c, b))
+            while rem and is_zero(rem[-1]):
                 rem.pop()
-            if not rem:
-                break
-        return UniPoly(self.field, quo), UniPoly(self.field, rem)
+        return UniPoly._wrap(f, quo), UniPoly._wrap(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -217,6 +229,16 @@ class MultiPoly:
             if not c.is_zero():
                 clean[tuple(exps)] = c
         self.terms = clean
+
+    @classmethod
+    def _wrap(cls, field, symbols, raw):
+        """From {exponents: nonzero raw value of `field`}: each value is
+        wrapped once, without coercion."""
+        p = cls.__new__(cls)
+        p.field = field
+        p.symbols = symbols
+        p.terms = {e: FieldElement(field, v) for e, v in raw.items()}
+        return p
 
     @classmethod
     def zero(cls, field, symbols):
@@ -296,20 +318,19 @@ class MultiPoly:
         o = self._check(other)
         if o is None:
             return NotImplemented
+        f = self.field
+        mul, add, is_zero = f._mul, f._add, f._is_zero
+        other_terms = [(e, c.value) for e, c in o.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in out:
-                    s = out[e] + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not c.is_zero():
-                    out[e] = c
-        return MultiPoly(self.field, self.symbols, out)
+            a = c1.value
+            for e2, b in other_terms:
+                e = tuple(map(operator.add, e1, e2))
+                prev = out.get(e)
+                out[e] = mul(a, b) if prev is None else add(prev, mul(a, b))
+        return MultiPoly._wrap(
+            f, self.symbols, {e: v for e, v in out.items() if not is_zero(v)}
+        )
 
     __rmul__ = __mul__
 

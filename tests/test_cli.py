@@ -30,6 +30,8 @@ GOLDEN = [
     ("family_0_t_t2", ["family", "--roots", "0,t,t^2", "--field", "Q", "--at", "0"]),
     ("family_scaled_132", ["family", "--roots", "t,3*t,2*t", "--field", "Q", "--at", "0"]),
     ("family_two_roots", ["family", "--roots", "t,2*t", "--field", "Q", "--at", "0"]),
+    # t = zeta3 and t = 1 are collisions found from linear factors over Q(zeta3)
+    ("family_qzeta3_collisions", ["family", "--field", "Qzeta3", "--roots", "0,t,1,zeta3"]),
     ("survival_swap", ["survival", "--perm", "(12)", "--witness", "1,3,2"]),
     (
         "survival_cycle_zeta3",
@@ -57,19 +59,49 @@ def test_golden_output(name, argv):
     assert text == expected
 
 
-def test_five_root_family_golden_in_subprocess():
-    # the full S5 survival table of a 5-root family, run as a fresh process
-    # under a time bound; the golden is the JSON report, byte for byte
+def run_subprocess(argv, timeout):
+    """`python -m symlab.cli argv` as a fresh process under a time bound."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = ["family", "--roots", "0,t,1,2*t,3", "--at", "0", "--json"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "symlab.cli", *argv],
-        capture_output=True, env=env, timeout=10, check=False,
+        capture_output=True, env=env, timeout=timeout, check=False,
     )
+
+
+def test_five_root_family_golden_in_subprocess():
+    # the full S5 survival table of a 5-root family; the golden is the JSON
+    # report, byte for byte
+    proc = run_subprocess(["family", "--roots", "0,t,1,2*t,3", "--at", "0", "--json"], 10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / "family_five_roots.json").read_bytes()
+
+
+def test_huge_integer_root_in_subprocess():
+    # the collision t = 123456789012345678901 comes from a linear factor,
+    # so no divisor of the 21-digit integer is searched for
+    proc = run_subprocess(["family", "--roots", "0,t,123456789012345678901", "--at", "0"], 10)
+    assert proc.returncode == 0, proc.stderr
+    assert b"critical values: 0, 123456789012345678901\n" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "option,argv",
+    [
+        ("--roots", ["idem", "--roots", "-2,t,1", "--symbols", "t"]),
+        ("--roots", ["family", "--roots", "-1,t,1"]),
+        ("--at", ["family", "--roots", "0,t,1", "--at", "-1,1"]),
+    ],
+)
+def test_option_value_with_leading_minus(option, argv):
+    # "--opt -2,t,1" reads like "--opt=-2,t,1", not like a second option
+    i = argv.index(option)
+    joined = argv[:i] + [f"{option}={argv[i + 1]}"] + argv[i + 2:]
+    code, text = run(argv)
+    assert code == 0, text
+    assert (code, text) == run(joined)
+    assert f"{option[2:]}: {argv[i + 1]}\n" in text
 
 
 def test_output_is_deterministic():

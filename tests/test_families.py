@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -645,3 +646,131 @@ class TestAdjugateAgainstGaussJordan:
                     assert e_one["statuses"] == [
                         st for st in e_full["statuses"] if st["perm"] == cycles
                     ]
+
+
+# -- differential test: critical values against the expanded product ---------
+
+
+def _divisors(n):
+    """Divisors of n >= 1 from its factorization by trial division, which
+    is quick for the smooth constants of products of small factors."""
+    divs, p = [1], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        divs = [d * p**i for d in divs for i in range(k + 1)]
+        p += 1
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
+
+
+def expanded_product_critical_values(fam):
+    """The search that expanded prod_{i<j} num(r_i - r_j), kept as a
+    test-only oracle: every element of a finite field, or over Q the value
+    0 and then every +-a/b with a dividing the lowest and b the highest
+    coefficient of the integer-scaled product, in order of first
+    appearance, that is a root of the product."""
+    field, t = fam.field, fam.param
+    num = MultiPoly.constant(field, fam.symbols, 1)
+    for i in range(fam.n):
+        for j in range(i + 1, fam.n):
+            num = num * (fam.roots[i] - fam.roots[j]).num
+    if field.size() is not None:
+        return [z for z in field.elements() if num.eval_all({t: z}).is_zero()]
+    found = [field.zero] if num.eval_all({t: field.zero}).is_zero() else []
+    coeffs = {e[0]: c.value for e, c in num.terms.items()}
+    lo, hi = min(coeffs), max(coeffs)
+    if lo == hi:
+        return found
+    scale = math.lcm(*(v.denominator for v in coeffs.values()))
+    ints = [int(coeffs.get(k, 0) * scale) for k in range(hi + 1)]
+
+    def vanishes(q):
+        # v^hi * P(u/v) by Horner in integers, for speed on many candidates
+        u, v = q.numerator, q.denominator
+        acc, vk = ints[hi], v
+        for c in reversed(ints[:hi]):
+            acc, vk = acc * u + c * vk, vk * v
+        return acc == 0
+
+    for a in _divisors(abs(ints[lo])):
+        for b in _divisors(abs(ints[hi])):
+            for s in (1, -1):
+                q = Fraction(s * a, b)
+                cand = field.coerce(q)
+                if cand not in found and vanishes(q):
+                    found.append(cand)
+    return found
+
+
+def collision_root_text(rng, max_deg):
+    """A polynomial in t of degree 0..max_deg with coefficients in [-3, 3],
+    a quarter of them halves or thirds, and in a quarter of the cases
+    divided by a linear polynomial such as 2*t + 1."""
+
+    def coeff():
+        a = rng.randint(-3, 3)
+        return f"{a}/{rng.choice([2, 3])}" if rng.random() < 0.25 else f"{a}"
+
+    poly = "+".join(f"({coeff()})*t^{k}" for k in range(rng.randint(0, max_deg) + 1))
+    if rng.random() < 0.25:
+        return f"({poly})/({rng.choice(['2*t+1', 't+1', 't-2', '3*t-1'])})"
+    return poly
+
+
+def random_collision_family(rng, field, n):
+    """Root texts and family of n distinct roots; degree 3 with up to three
+    roots, 2 with four and 1 with five, so that the oracle's product and
+    its divisor search stay small."""
+    max_deg = {2: 3, 3: 3, 4: 2, 5: 1}[n]
+    while True:
+        texts = [collision_root_text(rng, max_deg) for _ in range(n)]
+        try:
+            return texts, RootFamily(field, T, [parse_ratfunc(x, field, T) for x in texts])
+        except ValueError:
+            continue
+
+
+class TestCriticalValuesAgainstExpandedProduct:
+    @pytest.mark.parametrize("spec,field", DIFF_FIELDS, ids=[f[0] for f in DIFF_FIELDS])
+    def test_same_values_in_same_order(self, spec, field):
+        rng = random.Random(f"critical-{spec}")
+        nonempty = 0
+        for n in (2, 3, 4, 5):
+            for _ in range(19):
+                texts, fam = random_collision_family(rng, field, n)
+                got = fam.critical_values()
+                assert got == expanded_product_critical_values(fam), texts
+                nonempty += len(got) > 1
+        assert nonempty > 19  # the comparison is not between empty lists
+
+    def test_rational_roots_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random("critical-sympy")
+        for n in (2, 3, 4, 5):
+            for _ in range(10):
+                texts, fam = random_collision_family(rng, QQ, n)
+                rs = [sympy.sympify(x.replace("^", "**"), locals={"t": t}) for x in texts]
+                prod = sympy.Integer(1)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        prod *= sympy.numer(sympy.cancel(rs[i] - rs[j]))
+                expected = set(sympy.Poly(prod, t, domain="QQ").ground_roots())
+                got = {sympy.Rational(c.value.numerator, c.value.denominator)
+                       for c in fam.critical_values()}
+                assert got == expected, texts
+
+    def test_linear_factors_over_qzeta3(self):
+        # the search over Q needs rational coefficients; a linear factor
+        # gives its root in any field, listed 0 first, then by sort_key
+        qz = rationals_with_cube_root()
+        roots = [parse_ratfunc(x, qz, T) for x in ["0", "t", "1", "zeta3", "zeta3*t + 2"]]
+        got = RootFamily(qz, T, roots).critical_values()
+        z = qz.generator()
+        # t = 0, 1, zeta3 and the roots of (zeta3*t + 2) - r for r = 0, t, 1, zeta3
+        others = {qz.one, z, -2 / z, 2 / (1 - z), -1 / z, (z - 2) / z}
+        assert got == [qz.zero] + sorted(others, key=lambda c: c.sort_key())

@@ -9,6 +9,7 @@ input error, 2 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -807,7 +808,11 @@ def _join_dash_values(argv) -> list:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later `run`: building it costs far more than a parse, and parsing
+    leaves it unchanged."""
     parser = _ArgumentParser(prog="symlab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -881,9 +886,8 @@ _COMMANDS = {
 
 def run(argv) -> tuple[int, str]:
     """Run one invocation; returns (exit code, output text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_dash_values(argv))
+        args = build_parser().parse_args(_join_dash_values(argv))
         report = _COMMANDS[args.subcommand](args)
     except InternalInconsistencyError as e:
         return 2, f"internal inconsistency: {e}\n"

@@ -14,15 +14,20 @@ roots, so c(sigma) = adj(M) (r_sigma(1), ..., r_sigma(n)) / det(M).  Each
 family builds adj(M) and det(M) once, as polynomials and without division
 (quotient.vandermonde_adjugate), over one common denominator q of its roots
 r_j = p_j/q: since g_r(X) = g_p(qX)/q, the X^k coefficient for the roots
-r_j is c_k(p) * q^(k-1).  Every permutation then costs polynomial products
-and sums plus one rational-function construction per coefficient, and is
-computed once per family.
+r_j is c_k(p) * q^(k-1).  Listing a permutation's generic map then costs
+polynomial products and sums plus one rational-function construction per
+coefficient, and is computed once per family.
+
+Limits need no rational function: at each parameter value t0 the table is
+Taylor-shifted to t0 once and truncated at each denominator's order there
+(RootFamily.shifted_table), so a permutation's pole orders and limits are
+read from truncated products of series, with no gcd (analyze_at).
 
 The critical values are the t where two roots collide.  They are read off
 the numerator of each difference r_i - r_j separately, never from their
 product: linear factors give their root exactly over any field, and only
-factors of degree >= 2 need a search (all elements of a finite field, the
-rational root theorem over Q).
+factors of degree >= 2 need a search (all elements of a finite field; over
+Q the discriminant for degree 2, the rational root theorem from degree 3).
 
 Permutation convention: a permutation sigma acts on the coordinate vector
 of X in the idempotent basis by (v_1, ..., v_n) -> (v_{sigma(1)}, ...,
@@ -111,11 +116,13 @@ class RootFamily:
                         f"roots {i + 1} and {j + 1} coincide as rational functions"
                     )
         self.roots = tuple(rs)
-        # per-family memo: interpolation table, permutation vectors and
-        # specialized algebras, freed with the family
+        # per-family memo: interpolation table, permutation vectors, and per
+        # parameter value the specialized algebra and the shifted table,
+        # freed with the family
         self._table = None
         self._perm_vectors = {}
         self._algebras = {}
+        self._shifted = {}
 
     @property
     def n(self) -> int:
@@ -178,14 +185,50 @@ class RootFamily:
             self._table = (tuple(rows), tuple(ps))
         return self._table
 
+    def shifted_table(self, t0):
+        """The interpolation table as truncated Taylor series in s = t - t0.
+
+        Returns (rows, series): row k is (e_k, inv_k, adj_k) with e_k the
+        order of den_k at t0, inv_k the inverse of its coefficient of s^e_k,
+        and adj_k[i] the Taylor coefficients of adj_k[i] up to s^e_k;
+        series[j] holds those of p_j up to s^max(e_k).  A series is a tuple
+        of its nonzero terms (index, raw field value) by rising index.
+        Built once per t0.
+        """
+        t0 = self.field.coerce(t0)
+        if t0 not in self._shifted:
+            field, v = self.field, t0.value
+
+            def terms(p, count):
+                series = enumerate(_taylor(field, p, v))
+                return tuple(
+                    (i, c) for i, c in itertools.islice(series, count)
+                    if not field._is_zero(c)
+                )
+
+            rows, ps = self.interpolation_table()
+            shifted = []
+            for adj_k, den in rows:
+                # den is not zero, so its series has a first nonzero term
+                e, lead = next(
+                    (i, c) for i, c in enumerate(_taylor(field, den, v))
+                    if not field._is_zero(c)
+                )
+                adj = tuple(terms(a, e + 1) for a in adj_k)
+                shifted.append((e, field._inv(lead), adj))
+            top = max(e for e, _, _ in shifted) + 1
+            self._shifted[t0] = (tuple(shifted), tuple(terms(p, top) for p in ps))
+        return self._shifted[t0]
+
     def critical_values(self) -> list[FieldElement]:
         """Parameter values where two roots collide: the roots of the
         numerators of the differences r_i - r_j, one difference at a time.
 
         A numerator t^m * g(t) with g(0) != 0 gives 0 when m > 0 and, when g
         is linear, its root exactly.  The roots of a g of degree >= 2 are
-        found by enumeration over a finite field and by the rational root
-        theorem over Q; over other infinite fields (Q(zeta3)) they are not
+        found by enumeration over a finite field and over Q from the
+        discriminant (degree 2) or by the rational root theorem (degree
+        >= 3); over other infinite fields (Q(zeta3)) they are not
         reported.  Listed 0 first, then over Q by (|numerator|,
         denominator, positive first) and otherwise by sort_key, which over
         a finite field is the order of field.elements().
@@ -223,18 +266,44 @@ class RootFamily:
         return sorted(found, key=order)
 
 
+def _taylor(field: Field, p: MultiPoly, t0):
+    """The Taylor coefficients at the raw value t0 of a univariate
+    polynomial, lowest first, as raw values and then zeros without end:
+    repeated synthetic division by t - t0, each remainder being the next
+    coefficient, so only the coefficients taken are computed."""
+    mul, add = field._mul, field._add
+    cs = p.raw_coeffs()
+    while cs:
+        acc, quo = cs[-1], cs[:-1]
+        for i in range(len(cs) - 2, -1, -1):
+            quo[i] = acc
+            acc = add(cs[i], mul(acc, t0))
+        yield acc
+        cs = quo
+    yield from itertools.repeat(field.zero.value)
+
+
 def _rational_root_candidates(g: UniPoly) -> set:
-    """Every +-a/b with a dividing the constant and b the leading
-    coefficient of g (g(0) != 0, over Q) once both are cleared of
-    denominators: by the rational root theorem, g's rational roots."""
+    """A set holding every rational root of g (g(0) != 0, over Q), once its
+    coefficients are cleared of denominators: for a quadratic a*t^2 + b*t
+    + c, the roots (-b +- sqrt(D))/(2a) when the discriminant D is a perfect
+    square (none otherwise); from degree 3 on, by the rational root
+    theorem, every +-p/q with p dividing the constant and q the leading
+    coefficient."""
     vals = [c.value for c in g.coeffs]
     scale = math.lcm(*(v.denominator for v in vals))
-    a0 = abs(int(vals[0] * scale))
-    an = abs(int(vals[-1] * scale))
+    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    if g.degree == 2:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        root = math.isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            return set()
+        return {g.field.coerce(Fraction(-b + s * root, 2 * a)) for s in (1, -1)}
     return {
-        g.field.coerce(Fraction(s * a, b))
-        for a in _divisors(a0)
-        for b in _divisors(an)
+        g.field.coerce(Fraction(s * p, q))
+        for p in _divisors(ints[0])
+        for q in _divisors(ints[-1])
         for s in (1, -1)
     }
 
@@ -265,6 +334,11 @@ class PermAutomorphism:
         return f"{perm_to_cycles(self.sigma)}: ({', '.join(str(c) for c in self.coeffs)})"
 
 
+def _check_perm(fam: RootFamily, sigma: tuple):
+    if sorted(sigma) != list(range(fam.n)):
+        raise ValueError(f"{sigma} is not a permutation of 0..{fam.n - 1}")
+
+
 def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> PermAutomorphism:
     """Solve M c = (r_{sigma(1)}, ..., r_{sigma(n)}) for the Vandermonde M
     of the roots; entry k of c is the coefficient of X^k.
@@ -278,16 +352,10 @@ def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> PermAutomorphism:
     sigma = tuple(sigma)
     pa = fam._perm_vectors.get(sigma)
     if pa is None:
-        if sorted(sigma) != list(range(fam.n)):
-            raise ValueError(f"{sigma} is not a permutation of 0..{fam.n - 1}")
+        _check_perm(fam, sigma)
         rows, ps = fam.interpolation_table()
         images = [ps[j] for j in sigma]
-        coeffs = []
-        for adj_k, den in rows:
-            num = adj_k[0] * images[0]
-            for a, p in zip(adj_k[1:], images[1:]):
-                num = num + a * p
-            coeffs.append(RationalFunction(num, den))
+        coeffs = [RationalFunction(MultiPoly.dot(adj_k, images), den) for adj_k, den in rows]
         pa = fam._perm_vectors[sigma] = PermAutomorphism(sigma=sigma, coeffs=tuple(coeffs))
     return pa
 
@@ -311,20 +379,42 @@ def analyze_at(fam: RootFamily, sigma: tuple, t0):
     first coefficient without a limit.  A root with a pole at t0 raises
     ValueError before any limit is taken, whatever sigma is; a finite limit
     that fails the automorphism check raises InternalInconsistencyError.
+
+    Each coefficient c_k = num_k / den_k, num_k = sum_i adj_k[i] p_sigma(i),
+    is read from the family's table shifted to t0 (shifted_table), with no
+    rational function and no gcd: the Taylor coefficients of num_k up to
+    s^e_k, e_k = ord_t0(den_k), are truncated products of the shifted
+    entries.  Their lowest nonzero index a gives a pole of order e_k - a
+    when a < e_k, the limit num_k[e_k] / den_k[e_k] when a = e_k, and the
+    limit 0 when none is nonzero.
     """
     t0 = fam.field.coerce(t0)
     algebra = fam.algebra_at(t0)
-    pa = perm_coeff_vector(fam, sigma)
+    sigma = tuple(sigma)
+    _check_perm(fam, sigma)
+    field = fam.field
+    mul, add, is_zero, zero = field._mul, field._add, field._is_zero, field.zero.value
+    rows, series = fam.shifted_table(t0)
+    images = [series[j] for j in sigma]
     limits = []
-    for k, c in enumerate(pa.coeffs):
-        if c.is_zero():
-            limits.append(fam.field.zero)
-            continue
-        lim = c.limit_at(fam.param, t0)
-        if isinstance(lim, Pole):
-            return PoleAt(coeff_index=k, order=lim.order)
-        limits.append(lim.as_constant())
-    limit_map = SubstitutionMap(algebra, UniPoly(fam.field, limits))
+    for k, (e, inv_lead, adj) in enumerate(rows):
+        num = [zero] * (e + 1)
+        for a_terms, p_terms in zip(adj, images):
+            for a, x in a_terms:
+                for b, y in p_terms:
+                    if a + b > e:
+                        break
+                    num[a + b] = add(num[a + b], mul(x, y))
+        low = next((m for m, c in enumerate(num) if not is_zero(c)), None)
+        if low is None:
+            limits.append(zero)
+        elif low < e:
+            return PoleAt(coeff_index=k, order=e - low)
+        else:
+            limits.append(mul(num[e], inv_lead))
+    while limits and is_zero(limits[-1]):
+        limits.pop()
+    limit_map = SubstitutionMap(algebra, UniPoly._wrap(field, limits))
     if not limit_map.is_automorphism():
         raise InternalInconsistencyError(
             f"finite limit of {perm_to_cycles(sigma)} at {fam.param}={t0} "
@@ -350,10 +440,10 @@ class SurvivalReport:
 
 
 def surviving_subgroup(fam: RootFamily, t0) -> SurvivalReport:
-    """Analyze every permutation (n <= 5) and assert subgroup closure of the
+    """Analyze every permutation (n <= 7) and assert subgroup closure of the
     surviving set."""
-    if fam.n > 5:
-        raise ValueError("exhaustive analysis is limited to n <= 5")
+    if fam.n > 7:
+        raise ValueError("exhaustive analysis is limited to n <= 7")
     t0 = fam.field.coerce(t0)
     statuses = []
     surviving = []

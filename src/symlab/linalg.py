@@ -1,8 +1,9 @@
 """Small exact matrices over any fields.Field.
 
-Sizes here never exceed 5x5, so the determinant uses Laplace expansion
-(division-free, which matters for function-field entries) and inversion
-uses Gauss-Jordan elimination with exact zero tests.
+Sizes here stay at most 7x7, so the determinant uses Laplace expansion
+with shared minors (division-free, which matters for function-field
+entries) and inversion uses Gauss-Jordan elimination with exact zero
+tests.
 """
 
 from __future__ import annotations
@@ -13,23 +14,33 @@ from .fields import Field, FieldElement
 def laplace_det(rows):
     """Determinant by cofactor expansion; entries need only +, -, *.
 
-    Works for FieldElement and MultiPoly entries alike.
+    Works for FieldElement and MultiPoly entries alike.  Row k is expanded
+    against the minors of rows 0..k-1, each computed once per set of
+    columns, so an n x n determinant costs about n * 2^(n-1) products
+    instead of n!.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * laplace_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    # minors[mask]: determinant of the first popcount(mask) rows on the
+    # columns in the bit mask
+    minors = {1 << j: rows[0][j] for j in range(n)}
+    for row in rows[1:]:
+        nxt = {}
+        for mask, minor in minors.items():
+            odd = False  # an odd number of the mask's columns lie right of j
+            for j in range(n - 1, -1, -1):
+                bit = 1 << j
+                if mask & bit:
+                    odd = not odd
+                    continue
+                term = row[j] * minor
+                if odd:
+                    term = -term
+                prev = nxt.get(mask | bit)
+                nxt[mask | bit] = term if prev is None else prev + term
+        minors = nxt
+    return minors[(1 << n) - 1]
 
 
 class CoordinateVector:

@@ -7,7 +7,10 @@ numerator/denominator pairs whose equality is decided by cross
 multiplication, so no multivariate gcd is ever needed.  Construction does
 strip shared monomial content, shared integer content over Q, and makes the
 denominator's leading coefficient canonical, which keeps printed output
-stable and fraction growth tame.
+stable and fraction growth tame.  In a single symbol it also cancels the
+gcd of numerator and denominator: over Q in Z[t], by a primitive
+pseudo-remainder sequence on Python ints, and over other fields by Euclid
+on raw field values, taking remainders only.
 """
 
 from __future__ import annotations
@@ -145,20 +148,9 @@ class UniPoly:
         if o.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         f = self.field
-        mul, sub, is_zero = f._mul, f._sub, f._is_zero
         rem = [c.value for c in self.coeffs]
-        low = [c.value for c in o.coeffs[:-1]]
-        quo = [f.zero.value] * max(len(rem) - len(low), 0)
-        inv_lead = f._inv(o.coeffs[-1].value)
-        while len(rem) > len(low):
-            # the leading term cancels exactly; only the lower ones change
-            c = mul(rem.pop(), inv_lead)
-            k = len(rem) - len(low)
-            quo[k] = c
-            for i, b in enumerate(low):
-                rem[k + i] = sub(rem[k + i], mul(c, b))
-            while rem and is_zero(rem[-1]):
-                rem.pop()
+        quo = [f.zero.value] * max(len(rem) - len(o.coeffs) + 1, 0)
+        _reduce_values(f, rem, [c.value for c in o.coeffs], quo)
         return UniPoly._wrap(f, quo), UniPoly._wrap(f, rem)
 
     def __floordiv__(self, other):
@@ -318,19 +310,24 @@ class MultiPoly:
         o = self._check(other)
         if o is None:
             return NotImplemented
-        f = self.field
+        return MultiPoly.dot((self,), (o,))
+
+    @staticmethod
+    def dot(ps, qs) -> "MultiPoly":
+        """sum_i ps[i] * qs[i] for nonempty, equally long sequences of
+        polynomials in one context, summed on raw values and wrapped once."""
+        f, symbols = ps[0].field, ps[0].symbols
         mul, add, is_zero = f._mul, f._add, f._is_zero
-        other_terms = [(e, c.value) for e, c in o.terms.items()]
         out = {}
-        for e1, c1 in self.terms.items():
-            a = c1.value
-            for e2, b in other_terms:
-                e = tuple(map(operator.add, e1, e2))
-                prev = out.get(e)
-                out[e] = mul(a, b) if prev is None else add(prev, mul(a, b))
-        return MultiPoly._wrap(
-            f, self.symbols, {e: v for e, v in out.items() if not is_zero(v)}
-        )
+        for p, q in zip(ps, qs):
+            q_terms = [(e, c.value) for e, c in q.terms.items()]
+            for e1, c1 in p.terms.items():
+                a = c1.value
+                for e2, b in q_terms:
+                    e = tuple(map(operator.add, e1, e2))
+                    prev = out.get(e)
+                    out[e] = mul(a, b) if prev is None else add(prev, mul(a, b))
+        return MultiPoly._wrap(f, symbols, {e: v for e, v in out.items() if not is_zero(v)})
 
     __rmul__ = __mul__
 
@@ -421,6 +418,14 @@ class MultiPoly:
             acc = acc + term
         return acc
 
+    def raw_coeffs(self) -> list:
+        """Raw coefficient values, lowest degree first, of a polynomial in
+        a single symbol; [] for zero."""
+        out = [self.field.zero.value] * (max((e[0] for e in self.terms), default=-1) + 1)
+        for (k,), c in self.terms.items():
+            out[k] = c.value
+        return out
+
     def as_constant(self) -> FieldElement:
         if self.is_zero():
             return self.field.zero
@@ -451,28 +456,122 @@ class Pole:
     order: int
 
 
+def _reduce_values(f: Field, rem: list, div: list, quo: list = None) -> list:
+    """Reduce `rem` modulo `div` in place and return it; both are lists of
+    raw values of `f`, lowest degree first, with no trailing zero, and
+    `div` is not empty.  When a list `quo` of len(rem) - len(div) + 1
+    zeros is given, the quotient's coefficients are stored in it."""
+    mul, sub, is_zero = f._mul, f._sub, f._is_zero
+    low = div[:-1]
+    inv_lead = f._inv(div[-1])
+    while len(rem) > len(low):
+        # the leading term cancels exactly; only the lower ones change
+        c = mul(rem.pop(), inv_lead)
+        k = len(rem) - len(low)
+        if quo is not None:
+            quo[k] = c
+        for i, b in enumerate(low):
+            rem[k + i] = sub(rem[k + i], mul(c, b))
+        while rem and is_zero(rem[-1]):
+            rem.pop()
+    return rem
+
+
 def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a * a.coeffs[-1].inverse()
+    """Monic gcd of two univariate polynomials (zero when both are), by
+    Euclid on raw values, taking remainders only."""
+    f = a.field
+    x, y = [c.value for c in a.coeffs], [c.value for c in b.coeffs]
+    while y:
+        x, y = y, _reduce_values(f, x, y)
+    if not x:
+        return UniPoly.zero(f)
+    inv = f._inv(x[-1])
+    return UniPoly._wrap(f, [f._mul(c, inv) for c in x])
+
+
+def _primitive(p: list) -> list:
+    """An integer polynomial divided by the gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """A primitive gcd in Z[t] of two nonzero integer polynomials (lowest
+    degree first) by the primitive pseudo-remainder sequence (Brown 1971):
+    each pseudo-remainder is cut to its primitive part, so the integers
+    stay as small as the gcd allows.  The sign is not normalized."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        rem, lead, top = list(a), b[-1], len(b) - 1
+        while len(rem) > top:
+            # rem -> (lead/g) * rem - (rem's lead/g) * t^k * b, g their gcd
+            c = rem.pop()
+            g = math.gcd(lead, c)
+            m, c = lead // g, c // g
+            k = len(rem) - top
+            if m != 1:
+                rem = [m * v for v in rem]
+            for i in range(top):
+                rem[k + i] -= c * b[i]
+            while rem and not rem[-1]:
+                rem.pop()
+        a, b = b, _primitive(rem) if rem else rem
+    return a
+
+
+def _int_exact_quotient(a: list, g: list) -> list:
+    """a / g in Z[t] for a g that divides a there (lowest degree first)."""
+    rem, top, lead = list(a), len(g) - 1, g[-1]
+    quo = [0] * (len(a) - top)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + top] // lead
+        quo[k] = c
+        if c:
+            for i in range(top):
+                rem[k + i] -= c * g[i]
+    return quo
 
 
 def _reduce_univariate(num: MultiPoly, den: MultiPoly):
-    """Cancel the univariate gcd when the context has a single symbol."""
+    """Cancel the univariate gcd when the context has a single symbol:
+    (num / g, den / g) for their monic gcd g.
+
+    Over Q the gcd is taken in Z[t] (Gauss's lemma): with num = A/da and
+    den = B/db for integer polynomials A, B and a primitive gcd G of A and
+    B with leading coefficient l, g = G/l, so num / g = (A/G) * l/da, with
+    A/G an exact division in Z[t].  Other fields run Euclid on their raw
+    values.
+    """
     field = num.field
-    sym = num.symbols[0]
-    a = UniPoly(field, [num.terms.get((k,), field.zero) for k in range(num.degree_in(sym) + 1)])
-    b = UniPoly(field, [den.terms.get((k,), field.zero) for k in range(den.degree_in(sym) + 1)])
-    g = _poly_gcd(a, b)
-    if g.degree < 1:
-        return num, den
+    if isinstance(field, RationalField):
+        a, b = num.raw_coeffs(), den.raw_coeffs()
+        da = math.lcm(*(v.denominator for v in a))
+        db = math.lcm(*(v.denominator for v in b))
+        ia = [v.numerator * (da // v.denominator) for v in a]
+        ib = [v.numerator * (db // v.denominator) for v in b]
+        g = _int_gcd(ia, ib)
+        if len(g) < 2:
+            return num, den
+        lead = g[-1]
+        a = [Fraction(c * lead, da) for c in _int_exact_quotient(ia, g)]
+        b = [Fraction(c * lead, db) for c in _int_exact_quotient(ib, g)]
+    else:
+        a, b = UniPoly._wrap(field, num.raw_coeffs()), UniPoly._wrap(field, den.raw_coeffs())
+        g = _poly_gcd(a, b)
+        if g.degree < 1:
+            return num, den
+        a, b = ([c.value for c in (p // g).coeffs] for p in (a, b))
+    is_zero = field._is_zero
 
-    def back(p):
-        return MultiPoly(field, num.symbols, {(k,): c for k, c in enumerate(p.coeffs)})
+    def back(values):
+        return MultiPoly._wrap(
+            field, num.symbols, {(k,): v for k, v in enumerate(values) if not is_zero(v)}
+        )
 
-    return back(a // g), back(b // g)
+    return back(a), back(b)
 
 
 def _strip_monomial_content(num: MultiPoly, den: MultiPoly):

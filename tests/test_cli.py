@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from symlab import cli
 from symlab.cli import build_parser, emit_report, main, run
 from symlab.fields import parse_field_spec
 from symlab.linalg import Matrix
@@ -84,6 +85,45 @@ def test_huge_integer_root_in_subprocess():
     proc = run_subprocess(["family", "--roots", "0,t,123456789012345678901", "--at", "0"], 10)
     assert proc.returncode == 0, proc.stderr
     assert b"critical values: 0, 123456789012345678901\n" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "constant,critical",
+    [
+        # t^2 - c has no rational root; no divisor of c is searched for
+        ("123456789012345678901", "0"),
+        ("15241578753238836750437433565526596567801",
+         "0, 123456789012345678901, -123456789012345678901"),
+    ],
+)
+def test_huge_constant_quadratic_collision_in_subprocess(constant, critical):
+    # the roots of the factor t^2 - c come from its discriminant
+    proc = run_subprocess(["family", "--roots", f"0,t^2,{constant}", "--at", "0"], 10)
+    assert proc.returncode == 0, proc.stderr
+    assert f"critical values: {critical}\n".encode() in proc.stdout
+
+
+def test_shared_parser_matches_fresh_parser(monkeypatch):
+    # run() builds its parser once per process; a sequence of requests,
+    # argparse errors included, must give what a fresh parser gives each time
+    sequence = [
+        ["family", "--roots", "0,t,1", "--json"],
+        ["family"],
+        ["lines"],
+        ["idem", "--roots", "-2,t,1", "--symbols", "t"],
+        ["nosuch"],
+        ["chi", "--field", "Fp(5)", "--json"],
+        ["lines", "--steps", "two"],
+        ["lines", "--json"],
+        ["family", "--roots", "-2,t,1", "--at", "0"],
+        ["family", "--roots", "0,t,1", "--json"],
+    ]
+    shared = [run(argv) for argv in sequence]
+    assert build_parser() is build_parser()
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [run(argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 1, 0, 0, 1, 0, 1, 0, 0, 0]
 
 
 @pytest.mark.parametrize(

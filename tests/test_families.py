@@ -2,7 +2,10 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from symlab.families import (
     analyze_at,
     compose_perm,
     conjugate_through_iso,
+    identity_perm,
     is_perm_group,
     perm_coeff_vector,
     perm_to_cycles,
@@ -774,3 +778,117 @@ class TestCriticalValuesAgainstExpandedProduct:
         # t = 0, 1, zeta3 and the roots of (zeta3*t + 2) - r for r = 0, t, 1, zeta3
         others = {qz.one, z, -2 / z, 2 / (1 - z), -1 / z, (z - 2) / z}
         assert got == [qz.zero] + sorted(others, key=lambda c: c.sort_key())
+
+
+# -- differential test: shifted-table limits against reduced forms -----------
+
+
+def reduced_form_status(fam, sigma, t0):
+    """The reduced-form path, kept as a test-only oracle: limit each
+    gcd-reduced coefficient of sigma's generic map (perm_coeff_vector) by
+    RationalFunction.limit_at.  Returns ("pole", index, order) for the first
+    coefficient without a limit, else ("survives", limit image)."""
+    t0 = fam.field.coerce(t0)
+    algebra = fam.algebra_at(t0)
+    limits = []
+    for k, c in enumerate(perm_coeff_vector(fam, sigma).coeffs):
+        if c.is_zero():
+            limits.append(fam.field.zero)
+            continue
+        lim = c.limit_at(fam.param, t0)
+        if isinstance(lim, Pole):
+            return ("pole", k, lim.order)
+        limits.append(lim.as_constant())
+    return ("survives", SubstitutionMap(algebra, UniPoly(fam.field, limits)).image)
+
+
+def shifted_status(fam, sigma, t0):
+    st = analyze_at(fam, sigma, t0)
+    if isinstance(st, PoleAt):
+        return ("pole", st.coeff_index, st.order)
+    assert st.verified
+    return ("survives", st.limit_map.image)
+
+
+def assert_statuses_match(fam, t0):
+    """Every permutation gets the same verdict, index, order and limit map
+    from analyze_at as from the oracle; a root pole at t0 raises in both."""
+    try:
+        fam.algebra_at(t0)
+    except ValueError:
+        with pytest.raises(ValueError):
+            analyze_at(fam, identity_perm(fam.n), t0)
+        return 0
+    for sigma in all_perms(fam.n):
+        assert shifted_status(fam, sigma, t0) == reduced_form_status(fam, sigma, t0), (
+            fam.roots, sigma, t0)
+    return 1
+
+
+SHIFT_FIELDS = DIFF_FIELDS + [("Qzeta3", rationals_with_cube_root())]
+RATIONAL_ROOTS = ["1/(t+1)", "(t+2)/(2*t+1)"]
+
+
+class TestShiftedLimitsAgainstReducedForms:
+    @pytest.mark.parametrize("spec,field", SHIFT_FIELDS, ids=[f[0] for f in SHIFT_FIELDS])
+    def test_every_permutation_matches_oracle(self, spec, field):
+        # Q(zeta3) arithmetic is slow, so its families stop at four roots,
+        # one of them with a zeta3 coefficient
+        rng = random.Random(f"shifted-{spec}")
+        compared = 0
+        for n in (2, 3, 3, 4) if spec == "Qzeta3" else (2, 3, 3, 4, 4, 5):
+            texts, fam = random_family(rng, field, n)
+            if n < 5 and rng.random() < 0.5:
+                texts = [rng.choice(RATIONAL_ROOTS)] + texts[1:]
+            if spec == "Qzeta3":
+                texts = texts[:-1] + [rng.choice(["zeta3", "zeta3*t", "zeta3*t+1"])]
+            try:
+                fam = RootFamily(field, T, [parse_ratfunc(x, field, T) for x in texts])
+            except ValueError:
+                continue
+            # the collisions, a root's pole (-1 or -2, or 1/2 over Q), and
+            # one more value where nothing collides
+            values = fam.critical_values()[:4] + [field.coerce(v) for v in (-1, 2)]
+            for t0 in values:
+                compared += assert_statuses_match(fam, t0)
+        assert compared >= 8
+
+    def test_named_rational_root_families(self):
+        for texts in (["1/(t+1)", "t", "0", "1", "-1"], ["(t+2)/(2*t+1)", "t", "1", "2*t"]):
+            fam = RootFamily(QQ, T, [parse_ratfunc(x, QQ, T) for x in texts])
+            for t0 in fam.critical_values() + [QQ.coerce(-1), QQ.coerce(Fraction(-1, 2))]:
+                assert_statuses_match(fam, t0)
+
+    def test_non_permutation_raises_after_root_pole_check(self):
+        fam = RootFamily(QQ, T, [parse_ratfunc(x, QQ, T) for x in ["1/(t+1)", "t", "0"]])
+        with pytest.raises(ValueError, match="pole"):
+            analyze_at(fam, (0, 0, 1), -1)
+        with pytest.raises(ValueError, match="not a permutation"):
+            analyze_at(fam, (0, 0, 1), 0)
+
+    def test_six_roots_over_f7_in_subprocess(self):
+        # all 720 permutations of a 6-root family at two collision values,
+        # the oracle included, in a fresh process under a time bound
+        tests = Path(__file__).resolve().parent
+        code = (
+            "import sys\n"
+            f"sys.path[:0] = [{str(tests)!r}, {str(tests.parent / 'src')!r}]\n"
+            "from test_families import *\n"
+            "f7 = GF(7)\n"
+            "texts = ['0', 't', '1', '2*t', '3', '-1']\n"
+            "fam = RootFamily(f7, T, [parse_ratfunc(x, f7, T) for x in texts])\n"
+            "for t0 in (0, 3):\n"
+            "    assert assert_statuses_match(fam, t0)\n"
+            "    print(t0, len(surviving_subgroup(fam, t0).surviving))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              timeout=10, check=False)
+        assert proc.returncode == 0, proc.stderr.decode()
+        # at 0 the survivors are the six permutations of the roots 1, 3, -1
+        # times the swap of the roots 0 and 2t
+        assert proc.stdout.decode().split("\n")[0] == "0 12"
+
+    def test_cap_is_seven_roots(self):
+        fam = RootFamily(QQ, T, [parse_ratfunc(x, QQ, T) for x in "0 t 1 2 3 4 5 6".split()])
+        with pytest.raises(ValueError, match="n <= 7"):
+            surviving_subgroup(fam, 0)

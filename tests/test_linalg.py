@@ -42,6 +42,33 @@ def test_det_multiplicative_randomized():
         assert (a * b).det() == a.det() * b.det()
 
 
+def cofactor_det(rows):
+    """Plain recursive cofactor expansion along the first row, n! terms,
+    kept as a test-only oracle for laplace_det's shared minors."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j in range(len(rows)):
+        term = rows[0][j] * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        term = -term if j % 2 else term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def test_shared_minor_det_matches_cofactor_expansion():
+    rng = random.Random(63)
+    for field in [QQ, GF(7), GF(2, 2)]:
+        for n in (1, 2, 3, 4, 5, 6):
+            for _ in range(3):
+                rows = [list(r) for r in random_matrix(field, n, rng).rows]
+                assert laplace_det(rows) == cofactor_det(rows)
+    # polynomial entries: the Vandermonde determinant in x, y, z, w
+    xs = ("x", "y", "z", "w")
+    syms = [MultiPoly.symbol(QQ, xs, x) for x in xs]
+    rows = [[s**k for k in range(4)] for s in syms]
+    assert laplace_det(rows) == cofactor_det(rows)
+
+
 def test_solve():
     m = Matrix(QQ, [[2, 1], [1, 3]])
     x = m.solve([QQ.coerce(5), QQ.coerce(10)])

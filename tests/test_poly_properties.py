@@ -1,5 +1,6 @@
-"""Properties of the raw-value kernels, UniPoly divmod and the MultiPoly
-product, over Q, F_7, F_8 and Q(zeta3)."""
+"""Properties of the raw-value kernels, UniPoly divmod, the MultiPoly
+product and the univariate gcd, over Q, F_7, F_8 and Q(zeta3), and of the
+integer-gcd reduction of rational functions over Q."""
 
 import pytest
 
@@ -7,7 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from symlab.fields import GF, QQ, rationals_with_cube_root  # noqa: E402
-from symlab.poly import MultiPoly, UniPoly, _poly_gcd  # noqa: E402
+from symlab.poly import MultiPoly, UniPoly, _poly_gcd, _reduce_univariate  # noqa: E402
 
 
 KERNEL_FIELDS = [QQ, GF(7), GF(2, 3), rationals_with_cube_root()]
@@ -78,5 +79,47 @@ def test_gcd_keeps_common_factor(field):
         d = _poly_gcd(f * g, f * h)
         assert (d % f).is_zero()
         assert d.is_zero() or d.is_monic()
+
+    check()
+
+
+def fraction_euclid_reduce(num, den):
+    """The reduction by Euclid on Fraction coefficients, kept as a test-only
+    oracle: (num // g, den // g) for the monic gcd g, or the pair itself
+    when g is constant."""
+    field, (sym,) = num.field, num.symbols
+
+    def dense(p):
+        return UniPoly(field, [p.terms.get((k,), field.zero) for k in range(p.degree_in(sym) + 1)])
+
+    a, b = dense(num), dense(den)
+    g, h = a, b
+    while not h.is_zero():
+        g, h = h, g % h
+    g = g * g.coeffs[-1].inverse()
+    if g.degree < 1:
+        return num, den
+
+    def back(p):
+        return MultiPoly(field, num.symbols, {(k,): c for k, c in enumerate(p.coeffs)})
+
+    return back(a // g), back(b // g)
+
+
+def test_integer_gcd_reduction_matches_fraction_euclid():
+    @kernel_settings
+    @given(unipolys(QQ, 3), unipolys(QQ, 3), unipolys(QQ, 3), elements(QQ))
+    def check(f, g, h, scale):
+        if f.is_zero() or g.is_zero() or h.is_zero() or scale.is_zero():
+            return
+        num = MultiPoly(QQ, ("t",), {(k,): c for k, c in enumerate((f * g).coeffs)})
+        den = MultiPoly(QQ, ("t",), {(k,): c * scale for k, c in enumerate((f * h).coeffs)})
+        got = _reduce_univariate(num, den)
+        expected = fraction_euclid_reduce(num, den)
+        assert [p.terms for p in got] == [p.terms for p in expected]
+        # what is left is coprime
+        rn, rd = (UniPoly(QQ, [p.terms.get((k,), 0) for k in range(p.degree_in("t") + 1)])
+                  for p in got)
+        assert _poly_gcd(rn, rd) == UniPoly(QQ, [1])
 
     check()

@@ -244,7 +244,8 @@ def _cmd_aut(args) -> dict:
         if base.size() is None or symbols:
             raise InputError("--brute-force requires a finite field and no symbols")
         auts = brute_force_automorphisms(algebra)
-        profile = Counter(a.order() for a in auts)
+        # the maps found are the whole group, so by Lagrange its size bounds every order
+        profile = Counter(a.order(len(auts)) for a in auts)
         results["brute_force"] = {
             "count": len(auts),
             "order_profile": {str(k): v for k, v in sorted(profile.items())},

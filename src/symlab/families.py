@@ -228,10 +228,11 @@ class RootFamily:
         is linear, its root exactly.  The roots of a g of degree >= 2 are
         found by enumeration over a finite field and over Q from the
         discriminant (degree 2) or by the rational root theorem (degree
-        >= 3); over other infinite fields (Q(zeta3)) they are not
-        reported.  Listed 0 first, then over Q by (|numerator|,
-        denominator, positive first) and otherwise by sort_key, which over
-        a finite field is the order of field.elements().
+        >= 3, within DIVISOR_SEARCH_BOUND steps, else ValueError); over
+        other infinite fields (Q(zeta3)) they are not reported.  Listed 0
+        first, then over Q by (|numerator|, denominator, positive first)
+        and otherwise by sort_key, which over a finite field is the order
+        of field.elements().
         """
         if self.symbols != (self.param,):
             raise ValueError("family still carries symbols besides the parameter")
@@ -253,7 +254,7 @@ class RootFamily:
                 if field.size() is not None:
                     candidates = field.elements()
                 elif isinstance(field, RationalField):
-                    candidates = _rational_root_candidates(g)
+                    candidates = _rational_roots(g)
                 else:
                     candidates = ()
                 found.update(z for z in candidates if g(z).is_zero())
@@ -283,13 +284,23 @@ def _taylor(field: Field, p: MultiPoly, t0):
     yield from itertools.repeat(field.zero.value)
 
 
-def _rational_root_candidates(g: UniPoly) -> set:
-    """A set holding every rational root of g (g(0) != 0, over Q), once its
-    coefficients are cleared of denominators: for a quadratic a*t^2 + b*t
-    + c, the roots (-b +- sqrt(D))/(2a) when the discriminant D is a perfect
-    square (none otherwise); from degree 3 on, by the rational root
-    theorem, every +-p/q with p dividing the constant and q the leading
-    coefficient."""
+# Most steps the rational root search of one critical factor of degree >= 3
+# may take, counted twice: the trial divisions that list the divisors of its
+# constant and leading coefficients (sqrt|a_0| + sqrt|a_n| of them, about
+# 0.12 us each), and then its candidate roots +-p/q (2 d(a_0) d(a_n) of
+# them, about 1 us each on integers).  Measured with Python 3.11 on a
+# shared 2-vCPU VM, the bound keeps one factor's search under 1.5 s; past
+# it the search stops with an error that names the bound.
+DIVISOR_SEARCH_BOUND = 10**6
+
+
+def _rational_roots(g: UniPoly) -> set:
+    """The rational roots of g (g(0) != 0, over Q), from its coefficients
+    cleared of denominators: for a quadratic a*t^2 + b*t + c, (-b +-
+    sqrt(D))/(2a) when the discriminant D is a perfect square; from degree 3
+    on, by the rational root theorem, the +-p/q in lowest terms with p
+    dividing the constant and q the leading coefficient that are roots.
+    Raises ValueError past DIVISOR_SEARCH_BOUND."""
     vals = [c.value for c in g.coeffs]
     scale = math.lcm(*(v.denominator for v in vals))
     ints = [v.numerator * (scale // v.denominator) for v in vals]
@@ -300,11 +311,30 @@ def _rational_root_candidates(g: UniPoly) -> set:
         if root * root != disc:
             return set()
         return {g.field.coerce(Fraction(-b + s * root, 2 * a)) for s in (1, -1)}
+    d = g.degree
+    too_long = ValueError(
+        f"the rational root search for a critical factor of degree {d} would "
+        f"take more than DIVISOR_SEARCH_BOUND = {DIVISOR_SEARCH_BOUND} steps"
+    )
+    if math.isqrt(abs(ints[0])) + math.isqrt(abs(ints[-1])) > DIVISOR_SEARCH_BOUND:
+        raise too_long
+    ps, qs = _divisors(ints[0]), _divisors(ints[-1])
+    if 2 * len(ps) * len(qs) > DIVISOR_SEARCH_BOUND:
+        raise too_long
+
+    def is_root(p, q):
+        # q^d * g(p/q) by Horner on integers
+        acc, qk = ints[-1], q
+        for c in reversed(ints[:-1]):
+            acc, qk = acc * p + c * qk, qk * q
+        return acc == 0
+
     return {
         g.field.coerce(Fraction(s * p, q))
-        for p in _divisors(ints[0])
-        for q in _divisors(ints[-1])
+        for p in ps
+        for q in qs
         for s in (1, -1)
+        if math.gcd(p, q) == 1 and is_root(s * p, q)
     }
 
 

@@ -234,6 +234,11 @@ class Field:
     def _hash_key(self, a):
         return a
 
+    def _canonical(self, a):
+        """The raw value of `a`, a value computed from raw values with
+        Python's own +, - and * (prime fields and Q only)."""
+        raise NotImplementedError
+
     def _sort_key(self, a):
         raise NotImplementedError
 
@@ -273,6 +278,9 @@ class RationalField(Field):
 
     def _inv(self, a):
         return 1 / a
+
+    def _canonical(self, a):
+        return a
 
     def _is_zero(self, a):
         return a == 0
@@ -342,6 +350,9 @@ class PrimeField(Field):
     def _inv(self, a):
         return pow(a, -1, self.p)
 
+    def _canonical(self, a):
+        return a % self.p
+
     def _is_zero(self, a):
         return a == 0
 
@@ -362,13 +373,20 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    """base[Y]/(m(Y)) with m monic irreducible of degree 2 or 3.
+    """base[Y]/(m(Y)) with m monic irreducible of degree 2 or 3, over a
+    prime field or Q.
 
     Raw values are tuples of base raw values of length deg(m), lowest
-    degree first.
+    degree first.  Products are formed natively on those values (ints
+    over F_p, Fractions over Q): the schoolbook product and the fold by m
+    accumulate with Python's own arithmetic, and each output coefficient
+    is brought back to its raw value once, by the base's `_canonical`
+    (% p over F_p, nothing over Q).
     """
 
     def __init__(self, base: Field, modulus, generator_name: str = "Y"):
+        if not isinstance(base, (PrimeField, RationalField)):
+            raise FieldError("an extension needs a prime field or Q as its base")
         self.base = base
         coeffs = [base.coerce(c).value for c in modulus]
         while coeffs and base._is_zero(coeffs[-1]):
@@ -441,17 +459,17 @@ class ExtensionField(Field):
         return tuple(map(self.base._sub, a, b))
 
     def _mul(self, a, b):
-        base, d, m = self.base, self.degree, self.modulus
-        add, sub, mul = base._add, base._sub, base._mul
-        prod = [base.zero.value] * (2 * d - 1)
+        d, m = self.degree, self.modulus
+        prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
-                prod[i + j] = add(prod[i + j], mul(x, y))
+                prod[i + j] += x * y
         # Y^d = -(m_0 + m_1*Y + ... + m_(d-1)*Y^(d-1)): fold the top degrees down
         for k in range(2 * d - 2, d - 1, -1):
+            c = prod[k]
             for i in range(d):
-                prod[k - d + i] = sub(prod[k - d + i], mul(prod[k], m[i]))
-        return tuple(prod[:d])
+                prod[k - d + i] -= c * m[i]
+        return tuple(map(self.base._canonical, prod[:d]))
 
     def _neg(self, a):
         return tuple(self.base._neg(c) for c in a)

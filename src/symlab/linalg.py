@@ -61,6 +61,15 @@ class CoordinateVector:
         self.algebra = algebra
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _wrap(cls, algebra, values):
+        """From raw values of the algebra's field: each is wrapped once,
+        without coercion."""
+        v = cls.__new__(cls)
+        v.algebra = algebra
+        v.coeffs = tuple(FieldElement(algebra.field, x) for x in values)
+        return v
+
     def _check(self, other):
         """`other` as an element of this algebra, or None for a foreign type."""
         if isinstance(other, type(self)):
@@ -132,6 +141,15 @@ class Matrix:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):
                 raise ValueError("ragged matrix rows")
+
+    @classmethod
+    def _wrap(cls, field, rows):
+        """From rows of raw values of `field`: each is wrapped once, without
+        coercion."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = tuple(tuple(FieldElement(field, v) for v in r) for r in rows)
+        return m
 
     @classmethod
     def identity(cls, field, n):

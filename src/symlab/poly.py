@@ -126,13 +126,10 @@ class UniPoly:
         o = self._same_field(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return UniPoly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, out)
+        f = self.field
+        return UniPoly._wrap(
+            f, _mul_values(f, [c.value for c in self.coeffs], [c.value for c in o.coeffs])
+        )
 
     __rmul__ = __mul__
 
@@ -148,6 +145,8 @@ class UniPoly:
         if o.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         f = self.field
+        if len(self.coeffs) < len(o.coeffs):
+            return UniPoly.zero(f), self
         rem = [c.value for c in self.coeffs]
         quo = [f.zero.value] * max(len(rem) - len(o.coeffs) + 1, 0)
         _reduce_values(f, rem, [c.value for c in o.coeffs], quo)
@@ -166,11 +165,21 @@ class UniPoly:
         return acc
 
     def compose_mod(self, g: "UniPoly", modulus: "UniPoly") -> "UniPoly":
-        """self(g(X)) reduced mod `modulus` (Horner, reducing each step)."""
-        acc = UniPoly.zero(self.field)
+        """self(g(X)) reduced mod `modulus`: Horner on raw values, reducing
+        each step, with only the result wrapped."""
+        f = self.field
+        gv, mv = [c.value for c in g.coeffs], [c.value for c in modulus.coeffs]
+        acc = []
         for c in reversed(self.coeffs):
-            acc = (acc * g + UniPoly.constant(self.field, c)) % modulus
-        return acc
+            acc = _mul_values(f, acc, gv)
+            if acc:
+                acc[0] = f._add(acc[0], c.value)
+            else:
+                acc = [c.value]
+            while acc and f._is_zero(acc[-1]):
+                acc.pop()
+            _reduce_values(f, acc, mv)
+        return UniPoly._wrap(f, acc)
 
     def __eq__(self, other):
         o = self._same_field(other) if not isinstance(other, UniPoly) else other
@@ -454,6 +463,22 @@ class Pole:
     """Marker returned by limits that do not exist; order >= 1."""
 
     order: int
+
+
+def _mul_values(f: Field, a: list, b: list) -> list:
+    """Product of two lists of raw values of `f`, lowest degree first, with
+    no trailing zero; [] when either is []."""
+    if not a or not b:
+        return []
+    mul, add = f._mul, f._add
+    out = [mul(a[0], y) for y in b]
+    head, last = b[:-1], b[-1]
+    for i in range(1, len(a)):
+        x = a[i]
+        for j, y in enumerate(head, i):
+            out[j] = add(out[j], mul(x, y))
+        out.append(mul(x, last))
+    return out
 
 
 def _reduce_values(f: Field, rem: list, div: list, quo: list = None) -> list:

@@ -6,6 +6,10 @@ A substitution map is determined by the image polynomial of X.  Composition
 is polynomial composition of the images: compose(outer, inner) has image
 outer_image(inner_image(X)) mod f, so it reproduces the classical closed
 composition law on X -> aX + bX^2 maps coefficient for coefficient.
+
+The checks that every brute-force candidate goes through run on raw field
+values: a map's powers image^k mod f are computed once, and both the
+homomorphism test and the matrix behind the determinant test read them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 from .fields import ENUMERATION_BUDGET, Field, FieldError, power
 from .linalg import CoordinateVector, Matrix
-from .poly import UniPoly
+from .poly import UniPoly, _mul_values, _reduce_values
 
 
 class MonogenicAlgebra:
@@ -103,6 +107,10 @@ class AlgebraHom:
     Whether the assignment actually is a homomorphism is a property
     (is_homomorphism), not a construction invariant, because testing the
     failure case is part of the point.
+
+    Both the homomorphism test and the matrix read one power table, the
+    raw coefficients of image^k mod f_target for k = 0..deg f_source;
+    is_automorphism and is_isomorphism build it once for both tests.
     """
 
     def __init__(self, source: MonogenicAlgebra, target: MonogenicAlgebra, image: UniPoly):
@@ -114,10 +122,41 @@ class AlgebraHom:
         self.target = target
         self.image = image % target.modulus
 
+    def _power_table(self) -> list:
+        """Raw coefficient lists, lowest degree first, of image^k reduced
+        mod f_target, for k = 0..deg f_source."""
+        f = self.source.field
+        img = [c.value for c in self.image.coeffs]
+        mod = [c.value for c in self.target.modulus.coeffs]
+        acc = [f.one.value]
+        table = [acc]
+        for _ in range(self.source.dim):
+            acc = _reduce_values(f, _mul_values(f, acc, img), mod)
+            table.append(acc)
+        return table
+
+    def _annihilates(self, table) -> bool:
+        """True iff sum_k f_k * image^k, f = f_source, is zero in the target."""
+        f = self.source.field
+        mul, add = f._mul, f._add
+        acc = [f.zero.value] * self.target.dim
+        for c, p in zip(self.source.modulus.coeffs, table):
+            c = c.value
+            for i, v in enumerate(p):
+                acc[i] = add(acc[i], mul(c, v))
+        return all(map(f._is_zero, acc))
+
+    def _matrix(self, table) -> Matrix:
+        """Columns are the coordinates of image^k, k < n, read from `table`."""
+        f = self.source.field
+        n = self.source.dim
+        zero = f.zero.value
+        rows = [[p[i] if i < len(p) else zero for p in table[:n]] for i in range(n)]
+        return Matrix._wrap(f, rows)
+
     def is_homomorphism(self) -> bool:
         """True iff f_source(image(X)) == 0 in the target."""
-        reduced = self.source.modulus.compose_mod(self.image, self.target.modulus)
-        return reduced.is_zero()
+        return self._annihilates(self._power_table())
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         if u.algebra != self.source:
@@ -128,23 +167,15 @@ class AlgebraHom:
 
     def matrix(self) -> Matrix:
         """Induced linear map, columns = coordinates of images of X^k."""
-        field = self.source.field
-        n = self.source.dim
-        if self.target.dim != n:
+        if self.target.dim != self.source.dim:
             raise ValueError("matrix of a map between different dimensions")
-        cols = []
-        acc = UniPoly.constant(field, 1)
-        for _ in range(n):
-            cols.append([acc.coeff(i) for i in range(n)])
-            acc = (acc * self.image) % self.target.modulus
-        return Matrix(field, list(map(list, zip(*cols))))
+        return self._matrix(self._power_table())
 
     def is_isomorphism(self) -> bool:
-        return (
-            self.source.dim == self.target.dim
-            and self.is_homomorphism()
-            and self.matrix().is_invertible()
-        )
+        if self.source.dim != self.target.dim:
+            return False
+        table = self._power_table()
+        return self._annihilates(table) and self._matrix(table).is_invertible()
 
     def inverse_image(self) -> UniPoly:
         """Image of X under the inverse map (target -> source)."""
@@ -181,7 +212,7 @@ class SubstitutionMap(AlgebraHom):
         return self.is_homomorphism()
 
     def is_automorphism(self) -> bool:
-        return self.is_endomorphism() and self.matrix().is_invertible()
+        return self.is_isomorphism()
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """Map with image self.image(inner.image(X)) mod f."""
@@ -201,7 +232,8 @@ class SubstitutionMap(AlgebraHom):
 
     def order(self, max_order: int = 64):
         """Smallest k <= max_order with the k-fold composite equal to the
-        identity, or None."""
+        identity, or None.  With max_order the size of a finite group of
+        automorphisms holding the map, the answer is exact (Lagrange)."""
         if not self.is_automorphism():
             raise ValueError("order of a non-automorphism")
         acc = self

@@ -26,7 +26,9 @@ class StructureConstAlgebra:
 
     table[i][j] is the coordinate vector of (basis_i * basis_j); the unit is
     given by its coordinate vector.  Construction verifies the unit axiom
-    and full associativity.
+    and full associativity.  The table is also held once as sparse raw
+    cells, the (k, raw value) pairs of each cell's nonzero coordinates,
+    and products run on those.
     """
 
     def __init__(self, field: Field, table, unit, basis_names=None):
@@ -40,6 +42,10 @@ class StructureConstAlgebra:
         ):
             raise ValueError("table must be n x n cells of n coordinates")
         self.dim = n
+        self.cells = tuple(
+            tuple(tuple((k, c.value) for k, c in enumerate(cell) if not c.is_zero()) for cell in row)
+            for row in self.table
+        )
         self.unit = tuple(field.coerce(c) for c in unit)
         if len(self.unit) != n:
             raise ValueError("unit vector length must equal the dimension")
@@ -63,6 +69,23 @@ class StructureConstAlgebra:
                         raise ValueError(
                             f"associativity fails on basis triple ({i + 1}, {j + 1}, {k + 1})"
                         )
+
+    def product_values(self, u, v) -> list:
+        """The product of two coordinate lists of raw values, as raw
+        values, from the sparse cells."""
+        f = self.field
+        mul, add, is_zero = f._mul, f._add, f._is_zero
+        out = [f.zero.value] * self.dim
+        for a, row in zip(u, self.cells):
+            if is_zero(a):
+                continue
+            for b, cell in zip(v, row):
+                if is_zero(b):
+                    continue
+                ab = mul(a, b)
+                for k, c in cell:
+                    out[k] = add(out[k], mul(ab, c))
+        return out
 
     def element(self, coeffs) -> "StructElement":
         return StructElement(self, coeffs)
@@ -105,20 +128,12 @@ class StructElement(CoordinateVector):
     __slots__ = ()
 
     def _product(self, other):
-        n = self.algebra.dim
-        out = [self.algebra.field.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                ab = a * b
-                cell = self.algebra.table[i][j]
-                for k in range(n):
-                    if not cell[k].is_zero():
-                        out[k] = out[k] + ab * cell[k]
-        return StructElement(self.algebra, out)
+        return StructElement._wrap(
+            self.algebra,
+            self.algebra.product_values(
+                [c.value for c in self.coeffs], [c.value for c in other.coeffs]
+            ),
+        )
 
     def __hash__(self):
         return hash(
@@ -175,14 +190,29 @@ class LinearAlgebraMap:
         return LinearAlgebraMap(inner.source, self.target, self.matrix * inner.matrix)
 
     def is_algebra_morphism(self) -> bool:
-        """phi(1) = 1 and phi(b_i b_j) = phi(b_i) phi(b_j) for all pairs."""
-        if self(self.source.one()) != self.target.one():
+        """phi(1) = 1 and phi(b_i b_j) = phi(b_i) phi(b_j) for all pairs.
+
+        Runs on raw values: b_i b_j is read from the source's sparse cells,
+        and phi(b_i) phi(b_j) is the target's product of two columns.
+        """
+        f = self.source.field
+        mul, add = f._mul, f._add
+        images = [[row[j].value for row in self.matrix.rows] for j in range(self.source.dim)]
+
+        def image(cell):
+            out = [f.zero.value] * self.target.dim
+            for k, c in cell:
+                for r, x in enumerate(images[k]):
+                    out[r] = add(out[r], mul(x, c))
+            return out
+
+        unit = [(k, c.value) for k, c in enumerate(self.source.unit) if not c.is_zero()]
+        if image(unit) != [c.value for c in self.target.unit]:
             return False
-        images = [self.image_of_basis(i) for i in range(self.source.dim)]
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
-                prod = self.source.basis(i) * self.source.basis(j)
-                if self(prod) != images[i] * images[j]:
+        product = self.target.product_values
+        for i, row in enumerate(self.source.cells):
+            for j, cell in enumerate(row):
+                if image(cell) != product(images[i], images[j]):
                     return False
         return True
 
@@ -265,7 +295,8 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
     remaining columns are enumerated.  Per column, candidates failing the
     necessary condition phi(b_i)^2 = phi(b_i^2) are discarded up front
     whenever b_i^2 lies in the span of 1 and b_i; the final morphism and
-    invertibility check stays complete.
+    invertibility check stays complete.  Columns are enumerated as tuples
+    of raw values and tested with the algebra's raw product.
     """
     field = algebra.field
     q = field.size()
@@ -278,29 +309,28 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
     free = [i for i in range(n) if i != unit_idx]
     if q ** (n * len(free)) > ENUMERATION_BUDGET:
         raise ValueError("enumeration budget exceeded")
-    elems = list(field.elements())
-    all_vectors = [
-        algebra.element(list(tup)) for tup in itertools.product(elems, repeat=n)
-    ]
+    mul, add = field._mul, field._add
+    all_vectors = list(itertools.product([e.value for e in field.elements()], repeat=n))
+    unit_col = [c.value for c in algebra.unit]
     candidates = {}
     for i in free:
         prof = _self_span_profile(algebra, i)
         if prof is None:
             candidates[i] = all_vectors
         else:
-            alpha, beta = prof
-            one = algebra.one()
+            alpha, beta = prof[0].value, prof[1].value
             candidates[i] = [
-                v for v in all_vectors if v * v == alpha * one + beta * v
+                v for v in all_vectors
+                if algebra.product_values(v, v)
+                == [add(mul(alpha, u), mul(beta, x)) for u, x in zip(unit_col, v)]
             ]
-    unit_col = list(algebra.unit)
     out = []
     for combo in itertools.product(*(candidates[i] for i in free)):
-        col_map = {i: list(v.coeffs) for i, v in zip(free, combo)}
+        col_map = dict(zip(free, combo))
         if unit_idx is not None:
             col_map[unit_idx] = unit_col
         rows = [[col_map[j][i] for j in range(n)] for i in range(n)]
-        phi = LinearAlgebraMap(algebra, algebra, Matrix(field, rows))
+        phi = LinearAlgebraMap(algebra, algebra, Matrix._wrap(field, rows))
         if phi.is_algebra_morphism() and phi.is_invertible():
             out.append(phi)
     out.sort(

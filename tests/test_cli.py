@@ -103,6 +103,38 @@ def test_huge_constant_quadratic_collision_in_subprocess(constant, critical):
     assert f"critical values: {critical}\n".encode() in proc.stdout
 
 
+def test_divisor_search_stops_at_its_bound_in_subprocess():
+    # t^3 - 123456789012345678901 is a critical factor of degree 3 whose
+    # constant has about 10^10 trial divisors below its square root
+    argv = ["family", "--roots", "0,t^3,123456789012345678901", "--at", "0"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: the rational root search")
+    assert b"DIVISOR_SEARCH_BOUND = 1000000 steps" in proc.stderr
+
+
+def test_cubic_critical_factor_below_the_bound():
+    # t^3 - (2t + 1) = (t + 1)(t^2 - t - 1) has the one rational root -1,
+    # found by the rational root theorem
+    code, text = run(["family", "--roots", "0,t^3,2*t+1"])
+    assert code == 0, text
+    assert "critical values: 0, -1, -1/2\n" in text
+
+
+def test_aut_order_profile_past_64():
+    # Aut(F_67[X]/(X^2)) is cyclic of order 66; orders above the default
+    # search bound of 64 are found by bounding each by the group's size
+    code, text = run(["aut", "--field", "Fp(67)", "--poly", "factored:(X)^2",
+                      "--brute-force", "--json"])
+    assert code == 0, text
+    bf = json.loads(text)["results"]["brute_force"]
+    assert bf["count"] == 66
+    assert bf["order_profile"] == {
+        "1": 1, "2": 1, "3": 2, "6": 2, "11": 10, "22": 10, "33": 20, "66": 20,
+    }
+
+
 def test_shared_parser_matches_fresh_parser(monkeypatch):
     # run() builds its parser once per process; a sequence of requests,
     # argparse errors included, must give what a fresh parser gives each time

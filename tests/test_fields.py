@@ -131,6 +131,8 @@ def test_extension_construction_rejects_bad_moduli():
         ExtensionField(PrimeField(2), [1, 1, 0, 0, 1])  # degree 4 unsupported
     with pytest.raises(FieldError):
         ExtensionField(QQ, [1, 1, 2])  # not monic
+    with pytest.raises(FieldError, match="prime field or Q"):
+        ExtensionField(GF(2, 2), [1, 1, 0, 1])  # no towers: products need a native base
     with pytest.raises(FieldError):
         PrimeField(6)
 

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,18 @@ from symlab.quotient import (
     vandermonde_adjugate,
     vandermonde_pair,
 )
+
+
+def partitions(n, largest=None):
+    """The partitions of n, each as a non-increasing tuple."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return [()]
+    return [
+        (m,) + rest
+        for m in range(min(n, largest), 0, -1)
+        for rest in partitions(n - m, m)
+    ]
 
 
 def algebra(field, coeffs):
@@ -330,6 +345,51 @@ class TestBruteForce:
         for g in auts:
             for h in auts:
                 assert g.compose(h) in auts
+
+    @pytest.mark.parametrize(
+        "q,degrees,seed",
+        [(3, (1, 2, 3), 0), (5, (1, 2, 3), 1), (5, (4,), 2), (7, (4,), 3)],
+    )
+    def test_counts_on_non_reduced_moduli_match_closed_form(self, q, degrees, seed):
+        # For f = prod (X - z_i)^(m_i) over F_q, Aut(F_q[X]/(f)) permutes the
+        # roots of equal multiplicity and acts on each local factor
+        # F_q[X]/(X^m) by X -> aX + bX^2 + ... with a != 0: its order is
+        # prod_m r_m! * prod_{m_i >= 2} (q - 1) * q^(m_i - 2), r_m being the
+        # number of roots of multiplicity m.
+        field = GF(q)
+        elems = list(field.elements())
+        rng = random.Random(seed)
+        for degree in degrees:
+            for pattern in partitions(degree):
+                if len(pattern) > q:
+                    continue
+                roots = rng.sample(elems, len(pattern))
+                flat = [z for z, m in zip(roots, pattern) for _ in range(m)]
+                auts = brute_force_automorphisms(MonogenicAlgebra.from_roots(field, flat))
+                expected = 1
+                for r in Counter(pattern).values():
+                    expected *= math.factorial(r)
+                for m in pattern:
+                    if m >= 2:
+                        expected *= (q - 1) * q ** (m - 2)
+                assert len(auts) == expected, (q, pattern)
+                assert SubstitutionMap.identity(auts[0].algebra) in auts
+                group = set(auts)
+                pairs = list(itertools.product(auts, repeat=2))
+                if len(pairs) > 400:
+                    pairs = rng.sample(pairs, 400)
+                for g, h in pairs:
+                    assert g.compose(h) in group
+
+    def test_order_profile_of_a_group_with_orders_past_64(self):
+        # Aut(F_67[X]/(X^2)) = {X -> bX : b != 0} is cyclic of order 66, so
+        # its order profile counts phi(k) elements of order k for k | 66
+        a = MonogenicAlgebra.from_roots(GF(67), [0, 0])
+        auts = brute_force_automorphisms(a)
+        assert len(auts) == 66
+        assert SubstitutionMap(a, [0, 2]).order() is None  # order 66 > 64
+        profile = Counter(g.order(len(auts)) for g in auts)
+        assert profile == {1: 1, 2: 1, 3: 2, 6: 2, 11: 10, 22: 10, 33: 20, 66: 20}
 
     def test_enumeration_budget(self):
         a = MonogenicAlgebra.from_roots(GF(101), [0, 1, 2, 3, 4])  # 101^5 maps

@@ -194,12 +194,40 @@ def no_s3_check(field: Field) -> NoS3Report:
 
     As 2 and 3 are prime, c has order 2 iff c != id and c o c = id, and w
     has order 3 iff w != id and w o w o w = id, so each order is settled by
-    one or two compositions instead of a search up to a bound.
+    one or two compositions instead of a search up to a bound.  The field's
+    elements are indexed once, in canonical order, and the whole pass runs
+    on index pairs (a, b) through the field's addition and multiplication
+    tables; only a witness is turned back into Chi maps.
     """
     if field.size() is None or field.size() > 49:
         raise FieldError("exhaustive check requires a finite field of size <= 49")
+    elems = list(field.elements())
+    vals = [e.value for e in elems]
+    index = {field._hash_key(v): i for i, v in enumerate(vals)}
+
+    def table(op):
+        # op is commutative: fill one triangle and mirror it
+        t = [[0] * len(vals) for _ in vals]
+        for i, x in enumerate(vals):
+            for j in range(i, len(vals)):
+                t[i][j] = t[j][i] = index[field._hash_key(op(x, vals[j]))]
+        return t
+
+    add, mul = table(field._add), table(field._mul)
+    zero, one = index[field._hash_key(field.zero.value)], index[field._hash_key(field.one.value)]
+    square = [mul[a][a] for a in range(len(vals))]
+    ident = (one, zero)
+
+    def compose(u, v):
+        (a, b), (c, d) = u, v
+        return mul[a][c], add[mul[a][d]][mul[square[c]][b]]
+
     involutions = [
-        c for c in all_chis(field) if not c.is_identity() and c.compose(c).is_identity()
+        (a, b)
+        for a in range(len(vals))
+        if a != zero
+        for b in range(len(vals))
+        if (a, b) != ident and compose((a, b), (a, b)) == ident
     ]
     pairs = 0
     for u in involutions:
@@ -207,7 +235,8 @@ def no_s3_check(field: Field) -> NoS3Report:
             if u == v:
                 continue
             pairs += 1
-            w = u.compose(v)
-            if not w.is_identity() and w.compose(w).compose(w).is_identity():
-                return NoS3Report(field, False, pairs, (u, v))
+            w = compose(u, v)
+            if w != ident and compose(compose(w, w), w) == ident:
+                witness = tuple(Chi(elems[a], elems[b]) for a, b in (u, v))
+                return NoS3Report(field, False, pairs, witness)
     return NoS3Report(field, True, pairs, None)

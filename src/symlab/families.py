@@ -44,7 +44,13 @@ from fractions import Fraction
 
 from .fields import Field, FieldElement, RationalField
 from .poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly
-from .quotient import AlgebraHom, MonogenicAlgebra, SubstitutionMap, vandermonde_adjugate
+from .quotient import (
+    AlgebraHom,
+    MonogenicAlgebra,
+    SubstitutionMap,
+    common_denominator,
+    vandermonde_adjugate,
+)
 from .quotient import vandermonde_pair  # noqa: F401 - perfbench's tracer test reads it here
 
 
@@ -162,20 +168,7 @@ class RootFamily:
         """
         if self._table is None:
             one = MultiPoly.constant(self.field, self.symbols, 1)
-            dens = []
-            for r in self.roots:
-                if all(r.den != d for d in dens):
-                    dens.append(r.den)
-            q = one
-            for d in dens:
-                q = q * d
-            ps = []
-            for r in self.roots:
-                p = r.num
-                for d in dens:
-                    if d != r.den:
-                        p = p * d
-                ps.append(p)
+            q, ps = common_denominator([(r.num, r.den) for r in self.roots], one)
             adj, det = vandermonde_adjugate(ps, one)
             rows = [(adj[0], det * q)]
             scale = one

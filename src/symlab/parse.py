@@ -9,13 +9,20 @@ Grammar:
 
 Symbols come from the caller's symbol list; the name `zeta3` additionally
 resolves to the field's primitive cube root of unity when the field has
-one.  Errors carry the 0-based character position.
+one.  Parentheses nest at most MAX_NESTING deep, so that the recursion stays
+far inside Python's stack limit.  Errors carry the 0-based character
+position.
 """
 
 from __future__ import annotations
 
 from .fields import Field, primitive_cube_root
 from .poly import RationalFunction
+
+
+# Each level of parentheses costs four Python frames (atom, expr, term,
+# factor); 100 levels stay well inside the default limit of 1000.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -31,6 +38,7 @@ class _Parser:
         self.field = field
         self.symbols = tuple(symbols)
         self._zeta = None
+        self._depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -109,9 +117,15 @@ class _Parser:
     def atom(self) -> RationalFunction:
         ch = self._peek()
         if ch == "(":
+            if self._depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than MAX_NESTING = {MAX_NESTING}", self.pos
+                )
+            self._depth += 1
             self.pos += 1
             inner = self.expr()
             self._expect(")")
+            self._depth -= 1
             return inner
         if ch.isdigit():
             return self._const(self._uint())

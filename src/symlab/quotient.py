@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .fields import ENUMERATION_BUDGET, Field, FieldError, power
 from .linalg import CoordinateVector, Matrix
-from .poly import UniPoly, _mul_values, _reduce_values
+from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values
 
 
 class MonogenicAlgebra:
@@ -281,8 +281,9 @@ def idempotents(algebra: MonogenicAlgebra, roots) -> list[AlgebraElement]:
 
 
 def lagrange_numerator(zs, i, one):
-    """Coefficients, X^0 first, of prod_{j != i} (X - z_j); entries need
-    only +, -, *, with `one` the unit of their ring."""
+    """Coefficients, X^0 first, of prod_{j != i} (X - z_j), the product
+    over every j when i is None; entries need only +, -, *, with `one` the
+    unit of their ring."""
     numer = [one]
     for j, z in enumerate(zs):
         if j != i:
@@ -292,6 +293,109 @@ def lagrange_numerator(zs, i, one):
                 + [numer[-1]]
             )
     return numer
+
+
+def common_denominator(pairs, one):
+    """(q, ws) for pairs (num_i, den_i): q the product of the distinct
+    den_i, and w_i = q * num_i / den_i, formed without division."""
+    dens = []
+    for _, d in pairs:
+        if all(d != e for e in dens):
+            dens.append(d)
+    q = one
+    for d in dens:
+        q = q * d
+    ws = []
+    for num, den in pairs:
+        w = num
+        for d in dens:
+            if d != den:
+                w = w * d
+        ws.append(w)
+    return q, ws
+
+
+def _ring_parts(field):
+    """(one, split) for the polynomial ring R under `field`: k[symbols]
+    (MultiPoly) for a function field, the field itself otherwise; split(x)
+    gives (num, den) in R with x = num/den."""
+    if isinstance(field, FunctionField):
+        one = MultiPoly.constant(field.base, field.symbols, 1)
+        return one, lambda x: (x.value.num, x.value.den)
+    return field.one, lambda x: (x, field.one)
+
+
+def _reduce_monic(p, f):
+    """p mod the monic f, coefficient lists X^0 first over a ring."""
+    p, n = list(p), len(f) - 1
+    for k in range(len(p) - 1, n - 1, -1):
+        c = p.pop()
+        for j in range(n):
+            p[k - n + j] = p[k - n + j] - c * f[j]
+    return p
+
+
+def _product_mod(a, b, f):
+    """a*b mod the monic f over a ring."""
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = x * y if out[i + j] is None else out[i + j] + x * y
+    return _reduce_monic(out, f)
+
+
+def verify_idempotents(roots, es) -> bool:
+    """True iff es are the orthogonal idempotents, summing to 1, with
+    X*e_i = z_i*e_i, of the split algebra k[X]/(prod (X - z_i)).
+
+    Everything is checked by polynomial identities over the ring R of the
+    roots' numerators and denominators, with no division.  With q the
+    product of the distinct root denominators, w_i = q*z_i,
+    f_w = prod (Y - w_i), N_i = prod_{j != i} (Y - w_j) and
+    d_i = prod_{j != i} (w_i - w_j), the X^k coefficient of each e_i must
+    equal q^k*N_i[k]/d_i, so that e_i(X) = N_i(qX)/d_i, and modulo f_w
+
+        N_i*N_j = 0 (i != j),  N_i^2 = d_i*N_i,  Y*N_i = w_i*N_i,
+        sum_i N_i * prod_{j != i} d_j = prod_j d_j.
+
+    The last identity is checked divided by s*V, with V = prod_{j<l}
+    (w_l - w_j), nonzero once every d_i is, and s = (-1)^(n(n-1)/2):
+    prod_j d_j = s*V^2 and prod_{j != i} d_j * N_i = s*V * (column i of the
+    Vandermonde adjugate of the w_i), so the rows of that adjugate must sum
+    to (V, 0, ..., 0).  This keeps the products at the degree of V instead
+    of V^2.
+    """
+    n = len(roots)
+    if len(es) != n or any(len(e.coeffs) != n for e in es):
+        return False
+    one, split = _ring_parts(roots[0].field)
+    q, ws = common_denominator([split(z) for z in roots], one)
+    zero = one - one
+    nums = [lagrange_numerator(ws, i, one) for i in range(n)]
+    ds = []
+    for i in range(n):
+        d = one
+        for j in range(n):
+            if j != i:
+                d = d * (ws[i] - ws[j])
+        ds.append(d)
+    for e, num, d in zip(es, nums, ds):
+        qk = one
+        for c, nk in zip(e.coeffs, num):
+            cn, cd = split(c)
+            if cn * d != cd * qk * nk:
+                return False
+            qk = qk * q
+    f = lagrange_numerator(ws, None, one)
+    for i in range(n):
+        for j in range(i, n):
+            want = [ds[i] * c for c in nums[i]] if i == j else [zero] * n
+            if _product_mod(nums[i], nums[j], f) != want:
+                return False
+        if _reduce_monic([zero] + nums[i], f) != [ws[i] * c for c in nums[i]]:
+            return False
+    adj, det = vandermonde_adjugate(ws, one)
+    return [sum(row[1:], row[0]) for row in adj] == [det] + [zero] * (n - 1)
 
 
 def vandermonde_adjugate(roots, one):

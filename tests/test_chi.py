@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symlab.chi import Chi, all_chis, no_s3_check, order_class
+from symlab.chi import Chi, NoS3Report, all_chis, no_s3_check, order_class
 from symlab.fields import GF, QQ, FieldError, rationals_with_cube_root
 from symlab.poly import FunctionField
 
@@ -150,6 +150,23 @@ class TestOrderClass:
         assert rep.order2_elements is None and rep.order3_elements is None
 
 
+def chi_no_s3_oracle(field):
+    """The exhaustive pass on Chi objects, every product by Chi.compose."""
+    involutions = [
+        c for c in all_chis(field) if not c.is_identity() and c.compose(c).is_identity()
+    ]
+    pairs = 0
+    for u in involutions:
+        for v in involutions:
+            if u == v:
+                continue
+            pairs += 1
+            w = u.compose(v)
+            if not w.is_identity() and w.compose(w).compose(w).is_identity():
+                return NoS3Report(field, False, pairs, (u, v))
+    return NoS3Report(field, True, pairs, None)
+
+
 class TestNoS3:
     def test_passes_away_from_characteristic_3(self):
         for field in [GF(2), GF(2, 2), GF(5), GF(7), GF(2, 3)]:
@@ -170,6 +187,13 @@ class TestNoS3:
         for c, o in brute_orders(GF(3)).items():
             profile[o] = profile.get(o, 0) + 1
         assert profile == {1: 1, 2: 3, 3: 2}
+
+    @pytest.mark.parametrize(
+        "p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]
+    )
+    def test_tabulated_pass_matches_chi_composition(self, p, k):
+        field = GF(p, k)
+        assert no_s3_check(field) == chi_no_s3_oracle(field)
 
     def test_requires_small_finite_field(self):
         with pytest.raises(FieldError):

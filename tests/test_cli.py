@@ -114,6 +114,39 @@ def test_divisor_search_stops_at_its_bound_in_subprocess():
     assert b"DIVISOR_SEARCH_BOUND = 1000000 steps" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "roots", ["0,a,t,1", "0,a,t,1,a+t", "1/(a-t),a,t,0"], ids=["four", "five", "fractional"]
+)
+def test_two_symbol_idempotents_verified_in_subprocess(roots):
+    # the idempotents are checked as identities over Q[a,t], not by
+    # products in the algebra over Q(a,t)
+    proc = run_subprocess(["idem", "--roots", roots, "--symbols", "a,t"], 10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(b"X*e_i = z_i*e_i: verified\n")
+
+
+def test_nesting_beyond_the_bound_exits_1_in_subprocess():
+    nested = "(" * 3000 + "1" + ")" * 3000
+    proc = run_subprocess(["family", "--roots", f"0,t,{nested}"], 10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: parentheses nested deeper than MAX_NESTING = 100")
+
+
+def test_steps_beyond_the_bound_exit_1_in_subprocess():
+    argv = ["lines", "--family", "paper", "--from", "1/2", "--to", "1", "--steps", "100000000"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: --steps must be at most MAX_STEPS = 1000\n"
+
+
+def test_steps_at_the_bound():
+    code, text = run(["lines", "--family", "paper", "--from", "1/2", "--to", "1",
+                      "--steps", str(cli.MAX_STEPS), "--json"])
+    assert code == 0, text
+    assert len(json.loads(text)["results"]["grid"]) == cli.MAX_STEPS
+
+
 def test_cubic_critical_factor_below_the_bound():
     # t^3 - (2t + 1) = (t + 1)(t^2 - t - 1) has the one rational root -1,
     # found by the rational root theorem
@@ -335,7 +368,9 @@ def test_idem_adjugate_determinant_against_laplace():
     # function field in one symbol reduces every fraction, and polynomial
     # roots give polynomial determinants, so there the printed strings
     # agree too; two symbols with fractional roots leave fractions
-    # unreduced, and only the values must agree.
+    # unreduced, and only the values must agree.  The CLI runs every case,
+    # up to four roots and in two symbols, and must print the same
+    # idempotents, verified.
     printed = 0
     for spec, symbols, roots in _idem_cases(60, seed=7):
         base = parse_field_spec(spec)
@@ -350,16 +385,16 @@ def test_idem_adjugate_determinant_against_laplace():
         assert es == _product_idempotent_strings(algebra, zs), (spec, roots)
         polynomial = all(list(r.den.terms) == [(0,) * len(symbols)] for r in rfs)
         canonical = len(symbols) == 1 or polynomial
+        argv = ["idem", "--field", spec, "--symbols", ",".join(symbols),
+                f"--roots={','.join(roots)}", "--json"]
+        code, text = run(argv)
+        assert code == 0, text
+        res = json.loads(text)["results"]
+        assert res["idempotents"] == es and res["verified"] is True, argv
         if canonical:
             assert str(det) == str(laplace), (spec, roots)
-        if canonical and len(roots) == 2:
-            # the CLI's own check of the idempotents is slow beyond two roots
-            argv = ["idem", "--field", spec, "--symbols", ",".join(symbols),
-                    f"--roots={','.join(roots)}", "--json"]
-            code, text = run(argv)
-            assert code == 0, text
-            res = json.loads(text)["results"]
             assert res["vandermonde_det"] == str(laplace), argv
-            assert res["idempotents"] == es and res["verified"]
             printed += 1
-    assert printed >= 5
+        else:
+            assert res["vandermonde_det"] == str(det), argv
+    assert printed >= 30

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from symlab.fields import GF, QQ, rationals_with_cube_root
-from symlab.parse import ParseError, parse_cycles, parse_ratfunc
+from symlab.parse import MAX_NESTING, ParseError, parse_cycles, parse_ratfunc
 from symlab.poly import MultiPoly, RationalFunction
 
 
@@ -68,6 +68,17 @@ class TestRatfunc:
             parse_ratfunc("t^-2", QQ, ("t",))
         with pytest.raises(ParseError):
             parse_ratfunc("", QQ, ("t",))
+
+    def test_nesting_bound(self):
+        deep = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+        assert parse_ratfunc(deep, QQ, ("t",)) == parse_ratfunc("t", QQ, ("t",))
+        # sequential groups do not add up: depth, not count, is bounded
+        flat = "+".join(["(1)"] * (3 * MAX_NESTING))
+        assert parse_ratfunc(flat, QQ) == parse_ratfunc(str(3 * MAX_NESTING), QQ)
+        with pytest.raises(ParseError) as e:
+            parse_ratfunc("-(" + deep + ")", QQ, ("t",))
+        assert e.value.position == MAX_NESTING + 1
+        assert f"MAX_NESTING = {MAX_NESTING}" in str(e.value)
 
     def test_round_trip_through_printer(self):
         for src in ["(t^2 - t - 1)/(1 - t)", "t^3/(t - 1)", "-t + 2", "2/3"]:

@@ -8,8 +8,10 @@ import pytest
 
 from symlab.fields import GF, QQ, FieldError
 from symlab.linalg import Matrix, laplace_det
+from symlab.parse import parse_ratfunc
 from symlab.poly import FunctionField, MultiPoly, UniPoly
 from symlab.quotient import (
+    AlgebraElement,
     AlgebraHom,
     MonogenicAlgebra,
     SubstitutionMap,
@@ -21,6 +23,7 @@ from symlab.quotient import (
     split_roots,
     vandermonde_adjugate,
     vandermonde_pair,
+    verify_idempotents,
 )
 
 
@@ -231,6 +234,107 @@ class TestIdempotents:
             idempotents(a, [0, 1, 1])
         with pytest.raises(ValueError):
             idempotents(a, [0, 1, 3])
+
+
+def product_verification(algebra, roots, es):
+    """The oracle: every product e_i*e_j, the sum of the e_i and each X*e_i
+    computed in the algebra over the field, as idem checked before the
+    identities over k[symbols]."""
+    n = len(es)
+    x = algebra.gen()
+    return (
+        all(
+            (es[i] * es[j]).is_zero() if i != j else es[i] * es[j] == es[i]
+            for i in range(n)
+            for j in range(n)
+        )
+        and sum(es[1:], es[0]) == algebra.one()
+        and all(x * e == z * e for z, e in zip(roots, es))
+    )
+
+
+# Roots in no symbol, one and two symbols, with rational ones among them.
+VERIFY_ROOTS = {
+    (): ["0", "1", "-2", "3", "1/2", "-3/4", "5/3"],
+    ("t",): ["0", "1", "-2", "1/2", "t", "2*t", "t^2", "t+1", "1/(t+1)", "t/(t+2)",
+             "(t-1)/(t^2+3)", "2/t"],
+    ("a", "t"): ["0", "1", "-2", "t", "a", "2*t", "a*t", "a+t", "1/(t+1)", "t/(a+1)",
+                 "1/(a-t)", "(a+2)/(t+3)"],
+}
+VERIFY_FIELDS = [QQ, GF(5), GF(7), GF(11)]
+
+
+def _verify_cases(count, seed):
+    """(algebra, roots, idempotents) for distinct roots drawn at random; a
+    draw whose roots collide or leave the field is skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        symbols = rng.choice(list(VERIFY_ROOTS))
+        base = rng.choice(VERIFY_FIELDS)
+        # the oracle's products swell past two roots in two symbols
+        n = rng.choice([2] if len(symbols) == 2 else [2, 3, 4])
+        field = FunctionField(base, symbols) if symbols else base
+        try:
+            rfs = [parse_ratfunc(r, base, symbols) for r in rng.sample(VERIFY_ROOTS[symbols], n)]
+            zs = [field.coerce(r) if symbols else r.as_constant() for r in rfs]
+            algebra = MonogenicAlgebra.from_roots(field, zs)
+            out.append((algebra, zs, idempotents(algebra, zs)))
+        except (FieldError, ValueError, ZeroDivisionError):
+            continue
+    return out
+
+
+class TestVerifyIdempotents:
+    def test_agrees_with_products_in_the_algebra(self):
+        kinds = Counter()
+        for algebra, zs, es in _verify_cases(60, seed=3):
+            assert verify_idempotents(zs, es) is True
+            assert product_verification(algebra, zs, es)
+            kinds[(str(algebra.field), len(zs))] += 1
+        assert len(kinds) >= 15
+
+    def test_agrees_with_products_three_roots_two_symbols(self):
+        cases = [
+            (QQ, ["0", "a", "t"]),
+            (QQ, ["-a", "0", "3*t"]),
+            (GF(5), ["a+t", "1", "2*a"]),
+            (GF(7), ["0", "1/(a+1)", "t"]),
+            (GF(11), ["a*t", "1", "t"]),
+        ]
+        for base, roots in cases:
+            field = FunctionField(base, ("a", "t"))
+            zs = [field.coerce(parse_ratfunc(r, base, ("a", "t"))) for r in roots]
+            algebra = MonogenicAlgebra.from_roots(field, zs)
+            es = idempotents(algebra, zs)
+            assert verify_idempotents(zs, es) is True
+            assert product_verification(algebra, zs, es), roots
+
+    def test_one_perturbed_coefficient_fails(self):
+        rng = random.Random(4)
+        for algebra, zs, es in _verify_cases(40, seed=5):
+            i, k = rng.randrange(len(es)), rng.randrange(len(zs))
+            coeffs = list(es[i].coeffs)
+            coeffs[k] = coeffs[k] + algebra.field.one
+            bad = list(es)
+            bad[i] = AlgebraElement(algebra, coeffs)
+            assert verify_idempotents(zs, bad) is False
+            assert not product_verification(algebra, zs, bad)
+
+    def test_idempotents_of_other_roots_fail(self):
+        # the identities hold for the Lagrange idempotents of the roots
+        # given, and for no permutation of them
+        algebra = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
+        zs = [QQ.coerce(z) for z in (0, 1, 2)]
+        es = idempotents(algebra, zs)
+        assert verify_idempotents(zs, es)
+        assert not verify_idempotents(zs, [es[1], es[0], es[2]])
+        assert not verify_idempotents(zs, es[:2])
+
+    def test_single_root(self):
+        algebra = MonogenicAlgebra.from_roots(GF(5), [3])
+        zs = [GF(5).coerce(3)]
+        assert verify_idempotents(zs, idempotents(algebra, zs))
 
 
 class TestVandermonde:

@@ -623,10 +623,12 @@ def _iso_str(iso) -> str:
 
 def _cmd_lines(args) -> dict:
     warnings = []
+    if args.tol <= 0:
+        raise InputError("tolerance must be positive")
     if args.config:
         config = _parse_config(args.config)
         g = generic_symmetry(config)
-        iso = design_isometries(config, args.tol)
+        iso = design_isometries(config)
         results = {
             "generic_order": g.order,
             "generic_group": [perm_to_cycles(p) for p in g.group],
@@ -636,7 +638,10 @@ def _cmd_lines(args) -> dict:
             results["design"] = "infinite"
         else:
             results["design_order"] = len(iso)
-            results["design_isometries"] = [_iso_str(i) for i in iso]
+            try:
+                results["design_isometries"] = [_iso_str(i) for i in iso]
+            except OverflowError:
+                raise InputError("an isometry is too large to print in floating point") from None
         if _two_parallel_pairs(config):
             warnings.append(TWO_PAIR_NOTE)
         inputs = {"config": args.config, "tol": repr(args.tol)}
@@ -651,7 +656,7 @@ def _cmd_lines(args) -> dict:
         if steps > MAX_STEPS:
             raise InputError(f"--steps must be at most MAX_STEPS = {MAX_STEPS}")
         grid = [lo + (hi - lo) * Fraction(i, max(steps - 1, 1)) for i in range(steps)]
-        rep = sweep(pivot_family, grid, args.tol)
+        rep = sweep(pivot_family, grid)
         results = {
             "grid": [str(r.t) for r in rep.rows],
             "rows": [
@@ -860,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", default="1")
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--config", default="", help='4 lines "a b c" separated by ";"')
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="echoed; no effect (exact analysis)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("conj", help="conjugate an automorphism through an isomorphism")

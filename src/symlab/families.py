@@ -221,8 +221,10 @@ class RootFamily:
         is linear, its root exactly.  The roots of a g of degree >= 2 are
         found by enumeration over a finite field and over Q from the
         discriminant (degree 2) or by the rational root theorem (degree
-        >= 3, within DIVISOR_SEARCH_BOUND steps, else ValueError); over
-        other infinite fields (Q(zeta3)) they are not reported.  Listed 0
+        >= 3, within DIVISOR_SEARCH_BOUND steps, else ValueError).  Over
+        Q(zeta3) a quadratic g with rational coefficients is solved from its
+        discriminant; the roots of a g of degree >= 3, or of a quadratic
+        with zeta3 in its coefficients, are not searched there.  Listed 0
         first, then over Q by (|numerator|, denominator, positive first)
         and otherwise by sort_key, which over a finite field is the order
         of field.elements().
@@ -248,6 +250,9 @@ class RootFamily:
                     candidates = field.elements()
                 elif isinstance(field, RationalField):
                     candidates = _rational_roots(g)
+                elif g.degree == 2 and all(c.value[1] == 0 for c in g.coeffs):
+                    rational = clear_denominators([c.value[0] for c in g.coeffs])
+                    candidates = _quadratic_roots(field, *rational)
                 else:
                     candidates = ()
                 found.update(z for z in candidates if g(z).is_zero())
@@ -277,6 +282,22 @@ def _taylor(field: Field, p: MultiPoly, t0):
     yield from itertools.repeat(field.zero.value)
 
 
+def _quadratic_roots(field: Field, c: int, b: int, a: int) -> set:
+    """The roots in field, Q or Q(zeta3), of a*t^2 + b*t + c on integers:
+    (-b +- sqrt(D))/(2a) when the discriminant D is a square, or, over
+    Q(zeta3), -3 times a square, as sqrt(-3) = 1 + 2*zeta3."""
+    disc = b * b - 4 * a * c
+    units = [(1, field.one)]
+    if not isinstance(field, RationalField):
+        units.append((-3, field.one + 2 * field.generator()))
+    for k, unit in units:
+        square, rem = divmod(disc, k)
+        root = math.isqrt(square) if square >= 0 else -1
+        if rem == 0 and root * root == square:
+            return {(field.coerce(-b) + s * root * unit) / field.coerce(2 * a) for s in (1, -1)}
+    return set()
+
+
 # Most steps the rational root search of one critical factor of degree >= 3
 # may take, counted twice: the trial divisions that list the divisors of its
 # constant and leading coefficients (sqrt|a_0| + sqrt|a_n| of them, about
@@ -294,16 +315,9 @@ def _rational_roots(g: UniPoly) -> set:
     on, by the rational root theorem, the +-p/q in lowest terms with p
     dividing the constant and q the leading coefficient that are roots.
     Raises ValueError past DIVISOR_SEARCH_BOUND."""
-    vals = [c.value for c in g.coeffs]
-    scale = math.lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    ints = clear_denominators([c.value for c in g.coeffs])
     if g.degree == 2:
-        c, b, a = ints
-        disc = b * b - 4 * a * c
-        root = math.isqrt(disc) if disc >= 0 else -1
-        if root * root != disc:
-            return set()
-        return {g.field.coerce(Fraction(-b + s * root, 2 * a)) for s in (1, -1)}
+        return _quadratic_roots(g.field, *ints)
     d = g.degree
     too_long = ValueError(
         f"the rational root search for a critical factor of degree {d} would "
@@ -329,6 +343,12 @@ def _rational_roots(g: UniPoly) -> set:
         for s in (1, -1)
         if math.gcd(p, q) == 1 and is_root(s * p, q)
     }
+
+
+def clear_denominators(vals) -> list:
+    """Rationals times their least common denominator, as integers."""
+    scale = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals]
 
 
 def _divisors(n: int):

@@ -65,16 +65,28 @@ def power(base, n: int, one):
     return acc
 
 
+# Miller-Rabin to the first 13 prime bases is exact below PRIMALITY_BOUND
+# (about 3.3 * 10^24), the least composite passing them all; the first 12
+# alone pass the composite 318665857834031151167461.  Larger p are refused.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin for n < PRIMALITY_BOUND."""
+    if n < 2 or any(n % a == 0 for a in MILLER_RABIN_BASES):
+        return n in MILLER_RABIN_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -305,6 +317,8 @@ class PrimeField(Field):
     """F_p for a prime p; raw values are residues in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= PRIMALITY_BOUND:
+            raise FieldError(f"p must be below PRIMALITY_BOUND = {PRIMALITY_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p

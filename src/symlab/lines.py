@@ -2,9 +2,9 @@
 
 Two views of the same configuration: as an intersection system, whose
 symmetries are the permutations of the four lines preserving the
-"intersecting or coincident" relation (exact rational arithmetic); and as a
-Euclidean figure, whose symmetries are the isometries mapping the line set
-to itself (floating point, tolerance based).
+"intersecting or coincident" relation; and as a Euclidean figure, whose
+symmetries are the isometries mapping the line set to itself.  Both are
+decided exactly from the lines' rational coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import is_perm_group
+from .families import clear_denominators, is_perm_group
 
 INTERSECTING = "intersecting"
 PARALLEL = "parallel-distinct"
@@ -40,23 +40,12 @@ class Line:
         return (self.a, self.b, self.c)
 
     def __eq__(self, other):
-        if not isinstance(other, Line):
+        if type(other) is not Line:
             return NotImplemented
         return self.triple() == other.triple()
 
     def __hash__(self):
         return hash(self.triple())
-
-    def direction_angle(self) -> float:
-        """Angle of the line's direction, in [0, pi)."""
-        ang = math.atan2(float(-self.a), float(self.b)) % math.pi
-        return ang % math.pi
-
-    def unit_normal(self):
-        """(unit normal, offset) as floats; line = {p : n.p = d}."""
-        na, nb = float(self.a), float(self.b)
-        norm = math.hypot(na, nb)
-        return (na / norm, nb / norm), float(self.c) / norm
 
     def __repr__(self):
         return f"{self.a}*x + {self.b}*y = {self.c}"
@@ -147,164 +136,133 @@ def generic_symmetry(config: Config4) -> GenericSymmetry:
 
 @dataclass(frozen=True)
 class Isometry:
-    """x -> O x + v with O orthogonal; kind is 'rotation' or 'reflection'."""
+    """x -> O x + v with O = linear / sqrt(norm) orthogonal, `linear` an
+    integer matrix; it maps the rational point `point` to the rational
+    point `image`.  kind is 'rotation' or 'reflection'."""
 
-    matrix: tuple  # ((o11, o12), (o21, o22))
-    translation: tuple
     kind: str
+    linear: tuple  # ((m11, m12), (m21, m22)), integers
+    norm: int
+    point: tuple
+    image: tuple
+
+    @property
+    def matrix(self):
+        """O, rounded to floats."""
+        return tuple(tuple(_over_root(m, self.norm) for m in row) for row in self.linear)
+
+    @property
+    def translation(self):
+        """v = image - O point, rounded to floats."""
+        x, y = self.point
+        return tuple(
+            float(self.image[r]) - _over_root(m1 * x + m2 * y, self.norm)
+            for r, (m1, m2) in enumerate(self.linear)
+        )
 
 
 INFINITE = "infinite"
 
 
-def _rotation(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return ((c, -s), (s, c))
+def _over_root(x, n: int) -> float:
+    """x / sqrt(n) rounded to a float, exact before rounding when n is a
+    square."""
+    r = math.isqrt(n)
+    if r * r == n:
+        return float(Fraction(x) / r)
+    y = math.sqrt(Fraction(x) ** 2 / n)
+    return -y if x < 0 else y
 
 
-def _reflection(psi):
-    # reflection across the line through the origin at angle psi
-    c, s = math.cos(2 * psi), math.sin(2 * psi)
-    return ((c, s), (s, -c))
+def _meet(l1, l2):
+    """The meet of two non-parallel integer lines as (X, Y, Z), Z > 0."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    s = 1 if a1 * b2 > a2 * b1 else -1
+    return s * (c1 * b2 - c2 * b1), s * (a1 * c2 - a2 * c1), s * (a1 * b2 - a2 * b1)
 
 
-def _apply_to_line(mat, v, normal, offset):
-    (o11, o12), (o21, o22) = mat
-    n = (o11 * normal[0] + o12 * normal[1], o21 * normal[0] + o22 * normal[1])
-    d = offset + n[0] * v[0] + n[1] * v[1]
-    return n, d
+def _offsets(lines, p):
+    """Z * (c - n.P) for each line n.x = c and P = (X/Z, Y/Z)."""
+    x, y, z = p
+    return [c * z - a * x - b * y for a, b, c in lines]
 
 
-def _line_matches(n, d, lines_nd, tol):
-    for n2, d2 in lines_nd:
-        if (
-            abs(n[0] - n2[0]) <= tol
-            and abs(n[1] - n2[1]) <= tol
-            and abs(d - d2) <= tol
-        ):
-            return True
-        if (
-            abs(n[0] + n2[0]) <= tol
-            and abs(n[1] + n2[1]) <= tol
-            and abs(d + d2) <= tol
-        ):
-            return True
-    return False
+def _listing_key(kind, m):
+    """Rotations by angle mod pi, each before its half-turn composite, then
+    reflections by axis angle: (m11, m21) points along the rotation angle,
+    or along twice the axis angle of a reflection."""
+    c, s = m[0][0], m[1][0]
+    lower = s < 0 or (s == 0 and c < 0)  # angle in [pi, 2 pi)
+    if lower:
+        c, s = -c, -s
+    within = (s != 0, Fraction(-c, s) if s else 0)  # grows with the angle
+    return (0, within, lower) if kind == "rotation" else (1, lower, within)
 
 
-def design_isometries(config: Config4, tol: float = 1e-9):
+def design_isometries(config: Config4):
     """All Euclidean isometries mapping the line set to itself, or the
     INFINITE flag when every pair of lines is parallel (a whole translation
-    subgroup preserves the configuration).
+    subgroup preserves the configuration).  Exact, on integers.
 
-    Candidate linear parts come from the direction angles: rotations by
-    pairwise angle differences (and by pi), reflections across pairwise
-    angle bisectors (and their perpendiculars).  For each candidate, the
-    translation solves the offset system of two non-parallel lines and the
-    whole image set is verified within tol.
+    Each distinct line is cleared to an integer triple (a, b, c) with
+    normal n = (a, b).  Let P be the meet of line 0 with the first line i
+    not parallel to it.  An isometry maps line 0 to some line j, so its
+    linear part is the rotation or the reflection taking n_0 to +-n_j,
+    which is M / sqrt(|n_0|^2 |n_j|^2) for an integer matrix M; it maps
+    line i to a line m parallel to M n_i, and so P to the meet P' of lines
+    j and m.  Line k then maps onto line l exactly when M n_k is parallel
+    to n_l, e_k^2 |n_l|^2 = f_l^2 |n_k|^2 and e_k, f_l have the same sign
+    up to that of M n_k . n_l, where e_k = c_k - n_k.P and f_l = c_l -
+    n_l.P'.  Every isometry arises from exactly one (j, M, m).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    # set semantics: dedupe coincident lines
-    seen = []
+    lines = []  # set semantics: coincident lines count once
     for l in config.lines:
-        if all(pair_relation(l, m) != COINCIDENT for m in seen):
-            seen.append(l)
-    angles = [l.direction_angle() for l in seen]
-    lines_nd = [l.unit_normal() for l in seen]
-
-    all_parallel = all(
-        abs((a - angles[0]) % math.pi) <= tol
-        or abs((a - angles[0]) % math.pi - math.pi) <= tol
-        for a in angles
-    )
-    if all_parallel:
+        abc = tuple(clear_denominators(l.triple()))
+        if abc not in lines:
+            lines.append(abc)
+    a0, b0, _ = lines[0]
+    i = next((k for k, (a, b, _) in enumerate(lines) if a0 * b != b0 * a), None)
+    if i is None:
         return INFINITE
-
-    # candidate linear parts
-    mats = []
-    deltas = set()
-    for ai in angles:
-        for aj in angles:
-            deltas.add((aj - ai) % math.pi)
-    for d in sorted(deltas):
-        mats.append(("rotation", _rotation(d)))
-        mats.append(("rotation", _rotation(d + math.pi)))
-    psis = set()
-    for ai in angles:
-        for aj in angles:
-            psis.add(((ai + aj) / 2) % math.pi)
-            psis.add(((ai + aj) / 2 + math.pi / 2) % math.pi)
-    for p in sorted(psis):
-        mats.append(("reflection", _reflection(p)))
-
-    # two reference lines with independent normals
-    i1 = 0
-    i2 = next(
-        i
-        for i in range(1, len(seen))
-        if abs(
-            lines_nd[0][0][0] * lines_nd[i][0][1]
-            - lines_nd[0][0][1] * lines_nd[i][0][0]
-        )
-        > 1e-6
-    )
+    sq = [a * a + b * b for a, b, _ in lines]
+    p = _meet(lines[0], lines[i])
+    e = _offsets(lines, p)
+    point = (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
     found = []
-
-    def push(kind, mat, v):
-        for iso in found:
-            if (
-                max(
-                    abs(iso.matrix[r][c] - mat[r][c])
-                    for r in range(2)
-                    for c in range(2)
-                )
-                <= 1e-6
-                and abs(iso.translation[0] - v[0]) <= 1e-6
-                and abs(iso.translation[1] - v[1]) <= 1e-6
-            ):
-                return
-        found.append(Isometry(matrix=mat, translation=v, kind=kind))
-
-    for kind, mat in mats:
-        n1, d1 = lines_nd[i1]
-        n2, d2 = lines_nd[i2]
-        (o11, o12), (o21, o22) = mat
-        m1 = (o11 * n1[0] + o12 * n1[1], o21 * n1[0] + o22 * n1[1])
-        m2 = (o11 * n2[0] + o12 * n2[1], o21 * n2[0] + o22 * n2[1])
-        # candidate targets for each reference line
-        targets1 = [
-            (s, j)
-            for j, (nj, dj) in enumerate(lines_nd)
-            for s in (1.0, -1.0)
-            if abs(m1[0] - s * nj[0]) <= 1e-6 and abs(m1[1] - s * nj[1]) <= 1e-6
-        ]
-        targets2 = [
-            (s, j)
-            for j, (nj, dj) in enumerate(lines_nd)
-            for s in (1.0, -1.0)
-            if abs(m2[0] - s * nj[0]) <= 1e-6 and abs(m2[1] - s * nj[1]) <= 1e-6
-        ]
-        for (s1, j1), (s2, j2) in itertools.product(targets1, targets2):
-            # translation solves m_i . v = s_i d_{j_i} - d_i
-            rhs1 = s1 * lines_nd[j1][1] - d1
-            rhs2 = s2 * lines_nd[j2][1] - d2
-            det = m1[0] * m2[1] - m1[1] * m2[0]
-            if abs(det) < 1e-9:
+    for j, (aj, bj, _) in enumerate(lines):
+        d, x = a0 * aj + b0 * bj, a0 * bj - b0 * aj
+        u, w = a0 * aj - b0 * bj, a0 * bj + b0 * aj
+        for kind, m in (
+            ("rotation", ((d, -x), (x, d))),
+            ("rotation", ((-d, x), (-x, -d))),
+            ("reflection", ((u, w), (w, -u))),
+            ("reflection", ((-u, -w), (-w, u))),
+        ):
+            (m11, m12), (m21, m22) = m
+            normals = [(m11 * a + m12 * b, m21 * a + m22 * b) for a, b, _ in lines]
+            targets = [
+                [l for l, (a, b, _) in enumerate(lines) if na * b == nb * a]
+                for na, nb in normals
+            ]
+            if not all(targets):
                 continue
-            v = (
-                (rhs1 * m2[1] - rhs2 * m1[1]) / det,
-                (m1[0] * rhs2 - m2[0] * rhs1) / det,
-            )
-            ok = True
-            for (n, d0) in lines_nd:
-                ni, di = _apply_to_line(mat, v, n, d0)
-                if not _line_matches(ni, di, lines_nd, tol):
-                    ok = False
-                    break
-            if ok:
-                push(kind, mat, v)
-    return found
+            for t in targets[i]:
+                q = _meet(lines[j], lines[t])
+                f = _offsets(lines, q)
+                zz, zq = p[2] * p[2], q[2] * q[2]
+                if all(
+                    any(
+                        e[k] ** 2 * zq * sq[l] == f[l] ** 2 * zz * sq[k]
+                        and e[k] * f[l] * (na * lines[l][0] + nb * lines[l][1]) >= 0
+                        for l in targets[k]
+                    )
+                    for k, (na, nb) in enumerate(normals)
+                ):
+                    image = (Fraction(q[0], q[2]), Fraction(q[1], q[2]))
+                    iso = Isometry(kind, m, sq[0] * sq[j], point, image)
+                    found.append(((_listing_key(kind, m), j, t), iso))
+    found.sort(key=lambda entry: entry[0])
+    return [iso for _, iso in found]
 
 
 def pivot_family(t: Fraction) -> Config4:
@@ -312,8 +270,8 @@ def pivot_family(t: Fraction) -> Config4:
     is the X axis and line 3 the Y axis for all t; line 1 pivots clockwise
     about (2, 4) reaching vertical at t = 1; line 4 pivots clockwise about
     (0, 4) reaching horizontal at t = 1.  Off-axis slopes are rationalized
-    to 1e-12, which leaves both the intersection pattern and the
-    tolerance-based isometry analysis intact.
+    to denominators up to 10^12; both analyses are exact on those
+    rationals.
     """
     t = Fraction(t)
     if not Fraction(1, 2) <= t <= 1:
@@ -342,7 +300,7 @@ class SweepReport:
     transitions: tuple  # indices i where row i differs from row i-1
 
 
-def sweep(family, grid, tol: float = 1e-9) -> SweepReport:
+def sweep(family, grid) -> SweepReport:
     """Analyze a family at each grid point and flag symmetry transitions."""
     if not grid:
         raise ValueError("empty grid")
@@ -350,7 +308,7 @@ def sweep(family, grid, tol: float = 1e-9) -> SweepReport:
     for t in grid:
         config = family(t)
         g = generic_symmetry(config)
-        iso = design_isometries(config, tol)
+        iso = design_isometries(config)
         design = INFINITE if iso == INFINITE else len(iso)
         rows.append(SweepRow(t=Fraction(t), generic_order=g.order, design_order=design))
     transitions = tuple(

@@ -396,10 +396,10 @@ def test_criterion_09_transported_pair_maps():
 def test_criterion_10_line_sweep():
     with criterion(10, "sweep: generic (24,24,24,8), design (1,1,1,4), Klein four at 1"):
         grid = [Fraction(1, 2), Fraction(3, 4), Fraction(99, 100), Fraction(1)]
-        rep = sweep(pivot_family, grid, 1e-9)
+        rep = sweep(pivot_family, grid)
         assert [r.generic_order for r in rep.rows] == [24, 24, 24, 8]
         assert [r.design_order for r in rep.rows] == [1, 1, 1, 4]
-        iso = design_isometries(pivot_family(Fraction(1)), 1e-9)
+        iso = design_isometries(pivot_family(Fraction(1)))
         assert len(iso) == 4
         involutions = 0
         for i in iso:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symlab import cli
+from symlab import cli, fields
 from symlab.cli import build_parser, emit_report, main, run
 from symlab.fields import parse_field_spec
 from symlab.linalg import Matrix
@@ -147,6 +147,90 @@ def test_steps_at_the_bound():
     assert len(json.loads(text)["results"]["grid"]) == cli.MAX_STEPS
 
 
+RECTANGLE = "1 0 2; 0 1 0; 1 0 0; 0 1 4"
+
+
+def test_lines_tol_is_echoed_and_decides_nothing():
+    for tol in ("nan", "inf", "1e-300", "1000"):
+        code, text = run(["lines", "--config", RECTANGLE, "--tol", tol])
+        assert code == 0, text
+        assert f"  tol: {float(tol)!r}\n" in text
+        assert "design symmetry order: 4\n" in text
+    for tol in ("0", "-1", "-inf"):
+        code, text = run(["lines", "--config", RECTANGLE, "--tol", tol])
+        assert (code, text) == (1, "error: tolerance must be positive\n")
+
+
+def test_nearly_parallel_line_is_not_parallel():
+    # three lines x = 0, 2, 3 and one tilted by 10^-10: only the identity
+    config = "1 0 0; 1 1/10000000000 1; 1 0 2; 1 0 3"
+    code, text = run(["lines", "--config", config])
+    assert code == 0, text
+    assert "design symmetry order: 1\n  rotation: [[1, 0], [0, 1]] + (0, 0)\n" in text
+    code, text = run(["lines", "--config", config, "--json"])
+    results = json.loads(text)["results"]
+    assert "design" not in results
+    assert results["design_order"] == 1
+    assert results["design_isometries"] == ["rotation: [[1, 0], [0, 1]] + (0, 0)"]
+
+
+def test_lines_listing_order():
+    # four lines through (1, 2) at 45 degree steps: rotations by angle mod
+    # pi, each before its half-turn composite, then reflections by axis angle
+    code, text = run(["lines", "--config", "1 0 1; 0 1 2; 1 1 3; 1 -1 -1"])
+    assert code == 0, text
+    assert text.endswith(
+        "design symmetry order: 16\n"
+        "  rotation: [[1, 0], [0, 1]] + (0, 0)\n"
+        "  rotation: [[-1, 0], [0, -1]] + (2, 4)\n"
+        "  rotation: [[0.707107, -0.707107], [0.707107, 0.707107]] + (1.70711, -0.12132)\n"
+        "  rotation: [[-0.707107, 0.707107], [-0.707107, -0.707107]] + (0.292893, 4.12132)\n"
+        "  rotation: [[0, -1], [1, 0]] + (3, 1)\n"
+        "  rotation: [[0, 1], [-1, 0]] + (-1, 3)\n"
+        "  rotation: [[-0.707107, -0.707107], [0.707107, -0.707107]] + (3.12132, 2.70711)\n"
+        "  rotation: [[0.707107, 0.707107], [-0.707107, 0.707107]] + (-1.12132, 1.29289)\n"
+        "  reflection: [[1, 0], [0, -1]] + (0, 4)\n"
+        "  reflection: [[0.707107, 0.707107], [0.707107, -0.707107]] + (-1.12132, 2.70711)\n"
+        "  reflection: [[0, 1], [1, 0]] + (-1, 1)\n"
+        "  reflection: [[-0.707107, 0.707107], [0.707107, 0.707107]] + (0.292893, -0.12132)\n"
+        "  reflection: [[-1, 0], [0, 1]] + (2, 0)\n"
+        "  reflection: [[-0.707107, -0.707107], [-0.707107, 0.707107]] + (3.12132, 1.29289)\n"
+        "  reflection: [[0, -1], [-1, 0]] + (3, 3)\n"
+        "  reflection: [[0.707107, -0.707107], [-0.707107, -0.707107]] + (1.70711, 4.12132)\n"
+    )
+
+
+def test_large_prime_modulus_in_subprocess():
+    proc = run_subprocess(["aut", "--field", "Fp(1000000000000000003)", "--poly",
+                           "factored:(X)(X-1)"], 2)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_subprocess(["aut", "--field", "Fp(1000000000000000001)", "--poly",
+                           "factored:(X)(X-1)"], 2)
+    assert proc.returncode == 1
+    assert b"is not prime" in proc.stderr
+
+
+def test_primality_past_the_bound_exits_1():
+    # the least composite passing Miller-Rabin to the bases 2..37 is refused
+    code, text = run(["aut", "--field", "Fp(318665857834031151167461)", "--poly", "factored:(X)"])
+    assert (code, text) == (1, "error: 318665857834031151167461 is not prime\n")
+    code, text = run(["aut", "--field", f"Fp({fields.PRIMALITY_BOUND})", "--poly", "factored:(X)"])
+    assert code == 1
+    assert text == f"error: p must be below PRIMALITY_BOUND = {fields.PRIMALITY_BOUND}\n"
+
+
+def test_quadratic_critical_factor_over_qzeta3():
+    # t^2 + t + 1 vanishes at zeta3 and zeta3^2 = -zeta3 - 1
+    code, text = run(["family", "--field", "Qzeta3", "--roots", "0,t^2+t+1"])
+    assert code == 0, text
+    assert "critical values: -zeta3 - 1, zeta3\n" in text
+    # t^2 + 3 from -D/3 = 4, with sqrt(-3) = 1 + 2*zeta3
+    code, text = run(["family", "--field", "Qzeta3", "--roots", "0,t^2+3"])
+    assert "critical values: -2*zeta3 - 1, 2*zeta3 + 1\n" in text
+    code, text = run(["family", "--field", "Qzeta3", "--roots", "0,t^2-2"])
+    assert "critical values: none found\n" in text
+
+
 def test_cubic_critical_factor_below_the_bound():
     # t^3 - (2t + 1) = (t + 1)(t^2 - t - 1) has the one rational root -1,
     # found by the rational root theorem
@@ -255,6 +339,7 @@ class TestExitCodes:
             ["aut", "--field", "Q", "--poly", "factored:(X)", "--brute-force"],
             ["lines", "--config", "0 0 1; 0 1 0; 1 0 0; 0 1 4"],  # degenerate line
             ["nonsense"],  # unknown subcommand
+            ["lines", "--config", "1 0 1e400; 0 1 0; 1 0 0; 0 1 4"],  # past float range
         ],
     )
     def test_input_errors_exit_1(self, argv, capsys):

@@ -86,7 +86,7 @@ class TestGenericSymmetry:
 
 class TestDesignIsometries:
     def test_rectangle_is_klein_four(self):
-        iso = design_isometries(RECTANGLE, 1e-9)
+        iso = design_isometries(RECTANGLE)
         assert len(iso) == 4
         kinds = sorted(i.kind for i in iso)
         assert kinds == ["reflection", "reflection", "rotation", "rotation"]
@@ -104,7 +104,7 @@ class TestDesignIsometries:
         assert math.isclose(center_rot.translation[1], 4.0, abs_tol=1e-9)
 
     def test_klein_four_composition_closure(self):
-        iso = design_isometries(RECTANGLE, 1e-9)
+        iso = design_isometries(RECTANGLE)
 
         def compose(i1, i2):
             m = tuple(
@@ -138,20 +138,16 @@ class TestDesignIsometries:
 
     def test_all_parallel_is_infinite(self):
         config = Config4([Line(1, 0, 0), Line(1, 0, 1), Line(1, 0, 2), Line(1, 0, 3)])
-        assert design_isometries(config, 1e-9) == INFINITE
+        assert design_isometries(config) == INFINITE
 
     def test_generic_config_identity_only(self):
         config = Config4([Line(1, 0, 0), Line(0, 1, 0), Line(1, 2, 3), Line(3, -1, 1)])
-        iso = design_isometries(config, 1e-9)
+        iso = design_isometries(config)
         assert len(iso) == 1 and iso[0].kind == "rotation"
-
-    def test_tolerance_guard(self):
-        with pytest.raises(ValueError):
-            design_isometries(RECTANGLE, 0.0)
 
     def test_square_has_order_8(self):
         square = Config4([Line(1, 0, 0), Line(1, 0, 2), Line(0, 1, 0), Line(0, 1, 2)])
-        iso = design_isometries(square, 1e-9)
+        iso = design_isometries(square)
         assert len(iso) == 8  # dihedral group of the square
 
 
@@ -188,23 +184,22 @@ class TestSweep:
         rep = sweep(
             pivot_family,
             [Fraction(1, 2), Fraction(3, 4), Fraction(99, 100), Fraction(1)],
-            1e-9,
         )
         assert [r.generic_order for r in rep.rows] == [24, 24, 24, 8]
         assert [r.design_order for r in rep.rows] == [1, 1, 1, 4]
         assert rep.transitions == (3,)
 
     def test_constant_family_no_transitions(self):
-        rep = sweep(lambda t: RECTANGLE, [Fraction(0), Fraction(1, 2), Fraction(1)], 1e-9)
+        rep = sweep(lambda t: RECTANGLE, [Fraction(0), Fraction(1, 2), Fraction(1)])
         assert rep.transitions == ()
 
     def test_single_point_grid(self):
-        rep = sweep(pivot_family, [Fraction(1)], 1e-9)
+        rep = sweep(pivot_family, [Fraction(1)])
         assert len(rep.rows) == 1 and rep.transitions == ()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep(pivot_family, [], 1e-9)
+            sweep(pivot_family, [])
 
 
 class TestInvariance:
@@ -224,14 +219,14 @@ class TestInvariance:
         configs = [RECTANGLE, pivot_family(Fraction(3, 4))]
         for config in configs:
             base_generic = generic_symmetry(config).group
-            base_design = design_isometries(config, 1e-9)
+            base_design = design_isometries(config)
             for _ in range(5):
                 dx, dy = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
                 moved = self.rational_rotation(
                     config, Fraction(3, 5), Fraction(4, 5), dx, dy
                 )
                 assert generic_symmetry(moved).group == base_generic
-                iso = design_isometries(moved, 1e-9)
+                iso = design_isometries(moved)
                 assert len(iso) == len(base_design)
                 # each original isometry conjugates to one of the moved set
                 c, s = 3 / 5, 4 / 5
@@ -278,5 +273,5 @@ class TestInvariance:
             for l in RECTANGLE.lines:
                 eps = [Fraction(rng.randint(-1000, 1000), 10**6) for _ in range(3)]
                 lines.append(Line(l.a + eps[0], l.b + eps[1], l.c + eps[2]))
-            iso = design_isometries(Config4(lines), 1e-9)
+            iso = design_isometries(Config4(lines))
             assert iso == INFINITE or len(iso) <= 4

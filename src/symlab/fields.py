@@ -560,15 +560,18 @@ def rationals_with_cube_root(generator_name: str = "zeta3") -> ExtensionField:
 def primitive_cube_root(field: Field) -> FieldElement | None:
     """A deterministic primitive cube root of unity in `field`, if one exists.
 
-    Finite fields are searched exhaustively in canonical element order; for
-    the supported rational extension the generator itself is tested.
+    Over F_q there is one iff q = 1 mod 3: the smaller, in canonical element
+    order, of r and r^2 for the first nonzero x with r = x^((q-1)/3) != 1.
+    For the supported rational extension the generator itself is tested.
     """
     one = field.one
-    if field.size() is not None:
-        for x in field.elements():
-            if x != one and x * x * x == one:
-                return x
-        return None
+    q = field.size()
+    if q is not None:
+        if q % 3 != 1:
+            return None
+        powers = (x ** ((q - 1) // 3) for x in field.elements() if not x.is_zero())
+        r = next(r for r in powers if r != one)
+        return min(r, r * r, key=FieldElement.sort_key)
     if isinstance(field, ExtensionField):
         g = field.generator()
         if g != one and g * g * g == one:

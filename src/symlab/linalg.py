@@ -1,9 +1,8 @@
 """Small exact matrices over any fields.Field.
 
-Sizes here stay at most 7x7, so the determinant uses Laplace expansion
-with shared minors (division-free, which matters for function-field
-entries) and inversion uses Gauss-Jordan elimination with exact zero
-tests.
+Sizes here stay at most 7x7, so one division-free kernel, Laplace
+expansion with shared minors, gives determinants and, by Cramer's rule,
+solves and inverses, for function-field entries of any number of symbols.
 """
 
 from __future__ import annotations
@@ -11,25 +10,19 @@ from __future__ import annotations
 from .fields import Field, FieldElement
 
 
-def laplace_det(rows):
-    """Determinant by cofactor expansion; entries need only +, -, *.
-
-    Works for FieldElement and MultiPoly entries alike.  Row k is expanded
-    against the minors of rows 0..k-1, each computed once per set of
-    columns, so an n x n determinant costs about n * 2^(n-1) products
-    instead of n!.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    # minors[mask]: determinant of the first popcount(mask) rows on the
-    # columns in the bit mask
-    minors = {1 << j: rows[0][j] for j in range(n)}
+def _shared_minors(rows):
+    """Maximal minors of an n x m matrix, n <= m, as a map from each bit
+    mask of n columns to the determinant of the rows on those columns;
+    entries need only +, -, *.  Row k is expanded against the minors of
+    rows 0..k-1, each computed once per set of columns, so an n x n
+    determinant costs about n * 2^(n-1) products instead of n!."""
+    width = len(rows[0])
+    minors = {1 << j: rows[0][j] for j in range(width)}
     for row in rows[1:]:
         nxt = {}
         for mask, minor in minors.items():
             odd = False  # an odd number of the mask's columns lie right of j
-            for j in range(n - 1, -1, -1):
+            for j in range(width - 1, -1, -1):
                 bit = 1 << j
                 if mask & bit:
                     odd = not odd
@@ -40,7 +33,16 @@ def laplace_det(rows):
                 prev = nxt.get(mask | bit)
                 nxt[mask | bit] = term if prev is None else prev + term
         minors = nxt
-    return minors[(1 << n) - 1]
+    return minors
+
+
+def laplace_det(rows):
+    """Determinant from the shared-minor table; works for FieldElement and
+    MultiPoly entries alike."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    return _shared_minors(rows)[(1 << n) - 1]
 
 
 class CoordinateVector:
@@ -220,33 +222,32 @@ class Matrix:
         return not self.det().is_zero()
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; raises ValueError when singular."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = [
-            list(self.rows[i])
-            + [self.field.one if i == j else self.field.zero for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if not aug[r][col].is_zero()), None
-            )
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Matrix(self.field, [row[n:] for row in aug])
+        """Column j solves self * x = e_j; raises ValueError when singular."""
+        cols = [self.solve(e) for e in Matrix.identity(self.field, self.nrows).rows]
+        return Matrix(self.field, cols).transpose()
 
     def solve(self, rhs):
-        """Solve self * x = rhs for a single right-hand-side vector."""
-        return self.inverse().mul_vec(rhs)
+        """Solve self * x = rhs by Cramer's rule; raises ValueError when
+        singular.  Of the maximal minors of [self | rhs], the one without
+        the last column is det(self), and the one without column j is the
+        numerator of x_j times (-1)^(n-1-j): rhs stands n - 1 - j columns
+        right of where column j was.  Only the final quotients divide."""
+        n = self.nrows
+        if n != self.ncols:
+            raise ValueError("solve with a non-square matrix")
+        rhs = [self.field.coerce(x) for x in rhs]
+        if len(rhs) != n:
+            raise ValueError("vector length mismatch")
+        if n == 0:
+            return []
+        minors = _shared_minors([list(r) + [b] for r, b in zip(self.rows, rhs)])
+        full = (1 << (n + 1)) - 1
+        det = minors[full ^ (1 << n)]
+        if det.is_zero():
+            raise ValueError("matrix is singular")
+        inv = det.inverse()
+        xs = [minors[full ^ (1 << j)] * inv for j in range(n)]
+        return [-x if (n - 1 - j) % 2 else x for j, x in enumerate(xs)]
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + "]"

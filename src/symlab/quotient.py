@@ -8,12 +8,14 @@ outer_image(inner_image(X)) mod f, so it reproduces the classical closed
 composition law on X -> aX + bX^2 maps coefficient for coefficient.
 
 The checks that every brute-force candidate goes through run on raw field
-values: a map's powers image^k mod f are computed once, and both the
-homomorphism test and the matrix behind the determinant test read them.
+values: a map's powers image^k mod f are computed once, and the
+homomorphism test, the matrix behind the determinant test and the inverse
+all read them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,9 +110,9 @@ class AlgebraHom:
     (is_homomorphism), not a construction invariant, because testing the
     failure case is part of the point.
 
-    Both the homomorphism test and the matrix read one power table, the
-    raw coefficients of image^k mod f_target for k = 0..deg f_source;
-    is_automorphism and is_isomorphism build it once for both tests.
+    The homomorphism test, the matrix and the inverse all read one power
+    table, the raw coefficients of image^k mod f_target for
+    k = 0..deg f_source, built at most once per map.
     """
 
     def __init__(self, source: MonogenicAlgebra, target: MonogenicAlgebra, image: UniPoly):
@@ -122,6 +124,7 @@ class AlgebraHom:
         self.target = target
         self.image = image % target.modulus
 
+    @functools.cached_property
     def _power_table(self) -> list:
         """Raw coefficient lists, lowest degree first, of image^k reduced
         mod f_target, for k = 0..deg f_source."""
@@ -135,28 +138,16 @@ class AlgebraHom:
             table.append(acc)
         return table
 
-    def _annihilates(self, table) -> bool:
-        """True iff sum_k f_k * image^k, f = f_source, is zero in the target."""
+    def is_homomorphism(self) -> bool:
+        """True iff f_source(image(X)) == 0 in the target."""
         f = self.source.field
         mul, add = f._mul, f._add
         acc = [f.zero.value] * self.target.dim
-        for c, p in zip(self.source.modulus.coeffs, table):
+        for c, p in zip(self.source.modulus.coeffs, self._power_table):
             c = c.value
             for i, v in enumerate(p):
                 acc[i] = add(acc[i], mul(c, v))
         return all(map(f._is_zero, acc))
-
-    def _matrix(self, table) -> Matrix:
-        """Columns are the coordinates of image^k, k < n, read from `table`."""
-        f = self.source.field
-        n = self.source.dim
-        zero = f.zero.value
-        rows = [[p[i] if i < len(p) else zero for p in table[:n]] for i in range(n)]
-        return Matrix._wrap(f, rows)
-
-    def is_homomorphism(self) -> bool:
-        """True iff f_source(image(X)) == 0 in the target."""
-        return self._annihilates(self._power_table())
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         if u.algebra != self.source:
@@ -169,20 +160,25 @@ class AlgebraHom:
         """Induced linear map, columns = coordinates of images of X^k."""
         if self.target.dim != self.source.dim:
             raise ValueError("matrix of a map between different dimensions")
-        return self._matrix(self._power_table())
+        n = self.source.dim
+        zero = self.source.field.zero.value
+        table = self._power_table[:n]
+        return Matrix._wrap(
+            self.source.field, [[p[i] if i < len(p) else zero for p in table] for i in range(n)]
+        )
 
     def is_isomorphism(self) -> bool:
         if self.source.dim != self.target.dim:
             return False
-        table = self._power_table()
-        return self._annihilates(table) and self._matrix(table).is_invertible()
+        return self.is_homomorphism() and self.matrix().is_invertible()
 
     def inverse_image(self) -> UniPoly:
-        """Image of X under the inverse map (target -> source)."""
-        if not self.is_isomorphism():
-            raise ValueError("map is not an isomorphism")
-        x_coords = list(self.target.gen().coeffs)
-        sol = self.matrix().solve(x_coords)
+        """Image of X under the inverse map (target -> source); raises
+        ValueError for a non-homomorphism and, from solve, for a singular
+        matrix."""
+        if not self.is_homomorphism():
+            raise ValueError("map is not a homomorphism")
+        sol = self.matrix().solve(list(self.target.gen().coeffs))
         return UniPoly(self.source.field, sol)
 
     def inverse_hom(self) -> "AlgebraHom":
@@ -223,8 +219,6 @@ class SubstitutionMap(AlgebraHom):
         )
 
     def inverse(self) -> "SubstitutionMap":
-        if not self.is_automorphism():
-            raise ValueError("map is not an automorphism")
         return SubstitutionMap(self.algebra, self.inverse_image())
 
     def is_identity(self) -> bool:

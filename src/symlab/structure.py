@@ -181,7 +181,7 @@ class LinearAlgebraMap:
         return self.target.element(self.matrix.mul_vec(list(u.coeffs)))
 
     def image_of_basis(self, i: int) -> StructElement:
-        return self(self.source.basis(i))
+        return self.target.element([row[i] for row in self.matrix.rows])
 
     def compose(self, inner: "LinearAlgebraMap") -> "LinearAlgebraMap":
         """self after inner."""

@@ -114,6 +114,19 @@ def test_divisor_search_stops_at_its_bound_in_subprocess():
     assert b"DIVISOR_SEARCH_BOUND = 1000000 steps" in proc.stderr
 
 
+@pytest.mark.parametrize("p,code", [(1000000009, 0), (1000000007, 1)])
+def test_zeta3_over_a_large_prime_field_in_subprocess(p, code):
+    # the cube root of unity comes from an exponentiation, not a scan of
+    # the field; 3 divides p - 1 only for the first prime
+    argv = ["family", "--field", f"Fp({p})", "--roots", "0,t,zeta3", "--at", "0"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == f"error: F{p} has no primitive cube root of unity (at position 0)\n".encode()
+    else:
+        assert b"critical values: 0, 115381398\n" in proc.stdout
+
+
 @pytest.mark.parametrize(
     "roots", ["0,a,t,1", "0,a,t,1,a+t", "1/(a-t),a,t,0"], ids=["four", "five", "fractional"]
 )

@@ -34,6 +34,7 @@ from symlab.linalg import Matrix
 from symlab.parse import parse_ratfunc
 from symlab.poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly
 from symlab.quotient import MonogenicAlgebra, SubstitutionMap, idempotents
+from test_linalg import gauss_jordan_inverse
 
 T = ("t",)
 SWAP12 = (1, 0, 2)
@@ -553,7 +554,7 @@ def gauss_jordan_vectors(fam, perms):
     elimination and apply it to every permuted root vector."""
     ff = fam.function_field()
     roots = [ff.coerce(r) for r in fam.roots]
-    m_inv = Matrix(ff, [[r**k for k in range(fam.n)] for r in roots]).inverse()
+    m_inv = gauss_jordan_inverse(Matrix(ff, [[r**k for k in range(fam.n)] for r in roots]))
     return {
         sigma: [c.value for c in m_inv.mul_vec([roots[j] for j in sigma])]
         for sigma in perms

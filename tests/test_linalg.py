@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symlab import linalg
 from symlab.fields import GF, QQ
 from symlab.linalg import Matrix, laplace_det
 from symlab.poly import FunctionField, MultiPoly
@@ -10,14 +11,27 @@ from symlab.quotient import MonogenicAlgebra
 from symlab.structure import build_T
 
 
-def random_matrix(field, n, rng):
+QT = FunctionField(QQ, ("t",))
+QAT = FunctionField(QQ, ("a", "t"))
+
+
+def random_entry(field, rng):
+    """A small random element: any element of a finite field, a fraction
+    over Q, an affine polynomial in the symbols over Q(a,t), and over Q(t)
+    one divided by t + 1 one time in four."""
     if field.size() is not None:
         elems = list(field.elements())
-        return Matrix(field, [[elems[rng.randrange(len(elems))] for _ in range(n)] for _ in range(n)])
-    return Matrix(
-        field,
-        [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)],
-    )
+        return elems[rng.randrange(len(elems))]
+    if field == QQ:
+        return field.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    x = field.coerce(rng.randint(-3, 3))
+    for name in field.symbols:
+        x = x + field.symbol(name) * rng.randint(-2, 2)
+    return x / (field.symbol("t") + field.one) if field == QT and rng.random() < 0.25 else x
+
+
+def random_matrix(field, n, rng):
+    return Matrix(field, [[random_entry(field, rng) for _ in range(n)] for _ in range(n)])
 
 
 def test_inverse_round_trip_randomized():
@@ -32,6 +46,79 @@ def test_inverse_round_trip_randomized():
                     continue
                 assert m * m.inverse() == Matrix.identity(field, n)
                 assert m.inverse() * m == Matrix.identity(field, n)
+
+
+def gauss_jordan(m, rhs):
+    """Rows of X with m * X = rhs, rhs given by its rows, by Gauss-Jordan
+    elimination with exact zero tests; kept as a test-only oracle for the
+    shared-minor solve.  Raises ValueError when m is singular."""
+    n = m.nrows
+    aug = [list(r) + list(b) for r, b in zip(m.rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and not aug[r][col].is_zero():
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def gauss_jordan_inverse(m):
+    return Matrix(m.field, gauss_jordan(m, Matrix.identity(m.field, m.nrows).rows))
+
+
+def kernel_cases(seed):
+    """(matrix, right-hand side) pairs over Q, F_5, F(2,2), Q(t) and
+    Q(a,t); about one in three has its last row the sum of the others
+    (or zero), so it is singular."""
+    rng = random.Random(seed)
+    for field, n in [(f, n) for f in (QQ, GF(5), GF(2, 2), QT, QAT) for n in (1, 2, 3, 4)]:
+        if n == 4 and field in (QT, QAT):
+            continue
+        for _ in range(6):
+            rows = [[random_entry(field, rng) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.33:
+                rows[-1] = [sum((r[j] for r in rows[:-1]), field.zero) for j in range(n)]
+            yield Matrix(field, rows), [random_entry(field, rng) for _ in range(n)]
+
+
+def check_against_gauss_jordan(m, b):
+    """"singular" or "regular" when solve and inverse agree with the
+    oracle, raising ValueError exactly on singular matrices; else "wrong"."""
+    try:
+        x = [r[0] for r in gauss_jordan(m, [[c] for c in b])]
+    except ValueError:
+        for op in (lambda: m.solve(b), m.inverse):
+            with pytest.raises(ValueError, match="singular"):
+                op()
+        return "singular"
+    return "regular" if m.solve(b) == x and m.inverse() == gauss_jordan_inverse(m) else "wrong"
+
+
+def test_solve_and_inverse_match_gauss_jordan():
+    results = [check_against_gauss_jordan(m, b) for m, b in kernel_cases(64)]
+    assert "wrong" not in results
+    assert results.count("singular") >= 20
+
+
+def test_flipped_cramer_sign_is_caught(monkeypatch):
+    # a mutant kernel whose numerator for x_0 has the wrong sign
+    table = linalg._shared_minors
+
+    def flipped(rows):
+        minors = table(rows)
+        key = ((1 << len(rows[0])) - 1) ^ 1
+        if key in minors:
+            minors[key] = -minors[key]
+        return minors
+
+    monkeypatch.setattr(linalg, "_shared_minors", flipped)
+    assert any(check_against_gauss_jordan(m, b) == "wrong" for m, b in kernel_cases(64))
 
 
 def test_det_multiplicative_randomized():

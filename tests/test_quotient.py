@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -521,6 +522,37 @@ class TestAlgebraHom:
     def test_non_hom_detected(self):
         hom = AlgebraHom(X3, X3X2, UniPoly(QQ, [0, 1]))
         assert not hom.is_homomorphism()
+
+    def test_inverse_image_refuses_non_isomorphisms(self):
+        # X -> 2X on Q[X]/(X^2 - 1): invertible matrix, but (2X)^2 = 4 != 1
+        square = algebra(QQ, [-1, 0, 1])
+        scale = AlgebraHom(square, square, UniPoly(QQ, [0, 2]))
+        assert scale.matrix().is_invertible() and not scale.is_homomorphism()
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            scale.inverse_image()
+        # X -> X^2 on Q[X]/(X^3): a homomorphism with a singular matrix
+        squaring = AlgebraHom(X3, X3, UniPoly(QQ, [0, 0, 1]))
+        assert squaring.is_homomorphism() and not squaring.matrix().is_invertible()
+        with pytest.raises(ValueError, match="singular"):
+            squaring.inverse_image()
+
+    def test_one_power_table_per_map(self, monkeypatch):
+        builds = []
+        build = AlgebraHom.__dict__["_power_table"].func
+
+        def counting(hom):
+            builds.append(hom)
+            return build(hom)
+
+        table = functools.cached_property(counting)
+        table.__set_name__(AlgebraHom, "_power_table")
+        monkeypatch.setattr(AlgebraHom, "_power_table", table)
+        h = SubstitutionMap(X3, [0, 1, 1])
+        assert h.is_automorphism() and h.is_homomorphism()
+        assert h.matrix() == Matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+        assert h.inverse_image() == UniPoly(QQ, [0, 1, -1])
+        assert h.inverse().image == UniPoly(QQ, [0, 1, -1])
+        assert builds == [h]
 
 
 def test_split_roots():

@@ -42,8 +42,8 @@ from .lines import (
     pivot_family,
     sweep,
 )
-from .parse import ParseError, parse_cycles, parse_ratfunc
-from .poly import FunctionField, Pole, RationalFunction, UniPoly
+from .parse import ParseError, parse_cycles, parse_factored, parse_ratfunc, parse_ratfunc_list
+from .poly import FunctionField, Pole, UniPoly
 from .quotient import (
     MonogenicAlgebra,
     SubstitutionMap,
@@ -110,89 +110,18 @@ def _render_text(report: dict) -> list[str]:
 
 def _field_and_symbols(args) -> tuple[Field, tuple]:
     base = parse_field_spec(args.field)
-    symbols = tuple(s.strip() for s in args.symbols.split(",") if s.strip()) if getattr(
-        args, "symbols", None
-    ) else ()
+    symbols = tuple(s.strip() for s in getattr(args, "symbols", "").split(",") if s.strip())
     for i, s in enumerate(symbols):
         if s in symbols[:i]:
             raise InputError(f"symbol {s!r} is repeated in --symbols")
     return base, symbols
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas not nested inside parentheses."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
-def _parse_ratfunc_list(text: str, field: Field, symbols) -> list[RationalFunction]:
-    return [parse_ratfunc(p, field, symbols) for p in _split_top_level(text)]
-
-
 def _parse_factored(text: str, field: Field, symbols) -> list[tuple]:
     """Parse "factored:(X)(X-1)^2(X-t)" into (root, multiplicity) pairs."""
-    prefix = "factored:"
-    if not text.startswith(prefix):
-        raise InputError(f"polynomial must use the {prefix}(...) form")
-    rest = text[len(prefix) :]
-    i = 0
-    factors = []
-    while i < len(rest):
-        if rest[i].isspace():
-            i += 1
-            continue
-        if rest[i] != "(":
-            raise InputError(f"expected '(' at position {i} of the factored form")
-        depth = 1
-        j = i + 1
-        while j < len(rest) and depth:
-            if rest[j] == "(":
-                depth += 1
-            elif rest[j] == ")":
-                depth -= 1
-            j += 1
-        if depth:
-            raise InputError("unbalanced parentheses in the factored form")
-        body = rest[i + 1 : j - 1].strip()
-        i = j
-        mult = 1
-        if i < len(rest) and rest[i] == "^":
-            i += 1
-            k = i
-            while i < len(rest) and rest[i].isdigit():
-                i += 1
-            if k == i:
-                raise InputError("expected an exponent after '^'")
-            mult = int(rest[k:i])
-        if not body.startswith("X"):
-            raise InputError(f"factor ({body}) must have the form (X - root)")
-        tail = body[1:].strip()
-        if not tail:
-            root = RationalFunction.constant(field, symbols, 0)
-        elif tail[0] == "-":
-            # the factor is X + tail, so the root is -(tail)
-            root = -parse_ratfunc(tail, field, symbols)
-        elif tail[0] == "+":
-            root = -parse_ratfunc(tail[1:], field, symbols)
-        else:
-            raise InputError(f"factor ({body}) must have the form (X - root)")
-        factors.append((root, mult))
-    if not factors:
-        raise InputError("the factored form lists no factors")
-    return factors
+    if not text.startswith("factored:"):
+        raise InputError("polynomial must use the factored:(...) form")
+    return parse_factored(text[len("factored:") :], field, symbols)
 
 
 def _working_field(base: Field, symbols):
@@ -239,7 +168,7 @@ def _cmd_aut(args) -> dict:
         },
     }
     if args.check_map:
-        coeffs = _parse_ratfunc_list(args.check_map, base, symbols)
+        coeffs = parse_ratfunc_list(args.check_map, base, symbols)
         g = SubstitutionMap(algebra, UniPoly(field, _as_field_values(coeffs, field, symbols)))
         results["check_map"] = {
             "map": str(g),
@@ -299,7 +228,7 @@ def _text_aut(res: dict) -> list[str]:
 def _cmd_idem(args) -> dict:
     base, symbols = _field_and_symbols(args)
     field = _working_field(base, symbols)
-    roots = _as_field_values(_parse_ratfunc_list(args.roots, base, symbols), field, symbols)
+    roots = _as_field_values(parse_ratfunc_list(args.roots, base, symbols), field, symbols)
     algebra = MonogenicAlgebra.from_roots(field, roots)
     es = idempotents(algebra, roots)
     verified = verify_idempotents(roots, es)
@@ -352,7 +281,7 @@ def _status_text(st: dict) -> str:
 
 def _cmd_family(args) -> dict:
     base, _ = _field_and_symbols(args)
-    roots = _parse_ratfunc_list(args.roots, base, ("t",))
+    roots = parse_ratfunc_list(args.roots, base, ("t",))
     fam = RootFamily(base, ("t",), roots)
     if not 2 <= fam.n <= 5:
         raise InputError("family analysis supports 2 to 5 roots")
@@ -372,11 +301,7 @@ def _cmd_family(args) -> dict:
                 "coefficients": [str(c) for c in pa.coeffs],
             }
         )
-    at_values = (
-        [parse_ratfunc(v, base, ()).as_constant() for v in _split_top_level(args.at)]
-        if args.at
-        else crit
-    )
+    at_values = [v.as_constant() for v in parse_ratfunc_list(args.at, base)] if args.at else crit
     for t0 in at_values:
         if args.perm:
             statuses = [(perms[0], analyze_at(fam, perms[0], t0))]
@@ -431,10 +356,7 @@ def _cmd_survival(args) -> dict:
         "limit_linear_coeff": str(sc.limit_linear_coeff),
     }
     if args.witness:
-        xs = [
-            r.as_constant()
-            for r in _parse_ratfunc_list(args.witness, base, ())
-        ]
+        xs = [r.as_constant() for r in parse_ratfunc_list(args.witness, base)]
         if len(xs) != 3:
             raise InputError("a witness needs exactly three values x1, x2, x3")
         holds = sc.holds_at(xs)
@@ -481,6 +403,7 @@ def _cmd_chi(args) -> dict:
     if rep.order2_elements is not None:
         results["order2_elements"] = [str(c) for c in rep.order2_elements]
         results["order3_elements"] = [str(c) for c in rep.order3_elements]
+    if base.size() is not None:
         results["group_order"] = base.size() * (base.size() - 1)
     if base.size() is not None and base.size() <= 49:
         ns3 = no_s3_check(base)
@@ -535,7 +458,7 @@ def _cmd_talg(args) -> dict:
         "commutative": algebra.is_commutative(),
     }
     if args.pair:
-        vals = [r.as_constant() for r in _parse_ratfunc_list(args.pair, base, ())]
+        vals = [r.as_constant() for r in parse_ratfunc_list(args.pair, base)]
         if len(vals) != 2:
             raise InputError("--pair needs exactly two values b,b'")
         if t.is_zero():
@@ -711,12 +634,12 @@ def _text_lines(res: dict) -> list[str]:
 def _cmd_conj(args) -> dict:
     base, symbols = _field_and_symbols(args)
     field = _working_field(base, symbols)
-    src_roots = _as_field_values(_parse_ratfunc_list(args.source_roots, base, symbols), field, symbols)
-    tgt_roots = _as_field_values(_parse_ratfunc_list(args.target_roots, base, symbols), field, symbols)
+    src_roots = _as_field_values(parse_ratfunc_list(args.source_roots, base, symbols), field, symbols)
+    tgt_roots = _as_field_values(parse_ratfunc_list(args.target_roots, base, symbols), field, symbols)
     source = MonogenicAlgebra.from_roots(field, src_roots)
     target = MonogenicAlgebra.from_roots(field, tgt_roots)
-    iso_coeffs = _parse_ratfunc_list(args.iso, base, symbols)
-    aut_coeffs = _parse_ratfunc_list(args.aut, base, symbols)
+    iso_coeffs = parse_ratfunc_list(args.iso, base, symbols)
+    aut_coeffs = parse_ratfunc_list(args.aut, base, symbols)
     result_map = conjugate_through_iso(
         source,
         target,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symlab import chi
 from symlab.chi import Chi, NoS3Report, all_chis, no_s3_check, order_class
 from symlab.fields import GF, QQ, FieldError, rationals_with_cube_root
 from symlab.poly import FunctionField
@@ -148,6 +149,17 @@ class TestOrderClass:
     def test_infinite_fields_have_no_lists(self):
         rep = order_class(QQ)
         assert rep.order2_elements is None and rep.order3_elements is None
+
+    def test_lists_only_up_to_the_bound(self, monkeypatch):
+        monkeypatch.setattr(chi, "LISTING_BOUND", 7)
+        assert len(order_class(GF(7)).order3_elements) == 14
+        assert order_class(GF(7)).notes == ()
+        for field in (GF(11), GF(2, 3), GF(3, 2)):
+            rep = order_class(field)
+            assert rep.order2_elements is None and rep.order3_elements is None
+            assert "LISTING_BOUND = 7" in rep.notes[-1]
+        big = order_class(GF(1000000009))
+        assert big.case_label == "char-other-with-zeta3" and big.order2_elements is None
 
 
 def chi_no_s3_oracle(field):

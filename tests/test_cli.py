@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symlab import cli, fields
+from symlab import chi, cli, fields, parse
 from symlab.cli import build_parser, emit_report, main, run
 from symlab.fields import parse_field_spec
 from symlab.linalg import Matrix
@@ -125,6 +125,27 @@ def test_zeta3_over_a_large_prime_field_in_subprocess(p, code):
         assert proc.stderr == f"error: F{p} has no primitive cube root of unity (at position 0)\n".encode()
     else:
         assert b"critical values: 0, 115381398\n" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["family", "--roots", "0,t^100000000,1"], ["aut", "--poly", "factored:(X)^100000"]],
+    ids=["family", "aut"],
+)
+def test_degree_past_the_bound_in_subprocess(argv):
+    # the degree is refused before the power is formed
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 1
+    assert f"MAX_DEGREE = {parse.MAX_DEGREE}".encode() in proc.stderr
+
+
+def test_chi_over_a_large_prime_field_in_subprocess():
+    # past LISTING_BOUND the element lists are omitted, not enumerated
+    proc = run_subprocess(["chi", "--field", "Fp(1000000009)"], 10)
+    assert proc.returncode == 0, proc.stderr
+    assert b"group order: 1000000017000000072\n" in proc.stdout
+    assert b"elements (" not in proc.stdout
+    assert f"LISTING_BOUND = {chi.LISTING_BOUND}".encode() in proc.stdout
 
 
 @pytest.mark.parametrize(

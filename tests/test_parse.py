@@ -1,9 +1,19 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from symlab.fields import GF, QQ, rationals_with_cube_root
-from symlab.parse import MAX_NESTING, ParseError, parse_cycles, parse_ratfunc
+from symlab.parse import (
+    MAX_DEGREE,
+    MAX_NESTING,
+    ParseError,
+    parse_cycles,
+    parse_factored,
+    parse_ratfunc,
+    parse_ratfunc_list,
+)
 from symlab.poly import MultiPoly, RationalFunction
 
 
@@ -85,6 +95,216 @@ class TestRatfunc:
             r = parse_ratfunc(src, QQ, ("t",))
             again = parse_ratfunc(str(r), QQ, ("t",))
             assert again == r
+
+
+def split_top_level(text):
+    """Oracle: the comma splitter the command line used before lists had a
+    production of their own; commas nested inside parentheses stay."""
+    parts = []
+    depth = 0
+    cur = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return [p.strip() for p in parts]
+
+
+def scan_factored(text, field, symbols):
+    """Oracle: the factored-form scanner the command line used before the
+    factored form had a production of its own (after the "factored:" prefix)."""
+    i = 0
+    factors = []
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        if text[i] != "(":
+            raise ValueError(f"expected '(' at position {i} of the factored form")
+        depth = 1
+        j = i + 1
+        while j < len(text) and depth:
+            if text[j] == "(":
+                depth += 1
+            elif text[j] == ")":
+                depth -= 1
+            j += 1
+        if depth:
+            raise ValueError("unbalanced parentheses in the factored form")
+        body = text[i + 1 : j - 1].strip()
+        i = j
+        mult = 1
+        if i < len(text) and text[i] == "^":
+            i += 1
+            k = i
+            while i < len(text) and text[i].isdigit():
+                i += 1
+            if k == i:
+                raise ValueError("expected an exponent after '^'")
+            mult = int(text[k:i])
+        if not body.startswith("X"):
+            raise ValueError(f"factor ({body}) must have the form (X - root)")
+        tail = body[1:].strip()
+        if not tail:
+            root = RationalFunction.constant(field, symbols, 0)
+        elif tail[0] == "-":
+            root = -parse_ratfunc(tail, field, symbols)
+        elif tail[0] == "+":
+            root = -parse_ratfunc(tail[1:], field, symbols)
+        else:
+            raise ValueError(f"factor ({body}) must have the form (X - root)")
+        factors.append((root, mult))
+    if not factors:
+        raise ValueError("the factored form lists no factors")
+    return factors
+
+
+def outcome(parse, *args):
+    """Printed values, or the error's type and message (with its position)."""
+    try:
+        return [str(r) for r in parse(*args)]
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e).__name__, str(e)
+
+
+def split_then_parse(text, field, symbols):
+    return [parse_ratfunc(p, field, symbols) for p in split_top_level(text)]
+
+
+def random_expr(rng, depth=0):
+    """A well-formed expression in t with random blanks, exponents below 10."""
+    blank = lambda: rng.choice(["", "", " ", "\t", "  "])
+    r = rng.random()
+    if depth > 1 or r < 0.4:
+        atom = rng.choice(["t", str(rng.randrange(10)), str(rng.randrange(1, 200))])
+    elif r < 0.6:
+        atom = "(" + blank() + random_expr(rng, depth + 1) + blank() + ")"
+    else:
+        op = rng.choice("+-*/")
+        atom = random_expr(rng, depth + 1) + blank() + op + blank() + random_expr(rng, depth + 1)
+    if rng.random() < 0.1:
+        atom = "(" + atom + ")^" + str(rng.randrange(10))
+    return blank() + ("-" if rng.random() < 0.1 else "") + atom + blank()
+
+
+def random_list_text(rng):
+    if rng.random() < 0.3:
+        # well-formed lists, half of them with one character mutated
+        text = ",".join(random_expr(rng) for _ in range(rng.randrange(1, 4)))
+        if rng.random() < 0.5:
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice("0123456789tx+-*/^(), \t") + text[k + rng.randrange(2):]
+    else:
+        text = "".join(rng.choice("0123456789tx+-*/^(),  \t") for _ in range(rng.randrange(12)))
+    # every exponent below 10
+    return re.sub(r"\^(\s*\d)\d+", r"^\1", text)
+
+
+class TestLists:
+    def test_values_and_entries(self):
+        got = parse_ratfunc_list(" 0 , t, 1/(t+1) ,(2)", QQ, ("t",))
+        assert [str(r) for r in got] == ["0", "t", "1/(t + 1)", "2"]
+        assert [str(r) for r in parse_ratfunc_list("-2", QQ)] == ["-2"]
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("3* ", 2), (" -6+ ", 3), ("9^ ,(7693,", 2), ("7/(( ,", 5), ("(7 ,36", 3),
+         ("", 0), ("1,,2", 0), ("1, 2 ,", 0), ("1,(2", 2), ("1, 2 3", 2), ("1),2", 1)],
+    )
+    def test_errors_count_from_the_entry(self, text, position):
+        with pytest.raises(ParseError) as e:
+            parse_ratfunc_list(text, QQ, ("t",))
+        assert e.value.position == position
+        assert outcome(parse_ratfunc_list, text, QQ, ("t",)) == outcome(
+            split_then_parse, text, QQ, ("t",)
+        )
+
+    def test_agrees_with_split_then_parse(self):
+        # values, or message and position, as the split-and-strip oracle
+        rng = random.Random(20261018)
+        valid = 0
+        for _ in range(20000):
+            text = random_list_text(rng)
+            symbols = ("t",) if rng.random() < 0.8 else ("t", "x")
+            got = outcome(parse_ratfunc_list, text, QQ, symbols)
+            assert got == outcome(split_then_parse, text, QQ, symbols), text
+            valid += isinstance(got, list)
+        assert valid > 2000
+
+
+class TestFactored:
+    def test_roots_and_multiplicities(self):
+        got = parse_factored("(X)(X - 1)^2 ( X+t ) ^ 3", QQ, ("t",))
+        assert [(str(r), m) for r, m in got] == [("0", 1), ("1", 2), ("-t", 3)]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("", "expected '(' (at position 0)"), ("(Y-1)", "expected 'X' (at position 1)"),
+         ("(X-1", "expected ')' (at position 4)"), ("(X-1)^", "expected an unsigned integer"),
+         ("(X1)", "expected ')' (at position 2)"), ("(X)x", "expected '(' (at position 3)")],
+    )
+    def test_errors(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_factored(text, QQ, ())
+        assert message in str(e.value)
+
+    def test_agrees_with_the_former_scanner(self):
+        rng = random.Random(20261019)
+        for _ in range(1000):
+            factors = []
+            for _ in range(rng.randrange(1, 5)):
+                tail = rng.choice(["", "-", "+", " - ", " + "])
+                body = "X" + (tail + random_expr(rng) if tail else rng.choice(["", " "]))
+                exp = rng.choice(["", "", "^" + str(rng.randrange(10))])
+                factors.append(rng.choice(["", " "]) + "(" + rng.choice(["", " "]) + body + ")" + exp)
+            text = "".join(factors)
+            try:
+                want = [(str(r), m) for r, m in scan_factored(text, QQ, ("t",))]
+            except ValueError:
+                # as "X--1": refused by both, with messages of their own
+                with pytest.raises(ValueError):
+                    parse_factored(text, QQ, ("t",))
+                continue
+            assert [(str(r), m) for r, m in parse_factored(text, QQ, ("t",))] == want, text
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize(
+        "text",
+        [f"t^{MAX_DEGREE + 1}", "t^100000000", "t^60*t^41", "t^60/(1/(t+1)^50)",
+         "1/(t-1)^60 + 1/(t-2)^60", f"(t^2)^{MAX_DEGREE // 2 + 1}"],
+    )
+    def test_past_the_bound(self, text):
+        with pytest.raises(ParseError) as e:
+            parse_ratfunc(text, QQ, ("t",))
+        assert f"MAX_DEGREE = {MAX_DEGREE}" in str(e.value)
+        with pytest.raises(ParseError) as e:
+            parse_ratfunc(text.replace("t", "a"), QQ, ("t", "a"))
+        assert f"MAX_DEGREE = {MAX_DEGREE}" in str(e.value)
+
+    def test_at_the_bound(self):
+        assert str(parse_ratfunc(f"t^{MAX_DEGREE}", QQ, ("t",))) == f"t^{MAX_DEGREE}"
+        got = parse_ratfunc("t^50*(t+1)^50/t^100", QQ, ("t",))
+        assert got == parse_ratfunc("(t+1)^50/t^50", QQ, ("t",))
+        # constant powers are not measured by the degree
+        assert parse_ratfunc("2^1000", QQ).as_constant() == QQ.coerce(2**1000)
+        assert parse_ratfunc("t^0", QQ, ("t",)) == parse_ratfunc("1", QQ, ("t",))
+
+    def test_factored_multiplicities_add_up(self):
+        ok = parse_factored(f"(X)^60(X-1)^{MAX_DEGREE - 60}", QQ, ())
+        assert [m for _, m in ok] == [60, MAX_DEGREE - 60]
+        with pytest.raises(ParseError) as e:
+            parse_factored(f"(X)^60(X-1)^{MAX_DEGREE - 59}", QQ, ())
+        assert f"MAX_DEGREE = {MAX_DEGREE}" in str(e.value)
+        with pytest.raises(ParseError):
+            parse_factored("(X)" * (MAX_DEGREE + 1), QQ, ())
 
 
 class TestCycles:

@@ -51,7 +51,7 @@ from .quotient import (
     brute_force_automorphisms,
     fpa_decompose,
     idempotents,
-    vandermonde_adjugate,
+    root_differences,
     verify_idempotents,
 )
 from . import structure
@@ -232,7 +232,7 @@ def _cmd_idem(args) -> dict:
     algebra = MonogenicAlgebra.from_roots(field, roots)
     es = idempotents(algebra, roots)
     verified = verify_idempotents(roots, es)
-    _, det = vandermonde_adjugate(roots, field.one)
+    det = root_differences(roots, field.one)
     results = {
         "modulus": str(algebra.modulus),
         "idempotents": [str(e) for e in es],
@@ -658,11 +658,7 @@ def _cmd_conj(args) -> dict:
         t0 = parse_ratfunc(args.limit, base, ()).as_constant()
         statuses = []
         for k in range(source.dim):
-            c = result_map.image.coeff(k).value
-            if c.is_zero():
-                statuses.append({"coeff": k, "limit": "0"})
-                continue
-            lim = c.limit_at("t", t0)
+            lim = result_map.image.coeff(k).value.limit_at("t", t0)
             if isinstance(lim, Pole):
                 statuses.append({"coeff": k, "pole_order": lim.order})
             else:

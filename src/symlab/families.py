@@ -19,7 +19,8 @@ polynomial products and sums plus one rational-function construction per
 coefficient, and is computed once per family.
 
 Limits need no rational function: at each parameter value t0 the table is
-Taylor-shifted to t0 once and truncated at each denominator's order there
+Taylor-shifted to t0 once, by the one Taylor kernel poly.taylor, and
+truncated at each denominator's order there, read from its leading term
 (RootFamily.shifted_table), so a permutation's pole orders and limits are
 read from truncated products of series, with no gcd (analyze_at).
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldElement, RationalField
-from .poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly
+from .poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly, taylor
 from .quotient import (
     AlgebraHom,
     MonogenicAlgebra,
@@ -122,11 +123,9 @@ class RootFamily:
                         f"roots {i + 1} and {j + 1} coincide as rational functions"
                     )
         self.roots = tuple(rs)
-        # per-family memo: interpolation table, permutation vectors, and per
-        # parameter value the specialized algebra and the shifted table,
-        # freed with the family
+        # per-family memo: interpolation table, and per parameter value the
+        # specialized algebra and the shifted table, freed with the family
         self._table = None
-        self._perm_vectors = {}
         self._algebras = {}
         self._shifted = {}
 
@@ -190,10 +189,11 @@ class RootFamily:
         """
         t0 = self.field.coerce(t0)
         if t0 not in self._shifted:
-            field, v = self.field, t0.value
+            field, param = self.field, self.param
 
             def terms(p, count):
-                series = enumerate(_taylor(field, p, v))
+                # a polynomial in the parameter alone splits into one list
+                series = enumerate(taylor(field, p.split(param).get((), []), t0.value))
                 return tuple(
                     (i, c) for i, c in itertools.islice(series, count)
                     if not field._is_zero(c)
@@ -202,13 +202,9 @@ class RootFamily:
             rows, ps = self.interpolation_table()
             shifted = []
             for adj_k, den in rows:
-                # den is not zero, so its series has a first nonzero term
-                e, lead = next(
-                    (i, c) for i, c in enumerate(_taylor(field, den, v))
-                    if not field._is_zero(c)
-                )
+                e, lead = den.leading_term(param, t0)
                 adj = tuple(terms(a, e + 1) for a in adj_k)
-                shifted.append((e, field._inv(lead), adj))
+                shifted.append((e, field._inv(lead.as_constant().value), adj))
             top = max(e for e, _, _ in shifted) + 1
             self._shifted[t0] = (tuple(shifted), tuple(terms(p, top) for p in ps))
         return self._shifted[t0]
@@ -237,10 +233,10 @@ class RootFamily:
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 num = (self.roots[i] - self.roots[j]).num
-                lo, hi = num.order_in(self.param), num.degree_in(self.param)
+                lo = num.order_in(self.param)
                 if lo:
                     found.add(field.zero)
-                g = UniPoly(field, [num.terms.get((k,), field.zero) for k in range(lo, hi + 1)])
+                g = UniPoly._wrap(field, num.split(self.param)[()][lo:])
                 factors[g] = None
         for g in factors:
             if g.degree == 1:
@@ -263,23 +259,6 @@ class RootFamily:
             return (not z.is_zero(), z.sort_key())
 
         return sorted(found, key=order)
-
-
-def _taylor(field: Field, p: MultiPoly, t0):
-    """The Taylor coefficients at the raw value t0 of a univariate
-    polynomial, lowest first, as raw values and then zeros without end:
-    repeated synthetic division by t - t0, each remainder being the next
-    coefficient, so only the coefficients taken are computed."""
-    mul, add = field._mul, field._add
-    cs = p.raw_coeffs()
-    while cs:
-        acc, quo = cs[-1], cs[:-1]
-        for i in range(len(cs) - 2, -1, -1):
-            quo[i] = acc
-            acc = add(cs[i], mul(acc, t0))
-        yield acc
-        cs = quo
-    yield from itertools.repeat(field.zero.value)
 
 
 def _quadratic_roots(field: Field, c: int, b: int, a: int) -> set:
@@ -389,18 +368,14 @@ def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> PermAutomorphism:
     c = adj(M) (r_{sigma(1)}, ..., r_{sigma(n)}) / det(M), read off the
     family's interpolation table: with the roots written r_j = p_j/q,
     c_k = c_k(p) * q^(k-1), where c_k(p) = sum_i adj(M_p)[k][i] p_sigma(i)
-    / det(M_p).  Each entry is one RationalFunction construction; the
-    vector is memoized on the family.
+    / det(M_p).  Each entry is one RationalFunction construction.
     """
     sigma = tuple(sigma)
-    pa = fam._perm_vectors.get(sigma)
-    if pa is None:
-        _check_perm(fam, sigma)
-        rows, ps = fam.interpolation_table()
-        images = [ps[j] for j in sigma]
-        coeffs = [RationalFunction(MultiPoly.dot(adj_k, images), den) for adj_k, den in rows]
-        pa = fam._perm_vectors[sigma] = PermAutomorphism(sigma=sigma, coeffs=tuple(coeffs))
-    return pa
+    _check_perm(fam, sigma)
+    rows, ps = fam.interpolation_table()
+    images = [ps[j] for j in sigma]
+    coeffs = [RationalFunction(MultiPoly.dot(adj_k, images), den) for adj_k, den in rows]
+    return PermAutomorphism(sigma=sigma, coeffs=tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,15 @@ Grammar:
 Symbols come from the caller's symbol list; the name `zeta3` additionally
 resolves to the field's primitive cube root of unity when the field has
 one.  Parentheses nest at most MAX_NESTING deep, so that the recursion stays
-far inside Python's stack limit; degrees are bounded by MAX_DEGREE.  Errors
+far inside Python's stack limit; degrees are bounded by MAX_DEGREE, and the
+integers of a power over Q or Q(zeta3) by MAX_POWER_DIGITS.  Errors
 carry the 0-based character position, in a list counted from the first
 nonblank character of the failing entry.
 """
 
 from __future__ import annotations
+
+import math
 
 from .fields import Field, primitive_cube_root
 from .poly import RationalFunction
@@ -33,6 +36,11 @@ MAX_NESTING = 100
 # `aut --poly factored:(X)^D` 0.01, 0.05 and 0.18 s.
 MAX_DEGREE = 100
 
+# Most decimal digits of the integers in a power r^n over Q or Q(zeta3),
+# estimated as n * log10(height(r)) before it is formed; below the 4300 digits
+# Python prints by default, so every admitted power can still be printed.
+MAX_POWER_DIGITS = 4000
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -43,6 +51,17 @@ class ParseError(ValueError):
 def _degree(r: RationalFunction) -> int:
     """The largest exponent of any symbol in r's numerator or denominator."""
     return max((e for p in (r.num, r.den) for exps in p.terms for e in exps), default=0)
+
+
+def _height(r: RationalFunction) -> int:
+    """The larger over r's numerator and denominator of the sum of |p| + q - 1
+    over the rationals p/q of their coefficients (or their components over
+    Q(zeta3)); over Q, with integer coefficients, r^n has none above it^n."""
+
+    def size(v):
+        return sum(map(size, v)) if isinstance(v, tuple) else abs(v.numerator) + v.denominator - 1
+
+    return max(sum(size(c.value) for c in p.terms.values()) for p in (r.num, r.den))
 
 
 class _Parser:
@@ -162,6 +181,8 @@ class _Parser:
             if base.is_zero() and n == 0:
                 raise self._error("0^0 is undefined", start)
             self._bounded(_degree(base) * n)
+            if not self.field.characteristic() and n * math.log10(_height(base)) > MAX_POWER_DIGITS:
+                raise self._error(f"power past MAX_POWER_DIGITS = {MAX_POWER_DIGITS}", self.pos)
             return base**n
         return base
 

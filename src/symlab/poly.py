@@ -10,11 +10,13 @@ denominator's leading coefficient canonical, which keeps printed output
 stable and fraction growth tame.  In a single symbol it also cancels the
 gcd of numerator and denominator: over Q in Z[t], by a primitive
 pseudo-remainder sequence on Python ints, and over other fields by Euclid
-on raw field values, taking remainders only.
+on raw field values, taking remainders only.  Every evaluation, expansion
+and limit at a point reads the one Taylor kernel `taylor`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -159,10 +161,8 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        f = self.field
+        return FieldElement(f, next(taylor(f, [c.value for c in self.coeffs], f.coerce(x).value)))
 
     def compose_mod(self, g: "UniPoly", modulus: "UniPoly") -> "UniPoly":
         """self(g(X)) reduced mod `modulus`: Horner on raw values, reducing
@@ -367,73 +367,57 @@ class MultiPoly:
 
     def order_in(self, name) -> int:
         """Lowest exponent of `name` across nonzero terms."""
+        return self.leading_term(name, 0)[0]
+
+    def split(self, name) -> dict:
+        """self as a polynomial in `name` over the remaining symbols: each
+        exponent tuple of the remaining symbols maps to the raw coefficients
+        of the powers of `name`, lowest first, with no trailing zero."""
         i = self._idx(name)
+        zero = self.field.zero.value
+        out = {}
+        for e, c in self.terms.items():
+            cs = out.setdefault(e[:i] + e[i + 1 :], [])
+            cs.extend([zero] * (e[i] + 1 - len(cs)))
+            cs[e[i]] = c.value
+        return out
+
+    def expand(self, name, value):
+        """The Taylor coefficients of self at name = value, as polynomials
+        in the remaining symbols, lowest power of (name - value) first and
+        then zeros without end; only the coefficients taken are computed."""
+        split, f = self.split(name), self.field
+        rest, v = tuple(s for s in self.symbols if s != name), f.coerce(value).value
+        series = [taylor(f, cs, v) for cs in split.values()]
+        while True:
+            cs = [next(s) for s in series]
+            yield MultiPoly._wrap(f, rest, {r: c for r, c in zip(split, cs) if not f._is_zero(c)})
+
+    def leading_term(self, name, value):
+        """(k, c): the lowest power k of (name - value) with a nonzero
+        coefficient c in the Taylor expansion at name = value, c being a
+        polynomial in the remaining symbols."""
         if self.is_zero():
             raise ValueError("the zero polynomial has no order")
-        return min(e[i] for e in self.terms)
+        return next((k, c) for k, c in enumerate(self.expand(name, value)) if not c.is_zero())
 
     def coeff_of_power(self, name, k: int) -> "MultiPoly":
         """Coefficient of name^k, as a polynomial in the remaining symbols."""
-        i = self._idx(name)
-        rest = self.symbols[:i] + self.symbols[i + 1 :]
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                out[e[:i] + e[i + 1 :]] = c
-        return MultiPoly(self.field, rest, out)
+        return next(itertools.islice(self.expand(name, 0), k, None))
 
     def substitute(self, name, value) -> "MultiPoly":
         """Evaluate `name` at a field element; result drops that symbol."""
-        i = self._idx(name)
-        value = self.field.coerce(value)
-        rest = self.symbols[:i] + self.symbols[i + 1 :]
-        out = {}
-        powers = {0: self.field.one}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k not in powers:
-                powers[k] = value**k
-            r, c = e[:i] + e[i + 1 :], c * powers[k]
-            out[r] = out[r] + c if r in out else c
-        return MultiPoly(self.field, rest, out)
-
-    def shift(self, name, value) -> "MultiPoly":
-        """Substitute name -> name + value, keeping the symbol list."""
-        i = self._idx(name)
-        value = self.field.coerce(value)
-        if value.is_zero():
-            return self
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            # binomial expansion of (name + value)^k
-            for j in range(k + 1):
-                ne = e[:i] + (j,) + e[i + 1 :]
-                coef = c * self.field.coerce(math.comb(k, j)) * value ** (k - j)
-                out[ne] = out[ne] + coef if ne in out else coef
-        return MultiPoly(self.field, self.symbols, out)
+        return next(self.expand(name, value))
 
     def eval_all(self, values: dict) -> FieldElement:
         """Evaluate at a full assignment of symbols to field elements."""
         missing = [s for s in self.symbols if s not in values]
         if missing:
             raise ValueError(f"missing values for {missing}")
-        acc = self.field.zero
-        for e, c in self.terms.items():
-            term = c
-            for i, s in enumerate(self.symbols):
-                if e[i]:
-                    term = term * self.field.coerce(values[s]) ** e[i]
-            acc = acc + term
-        return acc
-
-    def raw_coeffs(self) -> list:
-        """Raw coefficient values, lowest degree first, of a polynomial in
-        a single symbol; [] for zero."""
-        out = [self.field.zero.value] * (max((e[0] for e in self.terms), default=-1) + 1)
-        for (k,), c in self.terms.items():
-            out[k] = c.value
-        return out
+        p = self
+        for s in self.symbols:
+            p = p.substitute(s, values[s])
+        return p.as_constant()
 
     def as_constant(self) -> FieldElement:
         if self.is_zero():
@@ -463,6 +447,26 @@ class Pole:
     """Marker returned by limits that do not exist; order >= 1."""
 
     order: int
+
+
+def taylor(field: Field, cs: list, t0):
+    """The Taylor coefficients at the raw value t0 of the polynomial with
+    raw coefficients cs (lowest degree first), lowest first, as raw values
+    and then zeros without end: repeated synthetic division by t - t0, each
+    remainder being the next coefficient, so only the coefficients taken are
+    computed.  At t0 = 0 they are cs itself."""
+    if field._is_zero(t0):
+        yield from cs
+        cs = []
+    mul, add = field._mul, field._add
+    while cs:
+        acc, quo = cs[-1], cs[:-1]
+        for i in range(len(cs) - 2, -1, -1):
+            quo[i] = acc
+            acc = add(cs[i], mul(acc, t0))
+        yield acc
+        cs = quo
+    yield from itertools.repeat(field.zero.value)
 
 
 def _mul_values(f: Field, a: list, b: list) -> list:
@@ -572,7 +576,7 @@ def _reduce_univariate(num: MultiPoly, den: MultiPoly):
     """
     field = num.field
     if isinstance(field, RationalField):
-        a, b = num.raw_coeffs(), den.raw_coeffs()
+        a, b = (p.split(num.symbols[0])[()] for p in (num, den))
         da = math.lcm(*(v.denominator for v in a))
         db = math.lcm(*(v.denominator for v in b))
         ia = [v.numerator * (da // v.denominator) for v in a]
@@ -584,7 +588,7 @@ def _reduce_univariate(num: MultiPoly, den: MultiPoly):
         a = [Fraction(c * lead, da) for c in _int_exact_quotient(ia, g)]
         b = [Fraction(c * lead, db) for c in _int_exact_quotient(ib, g)]
     else:
-        a, b = UniPoly._wrap(field, num.raw_coeffs()), UniPoly._wrap(field, den.raw_coeffs())
+        a, b = (UniPoly._wrap(field, p.split(num.symbols[0])[()]) for p in (num, den))
         g = _poly_gcd(a, b)
         if g.degree < 1:
             return num, den
@@ -601,24 +605,18 @@ def _reduce_univariate(num: MultiPoly, den: MultiPoly):
 
 def _strip_monomial_content(num: MultiPoly, den: MultiPoly):
     """Divide both by the largest monomial dividing every term of both."""
-    if num.is_zero():
-        mins = [min(e[i] for e in den.terms) for i in range(len(den.symbols))]
-    else:
-        mins = [
-            min(min(e[i] for e in num.terms), min(e[i] for e in den.terms))
-            for i in range(len(num.symbols))
-        ]
+    mins = [min(e[i] for p in (num, den) for e in p.terms) for i in range(len(num.symbols))]
     if not any(mins):
         return num, den
 
-    def shift_down(p):
+    def divide(p):
         return MultiPoly(
             p.field,
             p.symbols,
             {tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()},
         )
 
-    return shift_down(num), shift_down(den)
+    return divide(num), divide(den)
 
 
 class RationalFunction:
@@ -777,19 +775,13 @@ class RationalFunction:
         exists (removable singularities included), else a Pole with the
         negative of the order.
         """
-        value = self.field.coerce(value)
-        num = self.num if value.is_zero() else self.num.shift(name, value)
-        den = self.den if value.is_zero() else self.den.shift(name, value)
-        rest = tuple(s for s in self.symbols if s != name)
-        if num.is_zero():
-            return RationalFunction.constant(self.field, rest, 0)
-        a = num.order_in(name)
-        b = den.order_in(name)
-        if a < b:
-            return Pole(b - a)
-        if a > b:
-            return RationalFunction.constant(self.field, rest, 0)
-        return RationalFunction(num.coeff_of_power(name, a), den.coeff_of_power(name, b))
+        if not self.is_zero():
+            (a, num), (b, den) = (p.leading_term(name, value) for p in (self.num, self.den))
+            if a < b:
+                return Pole(b - a)
+            if a == b:
+                return RationalFunction(num, den)
+        return RationalFunction.constant(self.field, tuple(s for s in self.symbols if s != name), 0)
 
     def as_constant(self) -> FieldElement:
         return self.num.as_constant() / self.den.as_constant()

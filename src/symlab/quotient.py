@@ -404,24 +404,27 @@ def vandermonde_adjugate(roots, one):
     """
     zs = list(roots)
     n = len(zs)
-
-    def differences(skip):
-        acc = one
-        for j in range(n):
-            for l in range(j + 1, n):
-                if skip not in (j, l):
-                    acc = acc * (zs[l] - zs[j])
-        return acc
-
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         numer = lagrange_numerator(zs, i, one)
-        scale = differences(i)
+        scale = root_differences(zs, one, i)
         if (n - 1 - i) % 2:
             scale = -scale
         for k in range(n):
             adj[k][i] = scale * numer[k]
-    return adj, differences(None)
+    return adj, root_differences(zs, one)
+
+
+def root_differences(zs, one, skip=None):
+    """prod_{j<l} (z_l - z_j) over the pairs not involving index `skip`,
+    multiplied in that order from `one`; with skip None, the Vandermonde
+    determinant."""
+    acc = one
+    for j in range(len(zs)):
+        for l in range(j + 1, len(zs)):
+            if skip not in (j, l):
+                acc = acc * (zs[l] - zs[j])
+    return acc
 
 
 def vandermonde_pair(field: Field, roots) -> tuple[Matrix, Matrix]:

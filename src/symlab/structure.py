@@ -434,11 +434,7 @@ def limit_map_at_zero(phi: LinearAlgebraMap, param: str = "t") -> Matrix:
     for i in range(phi.matrix.nrows):
         row = []
         for j in range(phi.matrix.ncols):
-            entry = phi.matrix[i, j].value
-            if entry.is_zero():
-                row.append(target.zero)
-                continue
-            lim = entry.limit_at(param, base.zero)
+            lim = phi.matrix[i, j].value.limit_at(param, base.zero)
             if isinstance(lim, Pole):
                 raise ValueError(f"entry ({i}, {j}) has a pole at {param} = 0")
             row.append(target.coerce(lim) if rest else lim.as_constant())

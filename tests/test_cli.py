@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symlab import chi, cli, fields, parse
+from symlab import chi, cli, fields, linalg, parse
 from symlab.cli import build_parser, emit_report, main, run
 from symlab.fields import parse_field_spec
 from symlab.linalg import Matrix
@@ -137,6 +137,23 @@ def test_degree_past_the_bound_in_subprocess(argv):
     proc = run_subprocess(argv, 10)
     assert proc.returncode == 1
     assert f"MAX_DEGREE = {parse.MAX_DEGREE}".encode() in proc.stderr
+
+
+@pytest.mark.parametrize("constant", ["9^100000000", "2^100000"])
+def test_constant_power_past_the_bound_in_subprocess(constant):
+    # the size of a constant power is estimated before the power is formed
+    proc = run_subprocess(["family", "--roots", f"0,t,{constant}"], 10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert f"MAX_POWER_DIGITS = {parse.MAX_POWER_DIGITS}".encode() in proc.stderr
+
+
+def test_determinant_past_the_bound_in_subprocess():
+    # checking X -> X on k[X]/(X^16) needs a 16 x 16 determinant
+    proc = run_subprocess(["aut", "--poly", "factored:(X)^16", "--check-map", "0,1"], 10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert f"MAX_DIMENSION = {linalg.MAX_DIMENSION}".encode() in proc.stderr
 
 
 def test_chi_over_a_large_prime_field_in_subprocess():

@@ -628,8 +628,7 @@ class TestAdjugateAgainstGaussJordan:
         for sigma in perms:
             assert list(perm_coeff_vector(fam, sigma).coeffs) == expected[sigma]
 
-    def test_memoized_vector_is_shared(self, fam_0_t_1):
-        assert perm_coeff_vector(fam_0_t_1, SWAP12) is perm_coeff_vector(fam_0_t_1, list(SWAP12))
+    def test_memoized_algebra_is_shared(self, fam_0_t_1):
         assert fam_0_t_1.algebra_at(0) is fam_0_t_1.algebra_at(QQ.coerce(0))
 
     @pytest.mark.parametrize("spec,field", DIFF_FIELDS, ids=[f[0] for f in DIFF_FIELDS])

@@ -172,6 +172,18 @@ def test_non_square_rejected():
         laplace_det([[1, 2], [3]])
 
 
+def test_dimension_bound():
+    # the shared-minor table is refused past MAX_DIMENSION rows, before any
+    # product is formed
+    n = linalg.MAX_DIMENSION + 1
+    eye = Matrix.identity(QQ, n)
+    for call in (eye.det, eye.inverse, lambda: eye.solve([QQ.one] * n)):
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION = {linalg.MAX_DIMENSION}"):
+            call()
+    small = Matrix.identity(QQ, 6)
+    assert small.det() == QQ.one and small.inverse() == small
+
+
 def test_transpose_and_indexing():
     m = Matrix(QQ, [[1, 2], [3, 4]])
     assert m.transpose() == Matrix(QQ, [[1, 3], [2, 4]])

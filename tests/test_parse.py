@@ -8,6 +8,7 @@ from symlab.fields import GF, QQ, rationals_with_cube_root
 from symlab.parse import (
     MAX_DEGREE,
     MAX_NESTING,
+    MAX_POWER_DIGITS,
     ParseError,
     parse_cycles,
     parse_factored,
@@ -305,6 +306,28 @@ class TestDegreeBound:
         assert f"MAX_DEGREE = {MAX_DEGREE}" in str(e.value)
         with pytest.raises(ParseError):
             parse_factored("(X)" * (MAX_DEGREE + 1), QQ, ())
+
+
+class TestPowerBound:
+    @pytest.mark.parametrize(
+        "text,field",
+        [("2^14000", QQ), ("(1/2)^14000", QQ), ("(-3/2)^9000", QQ), ("9^100000000", QQ),
+         ("(2^1000*t + 1)^100", QQ), ("(2 + zeta3)^9000", rationals_with_cube_root())],
+    )
+    def test_past_the_bound(self, text, field):
+        with pytest.raises(ParseError) as e:
+            parse_ratfunc(text, field, ("t",))
+        assert f"MAX_POWER_DIGITS = {MAX_POWER_DIGITS}" in str(e.value)
+
+    def test_within_the_bound(self):
+        big = parse_ratfunc("2^13000", QQ).as_constant()
+        assert big == QQ.coerce(2**13000) and len(str(big)) < MAX_POWER_DIGITS
+        assert parse_ratfunc("(1/2)^13000", QQ).as_constant() == QQ.coerce(Fraction(1, 2**13000))
+        assert parse_ratfunc("(-1)^100000001", QQ).as_constant() == QQ.coerce(-1)
+        # powers do not grow over a finite field, nor the unit zeta3 over Q(zeta3)
+        assert parse_ratfunc("3^100000000", GF(7)).as_constant() == GF(7).coerce(pow(3, 100000000, 7))
+        qz = rationals_with_cube_root()
+        assert parse_ratfunc("zeta3^100000000", qz).as_constant() == qz.generator()
 
 
 class TestCycles:

@@ -91,11 +91,23 @@ class TestMultiPoly:
         assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
         assert (x1 + x2) ** 2 == x1**2 + 2 * x1 * x2 + x2**2
 
-    def test_shift_and_substitute(self):
+    def test_substitute_and_leading_term(self):
         p = tpoly([0, 0, 1])  # t^2
-        assert p.shift("t", 1) == tpoly([1, 2, 1])
         q = p.substitute("t", 3)
         assert q.symbols == () and q.as_constant() == QQ.coerce(9)
+        # t^2 = 1 + 2(t - 1) + (t - 1)^2 and t^2 - 1 = 2(t - 1) + (t - 1)^2
+        assert p.leading_term("t", 1) == (0, MultiPoly.constant(QQ, (), 1))
+        assert (p - 1).leading_term("t", 1) == (1, MultiPoly.constant(QQ, (), 2))
+        assert p.leading_term("t", 0) == (2, MultiPoly.constant(QQ, (), 1))
+        # in two symbols the coefficients keep the other one:
+        # a*t^2 - a = 2a(t - 1) + a(t - 1)^2 at t = 1, and a*t^2 - a at a = 2
+        syms = ("a", "t")
+        a, t = (MultiPoly.symbol(QQ, syms, s) for s in syms)
+        k, c = (a * t * t - a).leading_term("t", 1)
+        assert k == 1 and c == MultiPoly.symbol(QQ, ("a",), "a") * 2
+        assert (a * t * t - a).substitute("a", 2) == tpoly([-2, 0, 2])
+        with pytest.raises(ValueError):
+            MultiPoly.zero(QQ, syms).leading_term("t", 1)
 
     def test_order_and_coeff(self):
         p = tpoly([0, 0, 3, 5])

@@ -21,6 +21,7 @@ from symlab.quotient import (
     fpa_decompose,
     idempotents,
     lagrange_numerator,
+    root_differences,
     split_roots,
     vandermonde_adjugate,
     vandermonde_pair,
@@ -392,6 +393,8 @@ class TestVandermonde:
         rows = [[z**k for k in range(n)] for z in zs]
         adj, det = vandermonde_adjugate(zs, one)
         assert det == laplace_det(rows)
+        # the determinant alone, multiplied in the same order, prints alike
+        assert str(root_differences(zs, one)) == str(det)
         for i in range(n):
             for k in range(n):
                 minor = [r[:k] + r[k + 1 :] for j, r in enumerate(rows) if j != i]

@@ -23,8 +23,23 @@ class FieldError(ValueError):
     """Invalid field construction, or arithmetic across different fields."""
 
 
-# Most candidates a brute-force automorphism search may enumerate.
-ENUMERATION_BUDGET = 10**8
+# Most candidates a brute-force enumeration may loop over.  Measured with
+# Python 3.11 on a shared 2-vCPU VM: `aut --brute-force` costs about 40-50 us
+# per candidate image (F_13, modulus X^3: 2,197 in 0.09 s; F_23: 12,167 in
+# 0.5 s), and `talg` 110-190 us per combination of its pruned columns (F_13
+# at t = 0: 28,561 in 3.2 s) and about 10 us per vector of its pruning pass,
+# so a run stays under about 10 s.
+ENUMERATION_BUDGET = 5 * 10**4
+
+
+def check_budget(count: int, what: str):
+    """Raise ValueError when an enumeration would loop over more than
+    ENUMERATION_BUDGET `what`."""
+    if count > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"enumeration budget exceeded: {count} {what}, "
+            f"past ENUMERATION_BUDGET = {ENUMERATION_BUDGET}"
+        )
 
 
 def signed_sum(terms, wrap: bool = False) -> str:
@@ -90,7 +105,64 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldElement:
+class Arithmetic:
+    """The operator protocol of every exact value type, written once.
+
+    Each operator passes the other operand through the type's `_check`,
+    which returns it as a value of the type, None for a type it does not
+    take (giving NotImplemented), or raises on a mixed field or context.
+    It then calls the type's hooks: `_plus`, `_times` and `_equals`;
+    `_minus`, by default `_plus` of the negation; and `_over`, by default
+    `_times` of the inverse.  `/` exists only on types with an `inverse`.
+    + and * are commutative here, so their reflected forms compute
+    self + other and self * other: `2 + x` builds the value `x + 2` does.
+    """
+
+    __slots__ = ()
+
+    def _minus(self, o):
+        return self._plus(-o)
+
+    def _over(self, o):
+        return self._times(o.inverse())
+
+    def __add__(self, other):
+        o = self._check(other)
+        return NotImplemented if o is None else self._plus(o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._check(other)
+        return NotImplemented if o is None else self._minus(o)
+
+    def __rsub__(self, other):
+        o = self._check(other)
+        return NotImplemented if o is None else o._minus(self)
+
+    def __mul__(self, other):
+        o = self._check(other)
+        return NotImplemented if o is None else self._times(o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._check(other) if hasattr(self, "inverse") else None
+        return NotImplemented if o is None else self._over(o)
+
+    def __rtruediv__(self, other):
+        o = self._check(other) if hasattr(self, "inverse") else None
+        return NotImplemented if o is None else o._over(self)
+
+    def __eq__(self, other):
+        o = self._check(other)
+        return NotImplemented if o is None else self._equals(o)
+
+    def __repr__(self):
+        return str(self)
+
+
+class FieldElement(Arithmetic):
     """Immutable scalar; arithmetic delegates to the owning field."""
 
     __slots__ = ("field", "value")
@@ -99,9 +171,10 @@ class FieldElement:
         self.field = field
         self.value = value
 
-    def _coerced(self, other):
+    def _check(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            # the identity test spares a call to the field's __eq__ per operation
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError(f"mixed fields: {self.field} and {other.field}")
             return other
         try:
@@ -109,45 +182,17 @@ class FieldElement:
         except TypeError:
             return None
 
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
+    def _plus(self, o):
         return FieldElement(self.field, self.field._add(self.value, o.value))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
+    def _minus(self, o):
         return FieldElement(self.field, self.field._sub(self.value, o.value))
 
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(o.value, self.value))
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
+    def _times(self, o):
         return FieldElement(self.field, self.field._mul(self.value, o.value))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    def _equals(self, o):
+        return self.field._eq(self.value, o.value)
 
     def __neg__(self):
         return FieldElement(self.field, self.field._neg(self.value))
@@ -171,16 +216,6 @@ class FieldElement:
     def __bool__(self):
         return not self.is_zero()
 
-    def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.field._eq(self.value, o.value)
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         return hash((self.field, self.field._hash_key(self.value)))
 
@@ -189,9 +224,6 @@ class FieldElement:
         return self.field._sort_key(self.value)
 
     def __str__(self):
-        return self.field._fmt(self.value)
-
-    def __repr__(self):
         return self.field._fmt(self.value)
 
 

@@ -7,7 +7,7 @@ entries of any number of symbols.
 
 from __future__ import annotations
 
-from .fields import Field, FieldElement
+from .fields import Arithmetic, Field, FieldElement
 
 
 # Most rows of a matrix whose minors are expanded: `aut --poly "factored:(X)^n"
@@ -53,11 +53,11 @@ def laplace_det(rows):
     return _shared_minors(rows)[(1 << n) - 1]
 
 
-class CoordinateVector:
+class CoordinateVector(Arithmetic):
     """Element of a finite-dimensional algebra, held as its coordinates in
     the algebra's basis.  A scalar c operand stands for c times the unit.
 
-    Subclasses supply `_product` (the algebra product of two elements of
+    Subclasses supply `_times` (the algebra product of two elements of
     one algebra), hashing and rendering; the algebra supplies `field`,
     `dim` and `one()`.
     """
@@ -92,32 +92,20 @@ class CoordinateVector:
             return None
         return self.algebra.one() * c
 
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+    def _plus(self, o):
         return type(self)(self.algebra, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.algebra, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _equals(self, o):
+        return self.coeffs == o.coeffs
 
     def __neg__(self):
         return type(self)(self.algebra, [-a for a in self.coeffs])
 
     def __mul__(self, other):
+        """A scalar scales the coordinates; an element of the algebra
+        multiplies by `_times`."""
         if isinstance(other, type(self)):
-            return self._product(self._check(other))
+            return self._times(self._check(other))
         try:
             c = self.algebra.field.coerce(other)
         except TypeError:
@@ -128,15 +116,6 @@ class CoordinateVector:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __repr__(self):
-        return self.__str__()
 
 
 class Matrix:

@@ -12,8 +12,9 @@ Grammar:
 Symbols come from the caller's symbol list; the name `zeta3` additionally
 resolves to the field's primitive cube root of unity when the field has
 one.  Parentheses nest at most MAX_NESTING deep, so that the recursion stays
-far inside Python's stack limit; degrees are bounded by MAX_DEGREE, and the
-integers of a power over Q or Q(zeta3) by MAX_POWER_DIGITS.  Errors
+far inside Python's stack limit; degrees are bounded by MAX_DEGREE, and
+integer literals and the integers of a power over Q or Q(zeta3) by
+MAX_POWER_DIGITS.  Errors
 carry the 0-based character position, in a list counted from the first
 nonblank character of the failing entry.
 """
@@ -36,9 +37,10 @@ MAX_NESTING = 100
 # `aut --poly factored:(X)^D` 0.01, 0.05 and 0.18 s.
 MAX_DEGREE = 100
 
-# Most decimal digits of the integers in a power r^n over Q or Q(zeta3),
-# estimated as n * log10(height(r)) before it is formed; below the 4300 digits
-# Python prints by default, so every admitted power can still be printed.
+# Most decimal digits of an integer literal, and of the integers in a power
+# r^n over Q or Q(zeta3), estimated as n * log10(height(r)) before it is
+# formed; below the 4300 digits Python converts by default, so every admitted
+# literal can be read and every admitted power can still be printed.
 MAX_POWER_DIGITS = 4000
 
 
@@ -193,6 +195,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self._error("expected an unsigned integer", start)
+        if self.pos - start > MAX_POWER_DIGITS:
+            raise self._error(f"integer of more than MAX_POWER_DIGITS = {MAX_POWER_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def atom(self) -> RationalFunction:

@@ -22,10 +22,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, FieldElement, FieldError, RationalField, power, signed_sum
+from .fields import Arithmetic, Field, FieldElement, FieldError, RationalField, power, signed_sum
 
 
-class UniPoly:
+class UniPoly(Arithmetic):
     """Dense univariate polynomial over a field, lowest degree first."""
 
     __slots__ = ("field", "coeffs")
@@ -82,7 +82,7 @@ class UniPoly:
     def coeff(self, k: int) -> FieldElement:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
 
-    def _same_field(self, other):
+    def _check(self, other):
         if isinstance(other, UniPoly):
             if other.field != self.field:
                 raise FieldError("polynomials over different fields")
@@ -92,46 +92,29 @@ class UniPoly:
         except TypeError:
             return None
 
-    def __add__(self, other):
-        o = self._same_field(other)
-        if o is None:
-            return NotImplemented
+    def _plus(self, o):
         n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(
-            self.field, [self.coeff(i) + o.coeff(i) for i in range(n)]
+        return UniPoly(self.field, [self.coeff(i) + o.coeff(i) for i in range(n)])
+
+    def _times(self, o):
+        f = self.field
+        return UniPoly._wrap(
+            f, _mul_values(f, [c.value for c in self.coeffs], [c.value for c in o.coeffs])
         )
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._same_field(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(
-            self.field, [self.coeff(i) - o.coeff(i) for i in range(n)]
-        )
-
-    def __rsub__(self, other):
-        o = self._same_field(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _equals(self, o):
+        return self.coeffs == o.coeffs
 
     def __neg__(self):
         return UniPoly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement) or isinstance(other, (int, Fraction)):
+        # scaling by a constant, frequent in RationalFunction._normalize and
+        # the interpolation tables, skips the general product
+        if isinstance(other, (FieldElement, int, Fraction)):
             c = self.field.coerce(other)
             return UniPoly(self.field, [a * c for a in self.coeffs])
-        o = self._same_field(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return UniPoly._wrap(
-            f, _mul_values(f, [c.value for c in self.coeffs], [c.value for c in o.coeffs])
-        )
+        return Arithmetic.__mul__(self, other)
 
     __rmul__ = __mul__
 
@@ -141,7 +124,7 @@ class UniPoly:
         return power(self, n, UniPoly.constant(self.field, 1))
 
     def __divmod__(self, other):
-        o = self._same_field(other)
+        o = self._check(other)
         if o is None:
             return NotImplemented
         if o.is_zero():
@@ -182,14 +165,10 @@ class UniPoly:
         return UniPoly._wrap(f, acc)
 
     def __eq__(self, other):
-        o = self._same_field(other) if not isinstance(other, UniPoly) else other
-        if o is None or not isinstance(o, UniPoly):
-            return NotImplemented
-        if o.field != self.field:
+        """Polynomials over two fields are unequal, not an error."""
+        if isinstance(other, UniPoly) and other.field != self.field:
             return False
-        return len(self.coeffs) == len(o.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, o.coeffs)
-        )
+        return Arithmetic.__eq__(self, other)
 
     def __hash__(self):
         return hash((self.field, tuple(self.field._hash_key(c.value) for c in self.coeffs)))
@@ -206,11 +185,8 @@ class UniPoly:
     def __str__(self):
         return self.to_str()
 
-    def __repr__(self):
-        return self.to_str()
 
-
-class MultiPoly:
+class MultiPoly(Arithmetic):
     """Multivariate polynomial over a field in a fixed ordered symbol tuple.
 
     Terms map exponent tuples to nonzero coefficients; no zero coefficient
@@ -275,10 +251,7 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+    def _plus(self, o):
         out = dict(self.terms)
         for e, c in o.terms.items():
             if e in out:
@@ -291,24 +264,17 @@ class MultiPoly:
                 out[e] = c
         return MultiPoly(self.field, self.symbols, out)
 
-    __radd__ = __add__
+    def _times(self, o):
+        return MultiPoly.dot((self,), (o,))
+
+    def _equals(self, o):
+        return self.terms == o.terms
 
     def __neg__(self):
         return MultiPoly(self.field, self.symbols, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
+        # scaling by a constant skips the general product, as for UniPoly
         if isinstance(other, (FieldElement, int, Fraction)):
             c = self.field.coerce(other)
             if c.is_zero():
@@ -316,10 +282,9 @@ class MultiPoly:
             return MultiPoly(
                 self.field, self.symbols, {e: k * c for e, k in self.terms.items()}
             )
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return MultiPoly.dot((self,), (o,))
+        return Arithmetic.__mul__(self, other)
+
+    __rmul__ = __mul__
 
     @staticmethod
     def dot(ps, qs) -> "MultiPoly":
@@ -338,18 +303,10 @@ class MultiPoly:
                     out[e] = mul(a, b) if prev is None else add(prev, mul(a, b))
         return MultiPoly._wrap(f, symbols, {e: v for e, v in out.items() if not is_zero(v)})
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
         return power(self, n, MultiPoly.constant(self.field, self.symbols, 1))
-
-    def __eq__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).is_zero()
 
     def __hash__(self):  # pragma: no cover - not used as dict keys
         raise TypeError("MultiPoly is not hashable")
@@ -437,9 +394,6 @@ class MultiPoly:
             mon = "*".join(s if k == 1 else f"{s}^{k}" for s, k in zip(self.symbols, e) if k > 0)
             terms.append((str(c), mon))
         return signed_sum(terms, wrap=True)
-
-    def __repr__(self):
-        return self.__str__()
 
 
 @dataclass(frozen=True)
@@ -619,7 +573,7 @@ def _strip_monomial_content(num: MultiPoly, den: MultiPoly):
     return divide(num), divide(den)
 
 
-class RationalFunction:
+class RationalFunction(Arithmetic):
     """Fraction of multivariate polynomials; compared by cross multiplication."""
 
     __slots__ = ("num", "den")
@@ -697,50 +651,22 @@ class RationalFunction:
         except TypeError:
             return None
 
-    def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+    def _plus(self, o):
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+    def _times(self, o):
         return RationalFunction(self.num * o.num, self.den * o.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+    def _over(self, o):
         if o.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    def _equals(self, o):
+        return self.num * o.den == o.num * self.den
+
+    def __neg__(self):
+        return RationalFunction(-self.num, self.den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -751,12 +677,6 @@ class RationalFunction:
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero rational function")
         return RationalFunction(self.den, self.num)
-
-    def __eq__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero()
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("RationalFunction has no canonical form; not hashable")
@@ -797,9 +717,6 @@ class RationalFunction:
         ):
             ds = f"({ds})"
         return f"{ns}/{ds}"
-
-    def __repr__(self):
-        return self.__str__()
 
 
 def _is_wrapped(s: str) -> bool:

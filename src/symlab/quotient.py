@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .fields import ENUMERATION_BUDGET, Field, FieldError, power
+from .fields import Field, FieldError, check_budget, power
 from .linalg import CoordinateVector, Matrix
 from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values
 
@@ -86,7 +86,7 @@ class AlgebraElement(CoordinateVector):
     def as_poly(self) -> UniPoly:
         return UniPoly(self.algebra.field, self.coeffs)
 
-    def _product(self, other):
+    def _times(self, other):
         return self.algebra.from_poly(self.as_poly() * other.as_poly())
 
     def __pow__(self, n: int):
@@ -543,8 +543,7 @@ def brute_force_automorphisms(algebra: MonogenicAlgebra) -> list[SubstitutionMap
     if q is None:
         raise FieldError("brute force needs a finite field")
     n = algebra.dim
-    if q**n > ENUMERATION_BUDGET:
-        raise ValueError("enumeration budget exceeded")
+    check_budget(q**n, "candidate images")
     elems = list(field.elements())
     out = []
     for coeffs in itertools.product(elems, repeat=n):

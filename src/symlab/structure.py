@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import (
-    ENUMERATION_BUDGET, Field, FieldElement, FieldError, parse_field_spec, signed_sum,
+    Field, FieldElement, FieldError, check_budget, parse_field_spec, signed_sum,
 )
 from .linalg import CoordinateVector, Matrix
 from .poly import FunctionField, Pole
@@ -127,7 +128,7 @@ class StructureConstAlgebra:
 class StructElement(CoordinateVector):
     __slots__ = ()
 
-    def _product(self, other):
+    def _times(self, other):
         return StructElement._wrap(
             self.algebra,
             self.algebra.product_values(
@@ -296,7 +297,9 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
     necessary condition phi(b_i)^2 = phi(b_i^2) are discarded up front
     whenever b_i^2 lies in the span of 1 and b_i; the final morphism and
     invertibility check stays complete.  Columns are enumerated as tuples
-    of raw values and tested with the algebra's raw product.
+    of raw values and tested with the algebra's raw product.  Both the q^n
+    vectors of the pruning pass and the combinations of the pruned columns
+    must stay within ENUMERATION_BUDGET.
     """
     field = algebra.field
     q = field.size()
@@ -307,8 +310,7 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
         (i for i in range(n) if algebra.basis(i) == algebra.one()), None
     )
     free = [i for i in range(n) if i != unit_idx]
-    if q ** (n * len(free)) > ENUMERATION_BUDGET:
-        raise ValueError("enumeration budget exceeded")
+    check_budget(q**n, "vectors in the pruning pass")
     mul, add = field._mul, field._add
     all_vectors = list(itertools.product([e.value for e in field.elements()], repeat=n))
     unit_col = [c.value for c in algebra.unit]
@@ -324,6 +326,7 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
                 if algebra.product_values(v, v)
                 == [add(mul(alpha, u), mul(beta, x)) for u, x in zip(unit_col, v)]
             ]
+    check_budget(math.prod(len(candidates[i]) for i in free), "combinations of pruned columns")
     out = []
     for combo in itertools.product(*(candidates[i] for i in free)):
         col_map = dict(zip(free, combo))
@@ -360,14 +363,9 @@ def compose_pair(p2: AutPair, p1: AutPair) -> AutPair:
 
 
 def pair_to_map(algebra: StructureConstAlgebra, pair: AutPair) -> LinearAlgebraMap:
-    """The (b, b') automorphism on T(1) (or the matching transported map on
-    any T(t) via transport_aut)."""
-    one = algebra.one()
-    e2 = algebra.basis(1)
-    e3 = algebra.basis(2)
-    return LinearAlgebraMap.from_images(
-        algebra, algebra, [one, e2 + pair.b * e3, pair.bp * e3]
-    )
+    """The (b, b') automorphism on T(1): e2 -> e2 + b*e3, e3 -> b'*e3, the
+    map transport_aut gives at t = 1."""
+    return transport_aut(algebra.field.one, pair, algebra)
 
 
 def transport_aut(t, pair: AutPair, algebra: StructureConstAlgebra = None) -> LinearAlgebraMap:

@@ -114,6 +114,17 @@ def test_divisor_search_stops_at_its_bound_in_subprocess():
     assert b"DIVISOR_SEARCH_BOUND = 1000000 steps" in proc.stderr
 
 
+def test_brute_force_stops_at_its_budget_in_subprocess():
+    # 101^3 candidate images of X, at about 50 us each, would take about a
+    # minute; the count is checked before the first one is tried
+    argv = ["aut", "--field", "Fp(101)", "--poly", "factored:(X)^3", "--brute-force"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: enumeration budget exceeded: 1030301 ")
+    assert b"ENUMERATION_BUDGET = 50000" in proc.stderr
+
+
 @pytest.mark.parametrize("p,code", [(1000000009, 0), (1000000007, 1)])
 def test_zeta3_over_a_large_prime_field_in_subprocess(p, code):
     # the cube root of unity comes from an exponentiation, not a scan of

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from symlab import cli
 from symlab.fields import GF, QQ, rationals_with_cube_root
 from symlab.parse import (
     MAX_DEGREE,
@@ -328,6 +329,34 @@ class TestPowerBound:
         assert parse_ratfunc("3^100000000", GF(7)).as_constant() == GF(7).coerce(pow(3, 100000000, 7))
         qz = rationals_with_cube_root()
         assert parse_ratfunc("zeta3^100000000", qz).as_constant() == qz.generator()
+
+
+class TestLiteralBound:
+    NINES = "9" * 4400  # past the 4300 digits Python converts by default
+
+    def test_at_the_bound(self):
+        ok = "9" * MAX_POWER_DIGITS
+        assert parse_ratfunc(ok, QQ).as_constant() == QQ.coerce(int(ok))
+        with pytest.raises(ParseError) as e:
+            parse_ratfunc("t + 1" + ok + "9", QQ, ("t",))
+        assert e.value.position == 4
+        assert f"MAX_POWER_DIGITS = {MAX_POWER_DIGITS}" in str(e.value)
+
+    @pytest.mark.parametrize(
+        "argv,position",
+        [
+            (["family", "--roots", f"0,t,{NINES}"], 0),
+            (["aut", "--poly", f"factored:(X)^{NINES}"], 4),
+        ],
+    )
+    def test_cli_inputs_name_the_bound(self, argv, position):
+        # each ended in Python's own "Exceeds the limit (4300 digits)" message
+        code, text = cli.run(argv)
+        assert code == 1
+        assert text == (
+            f"error: integer of more than MAX_POWER_DIGITS = {MAX_POWER_DIGITS} digits "
+            f"(at position {position})\n"
+        )
 
 
 class TestCycles:

@@ -8,7 +8,7 @@ as the oracle:
   repeated (acc * image) % f and against compose_mod;
 - ExtensionField._mul (native products, one reduction per coefficient)
   against the schoolbook on the base field's operations;
-- StructElement._product and is_algebra_morphism (sparse raw cells)
+- StructElement._times and is_algebra_morphism (sparse raw cells)
   against the loops on wrapped elements;
 - no_s3_check (orders by prime order) against the order search.
 """

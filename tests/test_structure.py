@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from symlab.fields import GF, QQ, FieldError
+from symlab.fields import ENUMERATION_BUDGET, GF, QQ, FieldError
 from symlab.linalg import Matrix
 from symlab.poly import FunctionField
 from symlab.structure import (
@@ -145,9 +145,20 @@ class TestBruteForce:
     def test_budget_and_field_guards(self):
         with pytest.raises(FieldError):
             brute_force_automorphisms(build_T(QQ.one))
-        # two free columns of F_101^3: 101^6 candidates
+        # a pruning pass over the 101^3 vectors of F_101^3
         with pytest.raises(ValueError, match="enumeration budget exceeded"):
             brute_force_automorphisms(build_T(GF(101).one))
+
+    def test_budget_counts_the_pruned_combinations(self):
+        # T(0) over F_17: the pruning pass covers 17^3 = 4,913 vectors and
+        # keeps 17^2 per free column, whose 83,521 combinations are refused
+        with pytest.raises(ValueError) as e:
+            brute_force_automorphisms(build_T(GF(17).zero))
+        assert str(e.value) == (
+            "enumeration budget exceeded: 83521 combinations of pruned columns, "
+            f"past ENUMERATION_BUDGET = {ENUMERATION_BUDGET}"
+        )
+        assert 17**3 <= ENUMERATION_BUDGET < 17**4
 
 
 class TestPairModel:
@@ -214,7 +225,9 @@ class TestTransport:
         f7 = GF(7)
         t1 = build_T(f7.one)
         pair = AutPair(f7.coerce(4), f7.coerce(6))
-        assert transport_aut(f7.one, pair, t1) == pair_to_map(t1, pair)
+        e2, e3 = t1.basis(1), t1.basis(2)
+        by_hand = LinearAlgebraMap.from_images(t1, t1, [t1.one(), e2 + 4 * e3, 6 * e3])
+        assert transport_aut(f7.one, pair, t1) == pair_to_map(t1, pair) == by_hand
 
     def test_limit_is_group_homomorphism_with_kernel_b_one(self):
         # (b, b') -> limit map forgets b; kernel = {(b, 1)}

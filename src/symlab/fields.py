@@ -24,11 +24,16 @@ class FieldError(ValueError):
 
 
 # Most candidates a brute-force enumeration may loop over.  Measured with
-# Python 3.11 on a shared 2-vCPU VM: `aut --brute-force` costs about 40-50 us
-# per candidate image (F_13, modulus X^3: 2,197 in 0.09 s; F_23: 12,167 in
-# 0.5 s), and `talg` 110-190 us per combination of its pruned columns (F_13
-# at t = 0: 28,561 in 3.2 s) and about 10 us per vector of its pruning pass,
-# so a run stays under about 10 s.
+# Python 3.11 on a shared 2-vCPU VM: `aut --brute-force` costs 2-3 us per
+# image it rejects for moving a root of the modulus off the roots and 30-65
+# us per image it checks in full at degree 3 or 4 (F_31, modulus X^3:
+# 29,791 images in 0.16 s); a modulus without a root in the field is not
+# pruned, so the budget still bounds that worst case (F_13, X^3 - 2: 2,197
+# full checks in 0.09 s).  `talg` costs about 110 us per combination of its
+# pruned columns (F_13 at t = 0: 28,561 in 3.0 s) and 20 us per vector of
+# its pruning pass (T(1) over F_31: 29,791 in 0.55 s).  So a run stays under
+# about 10 s, except that a full `aut` check grows about fourfold per two
+# degrees past 4 (235 ms at degree 14 over F_2), which this count ignores.
 ENUMERATION_BUDGET = 5 * 10**4
 
 

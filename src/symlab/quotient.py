@@ -7,7 +7,7 @@ is polynomial composition of the images: compose(outer, inner) has image
 outer_image(inner_image(X)) mod f, so it reproduces the classical closed
 composition law on X -> aX + bX^2 maps coefficient for coefficient.
 
-The checks that every brute-force candidate goes through run on raw field
+The root filter and the checks of brute-force candidates run on raw field
 values: a map's powers image^k mod f are computed once, and the
 homomorphism test, the matrix behind the determinant test and the inverse
 all read them.
@@ -20,9 +20,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .fields import Field, FieldError, check_budget, power
+from .fields import Field, FieldElement, FieldError, check_budget, power
 from .linalg import CoordinateVector, Matrix
-from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values
+from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values, taylor
 
 
 class MonogenicAlgebra:
@@ -537,7 +537,14 @@ def aut_description(dec: FpaDecomposition) -> AutDescription:
 
 def brute_force_automorphisms(algebra: MonogenicAlgebra) -> list[SubstitutionMap]:
     """All substitution automorphisms of a quotient algebra over a finite
-    field, by exhaustive enumeration of image polynomials of degree < n."""
+    field, by exhaustive enumeration of image polynomials g of degree < n.
+
+    For each root r of the modulus f in the field, X - r divides f(g(X)),
+    so g(r) must again be a root of f.  Candidates failing this necessary
+    condition are discarded on raw values before any map is built; the
+    automorphism check of the rest stays complete.  A modulus without a
+    root in the field prunes nothing.
+    """
     field = algebra.field
     q = field.size()
     if q is None:
@@ -545,11 +552,16 @@ def brute_force_automorphisms(algebra: MonogenicAlgebra) -> list[SubstitutionMap
     n = algebra.dim
     check_budget(q**n, "candidate images")
     elems = list(field.elements())
+    roots = [e.value for e in elems if algebra.modulus(e).is_zero()]
+    key = field._hash_key
+    root_keys = {key(r) for r in roots}
     out = []
-    for coeffs in itertools.product(elems, repeat=n):
-        g = SubstitutionMap(algebra, UniPoly(field, list(coeffs)))
-        if g.is_automorphism():
-            out.append(g)
+    for cs in itertools.product([e.value for e in elems], repeat=n):
+        cs = list(cs)
+        if all(key(next(taylor(field, cs, r))) in root_keys for r in roots):
+            g = SubstitutionMap(algebra, [FieldElement(field, c) for c in cs])
+            if g.is_automorphism():
+                out.append(g)
     out.sort(key=lambda g: tuple(g.image.coeff(i).sort_key() for i in range(n)))
     return out
 

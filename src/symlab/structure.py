@@ -314,17 +314,18 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
     mul, add = field._mul, field._add
     all_vectors = list(itertools.product([e.value for e in field.elements()], repeat=n))
     unit_col = [c.value for c in algebra.unit]
+    profiles = {i: _self_span_profile(algebra, i) for i in free}
+    if any(p is not None for p in profiles.values()):
+        squares = [algebra.product_values(v, v) for v in all_vectors]
     candidates = {}
-    for i in free:
-        prof = _self_span_profile(algebra, i)
+    for i, prof in profiles.items():
         if prof is None:
             candidates[i] = all_vectors
         else:
             alpha, beta = prof[0].value, prof[1].value
             candidates[i] = [
-                v for v in all_vectors
-                if algebra.product_values(v, v)
-                == [add(mul(alpha, u), mul(beta, x)) for u, x in zip(unit_col, v)]
+                v for v, sq in zip(all_vectors, squares)
+                if sq == [add(mul(alpha, u), mul(beta, x)) for u, x in zip(unit_col, v)]
             ]
     check_budget(math.prod(len(candidates[i]) for i in free), "combinations of pruned columns")
     out = []

@@ -125,6 +125,15 @@ def test_brute_force_stops_at_its_budget_in_subprocess():
     assert b"ENUMERATION_BUDGET = 50000" in proc.stderr
 
 
+def test_largest_admitted_brute_force_in_subprocess():
+    # 223^2 = 49,729 candidate images, just under the budget; only the 223
+    # with g(0) = 0 move the root 0 onto a root and are checked in full
+    argv = ["aut", "--field", "Fp(223)", "--poly", "factored:(X)^2", "--brute-force", "--json"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["brute_force"]["count"] == 222
+
+
 @pytest.mark.parametrize("p,code", [(1000000009, 0), (1000000007, 1)])
 def test_zeta3_over_a_large_prime_field_in_subprocess(p, code):
     # the cube root of unity comes from an exponentiation, not a scan of

@@ -439,9 +439,22 @@ class TestDecomposition:
             assert desc.finite_order == len(brute_force_automorphisms(a))
 
 
+def unpruned_automorphisms(a):
+    """Every image polynomial of degree < n through is_automorphism, with no
+    filter, in the order of enumeration."""
+    candidates = itertools.product(list(a.field.elements()), repeat=a.dim)
+    return [g for g in (SubstitutionMap(a, list(cs)) for cs in candidates) if g.is_automorphism()]
+
+
+def images(maps):
+    return [g.image for g in maps]
+
+
 class TestBruteForce:
     def test_s3_over_f5(self):
-        # full 125-candidate enumeration is the oracle
+        # the pruned search against the known size and order profile of S3;
+        # the unpruned enumeration is the oracle of the
+        # test_matches_unpruned_enumeration_* tests below
         a = MonogenicAlgebra.from_roots(GF(5), [0, 1, 2])
         auts = brute_force_automorphisms(a)
         assert len(auts) == 6
@@ -498,6 +511,70 @@ class TestBruteForce:
         assert SubstitutionMap(a, [0, 2]).order() is None  # order 66 > 64
         profile = Counter(g.order(len(auts)) for g in auts)
         assert profile == {1: 1, 2: 1, 3: 2, 6: 2, 11: 10, 22: 10, 33: 20, 66: 20}
+
+    @pytest.mark.parametrize("field", [GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2)], ids=str)
+    def test_matches_unpruned_enumeration_on_every_pattern(self, field):
+        # every multiplicity pattern of degree <= 4, or <= 3 over F_9
+        elems = list(field.elements())
+        for degree in range(1, 5 if field.size() <= 7 else 4):
+            for pattern in partitions(degree):
+                if len(pattern) > len(elems):
+                    continue
+                flat = [z for z, m in zip(elems[::-1], pattern) for _ in range(m)]
+                a = MonogenicAlgebra.from_roots(field, flat)
+                assert images(brute_force_automorphisms(a)) == images(unpruned_automorphisms(a)), pattern
+
+    @pytest.mark.parametrize(
+        "q,coeffs",
+        [(3, [1, 0, 1]), (3, [0, 1, 0, 1]), (5, [1, 0, 0, 0, 1])],
+        ids=["X^2+1/F3", "X(X^2+1)/F3", "X^4+1/F5"],
+    )
+    def test_matches_unpruned_enumeration_on_non_split_moduli(self, q, coeffs):
+        a = algebra(GF(q), coeffs)
+        assert images(brute_force_automorphisms(a)) == images(unpruned_automorphisms(a))
+
+    def test_matches_unpruned_enumeration_on_random_moduli(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        moduli = st.sampled_from([3, 5]).flatmap(
+            lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
+        )
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(moduli)
+        def check(case):
+            q, lower = case
+            a = algebra(GF(q), lower + [1])  # monic of degree 1 to 3
+            assert images(brute_force_automorphisms(a)) == images(unpruned_automorphisms(a))
+
+        check()
+
+    @pytest.mark.parametrize(
+        "q,coeffs,checked",
+        [
+            (7, UniPoly.from_roots(GF(7), [0, 1, 2]).coeffs, 3**3),  # R = {0, 1, 2}: 27 of 343
+            (7, UniPoly.from_roots(GF(7), [3] * 4).coeffs, 7**3),  # R = {3}: 343 of 2,401
+            (5, UniPoly.from_roots(GF(5), [1, 1, 4]).coeffs, 2**2 * 5),  # R = {1, 4}
+            (3, [1, 0, 1], 3**2),  # X^2 + 1 has no root in F_3
+            (5, [1, 0, 0, 0, 1], 5**4),  # nor X^4 + 1 in F_5
+        ],
+        ids=["(1,1,1)/F7", "(4,)/F7", "(2,1)/F5", "X^2+1/F3", "X^4+1/F5"],
+    )
+    def test_maps_checked_in_full(self, monkeypatch, q, coeffs, checked):
+        # g(R) inside R leaves |R|^|R| value tuples on the distinct roots R,
+        # each reached by q^(n - |R|) images of degree < n, since evaluation
+        # at |R| <= n distinct points is onto; only those build a map
+        full_check = SubstitutionMap.is_automorphism
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return full_check(g)
+
+        monkeypatch.setattr(SubstitutionMap, "is_automorphism", counted)
+        brute_force_automorphisms(algebra(GF(q), coeffs))
+        assert len(calls) == checked
 
     def test_enumeration_budget(self):
         a = MonogenicAlgebra.from_roots(GF(101), [0, 1, 2, 3, 4])  # 101^5 maps

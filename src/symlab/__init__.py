@@ -33,7 +33,6 @@ from .quotient import (
     brute_force_automorphisms,
     fpa_decompose,
     idempotents,
-    split_roots,
     vandermonde_adjugate,
     vandermonde_pair,
 )

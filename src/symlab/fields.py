@@ -23,26 +23,26 @@ class FieldError(ValueError):
     """Invalid field construction, or arithmetic across different fields."""
 
 
-# Most candidates a brute-force enumeration may loop over.  Measured with
-# Python 3.11 on a shared 2-vCPU VM: `aut --brute-force` costs 2-3 us per
-# image it rejects for moving a root of the modulus off the roots and 30-65
-# us per image it checks in full at degree 3 or 4 (F_31, modulus X^3:
-# 29,791 images in 0.16 s); a modulus without a root in the field is not
-# pruned, so the budget still bounds that worst case (F_13, X^3 - 2: 2,197
-# full checks in 0.09 s).  `talg` costs about 110 us per combination of its
-# pruned columns (F_13 at t = 0: 28,561 in 3.0 s) and 20 us per vector of
-# its pruning pass (T(1) over F_31: 29,791 in 0.55 s).  So a run stays under
-# about 10 s, except that a full `aut` check grows about fourfold per two
-# degrees past 4 (235 ms at degree 14 over F_2), which this count ignores.
+# Most candidates a brute-force enumeration may loop over, each weighted by
+# its cost.  Measured with Python 3.11 on a shared 2-vCPU VM, as process CPU
+# time: `aut --brute-force` checks each image it enumerates in full, at
+# 40-80 us per image up to degree 4 (F_13, rootless X^3 - 2: 2,197 images in
+# 0.11 s) and about 5*n^2 us at degree n past that (F_2: 320 us at degree 8,
+# 810 us at 12, 880 us at 14), so it counts all q^n images of X, each
+# weighted n^2 // 16 (at least 1).  `talg` costs about 100 us per
+# combination of its pruned columns (F_13 at t = 0: 28,561 in 2.8 s) and 17
+# us per vector of its pruning pass (T(1) over F_31: 29,791 in 0.51 s).  So
+# a run stays under about 10 s.
 ENUMERATION_BUDGET = 5 * 10**4
 
 
-def check_budget(count: int, what: str):
+def check_budget(count: int, what: str, weight: int = 1):
     """Raise ValueError when an enumeration would loop over more than
-    ENUMERATION_BUDGET `what`."""
-    if count > ENUMERATION_BUDGET:
+    ENUMERATION_BUDGET `what`, each one counted `weight` times."""
+    if count * weight > ENUMERATION_BUDGET:
+        each = f" of weight {weight}" if weight > 1 else ""
         raise ValueError(
-            f"enumeration budget exceeded: {count} {what}, "
+            f"enumeration budget exceeded: {count} {what}{each}, "
             f"past ENUMERATION_BUDGET = {ENUMERATION_BUDGET}"
         )
 

@@ -1,19 +1,52 @@
 """Small exact matrices over any fields.Field, of at most MAX_DIMENSION rows.
 
-One division-free kernel, Laplace expansion with shared minors, gives
-determinants and, by Cramer's rule, solves and inverses, for function-field
-entries of any number of symbols.
+Two kernels give determinants, solves and inverses.  Over a field whose
+elements are canonical (Q, F_p, their extensions), row reduction on raw
+values; over a function field, whose quotients would each need a gcd, the
+division-free Laplace expansion with shared minors and Cramer's rule.
 """
 
 from __future__ import annotations
 
 from .fields import Arithmetic, Field, FieldElement
+from .poly import FunctionField
 
 
-# Most rows of a matrix whose minors are expanded: `aut --poly "factored:(X)^n"
+# Most rows of a matrix, on either kernel: `aut --poly "factored:(X)^n"
 # --check-map 0,1` took 0.2, 0.5, 1.1 and 2.4 s in-process for n = 12 to 15
-# (Python 3.11, shared 2-vCPU VM), so one determinant over Q stays near 1 s.
+# on the shared-minor table (Python 3.11, shared 2-vCPU VM), so one
+# determinant over a function field stays near 1 s.
 MAX_DIMENSION = 14
+
+
+def _check_dimension(n):
+    if n > MAX_DIMENSION:
+        raise ValueError(f"a matrix of {n} rows is past MAX_DIMENSION = {MAX_DIMENSION}")
+
+
+def _row_reduce(field, rows):
+    """Forward elimination, in place, of n rows of raw values, each of width
+    >= n, leaving the leading n x n block unit upper triangular.  Returns
+    its determinant, the product of the pivots negated once per row swap;
+    zero, with the reduction stopped, when a column has no pivot."""
+    _check_dimension(len(rows))
+    mul, sub, is_zero = field._mul, field._sub, field._is_zero
+    det = field.one.value
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if not is_zero(rows[i][k])), None)
+        if p is None:
+            return field.zero.value
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = field._neg(det)
+        det = mul(det, rows[k][k])
+        s = field._inv(rows[k][k])
+        top = rows[k][k:] = [mul(s, x) for x in rows[k][k:]]
+        for row in rows[k + 1:]:
+            c = row[k]
+            if not is_zero(c):
+                row[k:] = [sub(x, mul(c, y)) for x, y in zip(row[k:], top)]
+    return det
 
 
 def _shared_minors(rows):
@@ -22,8 +55,7 @@ def _shared_minors(rows):
     entries need only +, -, *.  Row k is expanded against the minors of
     rows 0..k-1, each computed once per set of columns, so an n x n
     determinant costs about n * 2^(n-1) products instead of n!."""
-    if len(rows) > MAX_DIMENSION:
-        raise ValueError(f"a matrix of {len(rows)} rows is past MAX_DIMENSION = {MAX_DIMENSION}")
+    _check_dimension(len(rows))
     width = len(rows[0])
     minors = {1 << j: rows[0][j] for j in range(width)}
     for row in rows[1:]:
@@ -46,7 +78,7 @@ def _shared_minors(rows):
 
 def laplace_det(rows):
     """Determinant from the shared-minor table; works for FieldElement and
-    MultiPoly entries alike."""
+    MultiPoly entries alike.  Matrix.det reads it over a function field."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
@@ -201,24 +233,43 @@ class Matrix:
     def det(self) -> FieldElement:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return self.field.one
-        return laplace_det([list(r) for r in self.rows])
+        if self.rows and isinstance(self.field, FunctionField):
+            return laplace_det([list(r) for r in self.rows])
+        rows = [[x.value for x in r] for r in self.rows]
+        return FieldElement(self.field, _row_reduce(self.field, rows))
 
     def is_invertible(self) -> bool:
         return not self.det().is_zero()
 
     def inverse(self) -> "Matrix":
-        """Column j solves self * x = e_j; raises ValueError when singular."""
-        cols = [self.solve(e) for e in Matrix.identity(self.field, self.nrows).rows]
-        return Matrix(self.field, cols).transpose()
+        """Raises ValueError when singular.  Over a function field, column j
+        solves self * x = e_j; otherwise one reduction of [self | I]."""
+        eye = Matrix.identity(self.field, self.nrows).rows
+        if isinstance(self.field, FunctionField):
+            return Matrix(self.field, [self.solve(e) for e in eye]).transpose()
+        return Matrix._wrap(self.field, self._eliminate(eye))
+
+    def _eliminate(self, rhs_rows):
+        """Raw rows of X with self * X = the matrix of rows `rhs_rows`, by
+        row reduction and back substitution; raises ValueError when singular."""
+        f, n = self.field, self.nrows
+        if n != self.ncols:
+            raise ValueError("elimination with a non-square matrix")
+        rows = [[x.value for x in (*r, *e)] for r, e in zip(self.rows, rhs_rows)]
+        if f._is_zero(_row_reduce(f, rows)):
+            raise ValueError("matrix is singular")
+        out = [row[n:] for row in rows]
+        for k in range(n - 1, -1, -1):
+            for i, c in enumerate(row[k] for row in rows[:k]):
+                out[i] = [f._sub(x, f._mul(c, y)) for x, y in zip(out[i], out[k])]
+        return out
 
     def solve(self, rhs):
-        """Solve self * x = rhs by Cramer's rule; raises ValueError when
-        singular.  Of the maximal minors of [self | rhs], the one without
-        the last column is det(self), and the one without column j is the
-        numerator of x_j times (-1)^(n-1-j): rhs stands n - 1 - j columns
-        right of where column j was.  Only the final quotients divide."""
+        """Solve self * x = rhs; raises ValueError when singular.  Over a
+        function field by Cramer's rule: of the maximal minors of [self |
+        rhs], the one without the last column is det(self), and the one
+        without column j is the numerator of x_j times (-1)^(n-1-j), so only
+        the final quotients divide.  Otherwise by row reduction."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("solve with a non-square matrix")
@@ -227,6 +278,8 @@ class Matrix:
             raise ValueError("vector length mismatch")
         if n == 0:
             return []
+        if not isinstance(self.field, FunctionField):
+            return [FieldElement(self.field, r[0]) for r in self._eliminate([[b] for b in rhs])]
         minors = _shared_minors([list(r) + [b] for r, b in zip(self.rows, rhs)])
         full = (1 << (n + 1)) - 1
         det = minors[full ^ (1 << n)]

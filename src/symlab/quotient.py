@@ -7,10 +7,10 @@ is polynomial composition of the images: compose(outer, inner) has image
 outer_image(inner_image(X)) mod f, so it reproduces the classical closed
 composition law on X -> aX + bX^2 maps coefficient for coefficient.
 
-The root filter and the checks of brute-force candidates run on raw field
-values: a map's powers image^k mod f are computed once, and the
-homomorphism test, the matrix behind the determinant test and the inverse
-all read them.
+The checks of brute-force candidates and the orders of the maps found run
+on raw field values: a map's powers image^k mod f are computed once, and
+the homomorphism test, the matrix behind the determinant test, the inverse
+and the order all read them.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .fields import Field, FieldElement, FieldError, check_budget, power
+from .fields import Field, FieldError, check_budget, power
 from .linalg import CoordinateVector, Matrix
-from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values, taylor
+from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values
 
 
 class MonogenicAlgebra:
@@ -207,8 +207,13 @@ class SubstitutionMap(AlgebraHom):
     def is_endomorphism(self) -> bool:
         return self.is_homomorphism()
 
-    def is_automorphism(self) -> bool:
+    @functools.cached_property
+    def _automorphic(self) -> bool:
+        """The verdict of is_isomorphism, reached once per map."""
         return self.is_isomorphism()
+
+    def is_automorphism(self) -> bool:
+        return self._automorphic
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """Map with image self.image(inner.image(X)) mod f."""
@@ -227,14 +232,25 @@ class SubstitutionMap(AlgebraHom):
     def order(self, max_order: int = 64):
         """Smallest k <= max_order with the k-fold composite equal to the
         identity, or None.  With max_order the size of a finite group of
-        automorphisms holding the map, the answer is exact (Lagrange)."""
-        if not self.is_automorphism():
+        automorphisms holding the map, the answer is exact (Lagrange).
+
+        The composites are raw coefficient lists: the image of X under
+        the (k+1)-fold composite is the k-fold image with g substituted for
+        X, sum_j acc_j * (g^j mod f), read off the power table."""
+        if not self._automorphic:
             raise ValueError("order of a non-automorphism")
-        acc = self
+        f, n = self.algebra.field, self.algebra.dim
+        mul, add, zero = f._mul, f._add, f.zero.value
+        table = [p + [zero] * (n - len(p)) for p in self._power_table[:n]]
+        acc = ident = [c.value for c in self.algebra.gen().coeffs]
         for k in range(1, max_order + 1):
-            if acc.is_identity():
+            nxt = [zero] * n
+            for c, row in zip(acc, table):
+                if not f._is_zero(c):
+                    nxt = [add(s, mul(c, v)) for s, v in zip(nxt, row)]
+            acc = nxt
+            if all(map(f._eq, acc, ident)):
                 return k
-            acc = self.compose(acc)
         return None
 
     def __eq__(self, other):
@@ -537,50 +553,41 @@ def aut_description(dec: FpaDecomposition) -> AutDescription:
 
 def brute_force_automorphisms(algebra: MonogenicAlgebra) -> list[SubstitutionMap]:
     """All substitution automorphisms of a quotient algebra over a finite
-    field, by exhaustive enumeration of image polynomials g of degree < n.
+    field, by enumeration of image polynomials g of degree < n.
 
     For each root r of the modulus f in the field, X - r divides f(g(X)),
-    so g(r) must again be a root of f.  Candidates failing this necessary
-    condition are discarded on raw values before any map is built; the
-    automorphism check of the rest stays complete.  A modulus without a
-    root in the field prunes nothing.
+    so g(r) must again be a root of f.  Only the images meeting this
+    necessary condition are enumerated, each once: with R the roots of f in
+    the field, l_i the Lagrange basis on R and P = prod_{r in R} (X - r),
+    they are g = sum_i v_i*l_i + P*h for v in R^|R| and h of degree
+    < n - |R|.  A modulus without a root in the field has P = 1, so every
+    image is enumerated.  Each one is checked in full by is_automorphism.
     """
     field = algebra.field
     q = field.size()
     if q is None:
         raise FieldError("brute force needs a finite field")
     n = algebra.dim
-    check_budget(q**n, "candidate images")
+    # all q^n images, as for a modulus without roots (fields.ENUMERATION_BUDGET)
+    check_budget(q**n, "candidate images", max(1, n * n // 16))
     elems = list(field.elements())
-    roots = [e.value for e in elems if algebra.modulus(e).is_zero()]
-    key = field._hash_key
-    root_keys = {key(r) for r in roots}
+    roots = [z for z in elems if algebra.modulus(z).is_zero()]
+    one = field.one
+    basis = [
+        UniPoly(field, lagrange_numerator(roots, i, one))
+        * math.prod((r - z for z in roots if z != r), start=one).inverse()
+        for i, r in enumerate(roots)
+    ]
+    vanishing = UniPoly(field, lagrange_numerator(roots, None, one))
+    lows = [
+        sum((l * v for l, v in zip(basis, vs)), UniPoly.zero(field))
+        for vs in itertools.product(roots, repeat=len(roots))
+    ]
+    highs = [vanishing * UniPoly(field, h) for h in itertools.product(elems, repeat=n - len(roots))]
     out = []
-    for cs in itertools.product([e.value for e in elems], repeat=n):
-        cs = list(cs)
-        if all(key(next(taylor(field, cs, r))) in root_keys for r in roots):
-            g = SubstitutionMap(algebra, [FieldElement(field, c) for c in cs])
-            if g.is_automorphism():
-                out.append(g)
+    for low, high in itertools.product(lows, highs):
+        g = SubstitutionMap(algebra, low + high)
+        if g.is_automorphism():
+            out.append(g)
     out.sort(key=lambda g: tuple(g.image.coeff(i).sort_key() for i in range(n)))
     return out
-
-
-def split_roots(algebra: MonogenicAlgebra):
-    """Roots with multiplicities of the modulus over a finite field, found by
-    exhaustive root extraction; None when the modulus does not split."""
-    field = algebra.field
-    if field.size() is None:
-        raise FieldError("root extraction needs a finite field")
-    rem = algebra.modulus
-    found = []
-    for z in field.elements():
-        mult = 0
-        while rem.degree >= 1 and rem(z).is_zero():
-            rem = rem // UniPoly(field, [-z, field.one])
-            mult += 1
-        if mult:
-            found.append((z, mult))
-    if rem.degree > 0:
-        return None
-    return found

@@ -115,8 +115,9 @@ def test_divisor_search_stops_at_its_bound_in_subprocess():
 
 
 def test_brute_force_stops_at_its_budget_in_subprocess():
-    # 101^3 candidate images of X, at about 50 us each, would take about a
-    # minute; the count is checked before the first one is tried
+    # the budget counts all 101^3 images of X, as many as a cubic without a
+    # root in F_101 would have checked in full; the count is checked before
+    # the first image is tried
     argv = ["aut", "--field", "Fp(101)", "--poly", "factored:(X)^3", "--brute-force"]
     proc = run_subprocess(argv, 10)
     assert proc.returncode == 1
@@ -127,11 +128,31 @@ def test_brute_force_stops_at_its_budget_in_subprocess():
 
 def test_largest_admitted_brute_force_in_subprocess():
     # 223^2 = 49,729 candidate images, just under the budget; only the 223
-    # with g(0) = 0 move the root 0 onto a root and are checked in full
+    # with g(0) = 0 move the root 0 onto a root, and only they are enumerated
     argv = ["aut", "--field", "Fp(223)", "--poly", "factored:(X)^2", "--brute-force", "--json"]
     proc = run_subprocess(argv, 10)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["brute_force"]["count"] == 222
+
+
+def test_brute_force_budget_weighs_the_degree_in_subprocess():
+    # both elements of F_2 are roots, so all 2^14 images are checked in
+    # full, each weighing 14^2 // 16 = 12: 196,608 past the budget
+    argv = ["aut", "--field", "Fp(2)", "--poly", "factored:(X)^7(X-1)^7", "--brute-force"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: enumeration budget exceeded: 16384 candidate images of weight 12,")
+    assert b"ENUMERATION_BUDGET = 50000" in proc.stderr
+
+
+def test_largest_admitted_degree_in_subprocess():
+    # 2^12 images weighing 12^2 // 16 = 9 each, 36,864 within the budget;
+    # the group is S2 times two jet groups of order (2 - 1) * 2^4
+    argv = ["aut", "--field", "Fp(2)", "--poly", "factored:(X)^6(X-1)^6", "--brute-force", "--json"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["brute_force"]["count"] == 2 * 16**2
 
 
 @pytest.mark.parametrize("p,code", [(1000000009, 0), (1000000007, 1)])

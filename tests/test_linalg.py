@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from symlab import linalg
-from symlab.fields import GF, QQ
+from symlab.fields import GF, QQ, rationals_with_cube_root
 from symlab.linalg import Matrix, laplace_det
 from symlab.poly import FunctionField, MultiPoly
 from symlab.quotient import MonogenicAlgebra
@@ -13,17 +13,22 @@ from symlab.structure import build_T
 
 QT = FunctionField(QQ, ("t",))
 QAT = FunctionField(QQ, ("a", "t"))
+QZ = rationals_with_cube_root()
 
 
 def random_entry(field, rng):
     """A small random element: any element of a finite field, a fraction
-    over Q, an affine polynomial in the symbols over Q(a,t), and over Q(t)
-    one divided by t + 1 one time in four."""
+    over Q, x + y*zeta3 with fractions x, y over Q(zeta3), an affine
+    polynomial in the symbols over Q(a,t), and over Q(t) one divided by
+    t + 1 one time in four."""
     if field.size() is not None:
         elems = list(field.elements())
         return elems[rng.randrange(len(elems))]
     if field == QQ:
         return field.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    if field == QZ:
+        x, y = (random_entry(QQ, rng) for _ in range(2))
+        return field.coerce(x) + field.generator() * field.coerce(y)
     x = field.coerce(rng.randint(-3, 3))
     for name in field.symbols:
         x = x + field.symbol(name) * rng.randint(-2, 2)
@@ -49,35 +54,39 @@ def test_inverse_round_trip_randomized():
 
 
 def gauss_jordan(m, rhs):
-    """Rows of X with m * X = rhs, rhs given by its rows, by Gauss-Jordan
-    elimination with exact zero tests; kept as a test-only oracle for the
-    shared-minor solve.  Raises ValueError when m is singular."""
+    """(det m, rows of X with m * X = rhs), rhs given by its rows, by
+    Gauss-Jordan elimination on field elements with exact zero tests; kept
+    as a test-only oracle for both kernels.  (0, None) when m is singular."""
     n = m.nrows
+    det = m.field.one
     aug = [list(r) + list(b) for r, b in zip(m.rows, rhs)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
+            return m.field.zero, None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det = det * aug[col][col]
         inv = aug[col][col].inverse()
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and not aug[r][col].is_zero():
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return det, [row[n:] for row in aug]
 
 
 def gauss_jordan_inverse(m):
-    return Matrix(m.field, gauss_jordan(m, Matrix.identity(m.field, m.nrows).rows))
+    return Matrix(m.field, gauss_jordan(m, Matrix.identity(m.field, m.nrows).rows)[1])
 
 
 def kernel_cases(seed):
-    """(matrix, right-hand side) pairs over Q, F_5, F(2,2), Q(t) and
-    Q(a,t); about one in three has its last row the sum of the others
+    """(matrix, right-hand side) pairs over Q, F_5, F(2,2), Q(zeta3), Q(t)
+    and Q(a,t); about one in three has its last row the sum of the others
     (or zero), so it is singular."""
     rng = random.Random(seed)
-    for field, n in [(f, n) for f in (QQ, GF(5), GF(2, 2), QT, QAT) for n in (1, 2, 3, 4)]:
+    for field, n in [(f, n) for f in (QQ, GF(5), GF(2, 2), QZ, QT, QAT) for n in (1, 2, 3, 4)]:
         if n == 4 and field in (QT, QAT):
             continue
         for _ in range(6):
@@ -88,19 +97,24 @@ def kernel_cases(seed):
 
 
 def check_against_gauss_jordan(m, b):
-    """"singular" or "regular" when solve and inverse agree with the
-    oracle, raising ValueError exactly on singular matrices; else "wrong"."""
-    try:
-        x = [r[0] for r in gauss_jordan(m, [[c] for c in b])]
-    except ValueError:
+    """"singular" or "regular" when det, solve and inverse agree with the
+    oracle, solve and inverse raising ValueError exactly on singular
+    matrices; else "wrong"."""
+    det, xs = gauss_jordan(m, [[c] for c in b])
+    if m.det() != det:
+        return "wrong"
+    if xs is None:
         for op in (lambda: m.solve(b), m.inverse):
             with pytest.raises(ValueError, match="singular"):
                 op()
         return "singular"
+    x = [r[0] for r in xs]
     return "regular" if m.solve(b) == x and m.inverse() == gauss_jordan_inverse(m) else "wrong"
 
 
 def test_solve_and_inverse_match_gauss_jordan():
+    # det too, on both kernels: row reduction over Q, F_5, F(2,2) and
+    # Q(zeta3), shared minors over Q(t) and Q(a,t)
     results = [check_against_gauss_jordan(m, b) for m, b in kernel_cases(64)]
     assert "wrong" not in results
     assert results.count("singular") >= 20
@@ -119,6 +133,14 @@ def test_flipped_cramer_sign_is_caught(monkeypatch):
 
     monkeypatch.setattr(linalg, "_shared_minors", flipped)
     assert any(check_against_gauss_jordan(m, b) == "wrong" for m, b in kernel_cases(64))
+
+
+def test_row_swaps_flip_the_sign():
+    # each column's first entry is zero, so every pivot comes from a swap
+    assert Matrix(QQ, [[0, 1], [1, 0]]).det() == QQ.coerce(-1)
+    assert Matrix(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]).det() == QQ.one  # two swaps
+    assert Matrix(GF(5), [[0, 2], [3, 1]]).det() == GF(5).coerce(-6)
+    assert Matrix(QZ, [[0, QZ.generator()], [1, 0]]).det() == -QZ.generator()
 
 
 def test_det_multiplicative_randomized():
@@ -173,15 +195,16 @@ def test_non_square_rejected():
 
 
 def test_dimension_bound():
-    # the shared-minor table is refused past MAX_DIMENSION rows, before any
+    # both kernels refuse a matrix past MAX_DIMENSION rows, before any
     # product is formed
     n = linalg.MAX_DIMENSION + 1
-    eye = Matrix.identity(QQ, n)
-    for call in (eye.det, eye.inverse, lambda: eye.solve([QQ.one] * n)):
-        with pytest.raises(ValueError, match=f"MAX_DIMENSION = {linalg.MAX_DIMENSION}"):
-            call()
-    small = Matrix.identity(QQ, 6)
-    assert small.det() == QQ.one and small.inverse() == small
+    for field in (QQ, GF(5), QT):
+        eye = Matrix.identity(field, n)
+        for call in (eye.det, eye.inverse, lambda: eye.solve([field.one] * n)):
+            with pytest.raises(ValueError, match=f"MAX_DIMENSION = {linalg.MAX_DIMENSION}"):
+                call()
+        small = Matrix.identity(field, 6)
+        assert small.det() == field.one and small.inverse() == small
 
 
 def test_transpose_and_indexing():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from symlab.cli import run
 from symlab.fields import GF, QQ, FieldError
 from symlab.linalg import Matrix, laplace_det
 from symlab.parse import parse_ratfunc
@@ -22,7 +23,6 @@ from symlab.quotient import (
     idempotents,
     lagrange_numerator,
     root_differences,
-    split_roots,
     vandermonde_adjugate,
     vandermonde_pair,
     verify_idempotents,
@@ -146,6 +146,15 @@ class TestSubstitutionMaps:
         f7 = GF(7)
         a3 = algebra(f7, [0, 0, 0, 1])
         assert SubstitutionMap(a3, [0, 2, 0]).order() == 3  # 2^3 = 1 mod 7
+        assert SubstitutionMap(algebra(f7, [4, 1]), [3]).order() == 1  # X = 3 on F_7[X]/(X + 4)
+        ff = FunctionField(QQ, ("a",))
+        assert SubstitutionMap(algebra(ff, [0, 0, 1]), [ff.zero, -ff.one]).order() == 2
+
+    def test_order_of_non_automorphism(self):
+        for g in (SubstitutionMap(X3, [0, 0, 1]), SubstitutionMap(X3X2, [0, 1, 1])):
+            assert not g.is_automorphism()
+            with pytest.raises(ValueError, match="non-automorphism"):
+                g.order()
 
     def test_automorphism_implies_endomorphism_randomized(self):
         rng = random.Random(5)
@@ -439,6 +448,28 @@ class TestDecomposition:
             assert desc.finite_order == len(brute_force_automorphisms(a))
 
 
+def pattern_algebras(field, max_degree):
+    """(pattern, algebra) for every multiplicity pattern of degree at most
+    max_degree with no more roots than the field has elements."""
+    elems = list(field.elements())
+    for degree in range(1, max_degree + 1):
+        for pattern in partitions(degree):
+            if len(pattern) <= len(elems):
+                flat = [z for z, m in zip(elems[::-1], pattern) for _ in range(m)]
+                yield pattern, MonogenicAlgebra.from_roots(field, flat)
+
+
+def order_by_composition(g, bound):
+    """Test-only oracle for SubstitutionMap.order: the first k <= bound with
+    the k-fold composite by compose equal to the identity, or None."""
+    acc = g
+    for k in range(1, bound + 1):
+        if acc.is_identity():
+            return k
+        acc = g.compose(acc)
+    return None
+
+
 def unpruned_automorphisms(a):
     """Every image polynomial of degree < n through is_automorphism, with no
     filter, in the order of enumeration."""
@@ -515,14 +546,35 @@ class TestBruteForce:
     @pytest.mark.parametrize("field", [GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2)], ids=str)
     def test_matches_unpruned_enumeration_on_every_pattern(self, field):
         # every multiplicity pattern of degree <= 4, or <= 3 over F_9
-        elems = list(field.elements())
-        for degree in range(1, 5 if field.size() <= 7 else 4):
-            for pattern in partitions(degree):
-                if len(pattern) > len(elems):
-                    continue
-                flat = [z for z, m in zip(elems[::-1], pattern) for _ in range(m)]
-                a = MonogenicAlgebra.from_roots(field, flat)
-                assert images(brute_force_automorphisms(a)) == images(unpruned_automorphisms(a)), pattern
+        for pattern, a in pattern_algebras(field, 4 if field.size() <= 7 else 3):
+            assert images(brute_force_automorphisms(a)) == images(unpruned_automorphisms(a)), pattern
+
+    @pytest.mark.parametrize("field", [GF(3), GF(5), GF(7), GF(2, 2)], ids=str)
+    def test_orders_match_repeated_composition(self, field):
+        for pattern, a in pattern_algebras(field, 4):
+            auts = brute_force_automorphisms(a)
+            for g in auts:
+                assert g.order(len(auts)) == order_by_composition(g, len(auts)), (pattern, g)
+
+    def test_order_profile_checks_no_map_again(self, monkeypatch):
+        # the CLI's order profile reads each map's verdict from the search:
+        # the only full checks are the 27 of the 3^3 images enumerated
+        full_check = AlgebraHom.is_isomorphism
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return full_check(g)
+
+        monkeypatch.setattr(AlgebraHom, "is_isomorphism", counted)
+        code, out = run(["aut", "--field", "Fp(5)", "--poly", "factored:(X)(X-1)(X-2)", "--brute-force"])
+        assert code == 0 and "order profile: order 1: 1, order 2: 3, order 3: 2" in out
+        assert len(calls) == 27
+        a = MonogenicAlgebra.from_roots(GF(7), [1, 1, 1])
+        auts = brute_force_automorphisms(a)
+        searched = len(calls)
+        assert Counter(g.order(len(auts)) for g in auts) == {1: 1, 2: 7, 3: 14, 6: 14, 7: 6}
+        assert len(calls) == searched == 27 + 7**2
 
     @pytest.mark.parametrize(
         "q,coeffs",
@@ -633,13 +685,3 @@ class TestAlgebraHom:
         assert h.inverse_image() == UniPoly(QQ, [0, 1, -1])
         assert h.inverse().image == UniPoly(QQ, [0, 1, -1])
         assert builds == [h]
-
-
-def test_split_roots():
-    f5 = GF(5)
-    a = MonogenicAlgebra.from_roots(f5, [0, 1, 1, 3])
-    rm = split_roots(a)
-    assert rm == [(f5.coerce(0), 1), (f5.coerce(1), 2), (f5.coerce(3), 1)]
-    # X^2 + 2 does not split over F5 (squares are 0,1,4)
-    b = algebra(f5, [2, 0, 1])
-    assert split_roots(b) is None

@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .chi import no_s3_check, order_class
+from .chi import NO_S3_BOUND, no_s3_check, order_class
 from .families import (
     InternalInconsistencyError,
     PoleAt,
@@ -403,9 +403,9 @@ def _cmd_chi(args) -> dict:
     if rep.order2_elements is not None:
         results["order2_elements"] = [str(c) for c in rep.order2_elements]
         results["order3_elements"] = [str(c) for c in rep.order3_elements]
-    if base.size() is not None:
-        results["group_order"] = base.size() * (base.size() - 1)
-    if base.size() is not None and base.size() <= 49:
+    if rep.group_order is not None:
+        results["group_order"] = rep.group_order
+    if rep.group_order is not None and base.size() <= NO_S3_BOUND:
         ns3 = no_s3_check(base)
         results["no_s3"] = {
             "ok": ns3.ok,

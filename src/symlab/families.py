@@ -559,11 +559,7 @@ def survival_condition(sigma: tuple, field: Field = None) -> SurvivalCondition:
     xs = [sym("x1"), sym("x2"), sym("x3")]
     adj, det = vandermonde_adjugate([t * x for x in xs], MultiPoly.constant(field, full, 1))
     permuted = [t * xs[sigma[i]] for i in range(3)]
-    c1_num = MultiPoly.zero(field, full)
-    c2_num = MultiPoly.zero(field, full)
-    for i in range(3):
-        c1_num = c1_num + adj[1][i] * permuted[i]
-        c2_num = c2_num + adj[2][i] * permuted[i]
+    c1_num, c2_num = (MultiPoly.dot(adj[k], permuted) for k in (1, 2))
 
     # det = t^3 * D(x); c2_num * t = t^3 * R(x); c1_num = t^3 * L(x),
     # so taking the t^3 coefficient leaves polynomials in x1, x2, x3 only

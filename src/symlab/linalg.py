@@ -12,10 +12,14 @@ from .fields import Arithmetic, Field, FieldElement
 from .poly import FunctionField
 
 
-# Most rows of a matrix, on either kernel: `aut --poly "factored:(X)^n"
-# --check-map 0,1` took 0.2, 0.5, 1.1 and 2.4 s in-process for n = 12 to 15
-# on the shared-minor table (Python 3.11, shared 2-vCPU VM), so one
-# determinant over a function field stays near 1 s.
+# Most rows of a matrix, on either kernel (in-process CPU time, Python 3.11,
+# shared 2-vCPU VM).  Row reduction over Q: a dense 14 x 14 determinant of
+# small fractions takes 0.006 s.  Shared minors on dense affine entries:
+# 0.25, 1.5, 6.3 and 37 s for n = 8 to 14 by twos over Q(t), 0.6, 3.2 and
+# 18 s for n = 8 to 12 over Q(a,t).  The maps `aut --check-map` checks at
+# n = 14 cost far less: 0.49 s over Q(t) and 1.0 s over Q(a,t) for the
+# triangular matrices of k[X]/(X^14), 4.9 s over Q(t) for a transposition
+# of 14 distinct roots.
 MAX_DIMENSION = 14
 
 
@@ -50,29 +54,28 @@ def _row_reduce(field, rows):
 
 
 def _shared_minors(rows):
-    """Maximal minors of an n x m matrix, n <= m, as a map from each bit
-    mask of n columns to the determinant of the rows on those columns;
-    entries need only +, -, *.  Row k is expanded against the minors of
-    rows 0..k-1, each computed once per set of columns, so an n x n
-    determinant costs about n * 2^(n-1) products instead of n!."""
+    """Nonzero maximal minors of an n x m matrix, n <= m, as a map from each
+    bit mask of n columns to the determinant of the rows on those columns;
+    a mask that is missing has minor zero.  Entries need only +, -, * and
+    is_zero.  Row k is expanded, on its nonzero entries, against the
+    nonzero minors of rows 0..k-1, each computed once per set of columns,
+    so an n x n determinant costs at most about n * 2^(n-1) products
+    instead of n!, and a sparse one far fewer."""
     _check_dimension(len(rows))
-    width = len(rows[0])
-    minors = {1 << j: rows[0][j] for j in range(width)}
+    minors = {1 << j: x for j, x in enumerate(rows[0]) if not x.is_zero()}
     for row in rows[1:]:
+        entries = [(j, 1 << j, x) for j, x in enumerate(row) if not x.is_zero()]
         nxt = {}
         for mask, minor in minors.items():
-            odd = False  # an odd number of the mask's columns lie right of j
-            for j in range(width - 1, -1, -1):
-                bit = 1 << j
+            for j, bit, x in entries:
                 if mask & bit:
-                    odd = not odd
                     continue
-                term = row[j] * minor
-                if odd:
+                term = x * minor
+                if (mask >> j).bit_count() % 2:  # columns of the mask right of j
                     term = -term
                 prev = nxt.get(mask | bit)
                 nxt[mask | bit] = term if prev is None else prev + term
-        minors = nxt
+        minors = {mask: m for mask, m in nxt.items() if not m.is_zero()}
     return minors
 
 
@@ -82,7 +85,8 @@ def laplace_det(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    return _shared_minors(rows)[(1 << n) - 1]
+    det = _shared_minors(rows).get((1 << n) - 1)
+    return rows[0][0] - rows[0][0] if det is None else det
 
 
 class CoordinateVector(Arithmetic):
@@ -282,11 +286,11 @@ class Matrix:
             return [FieldElement(self.field, r[0]) for r in self._eliminate([[b] for b in rhs])]
         minors = _shared_minors([list(r) + [b] for r, b in zip(self.rows, rhs)])
         full = (1 << (n + 1)) - 1
-        det = minors[full ^ (1 << n)]
-        if det.is_zero():
+        det = minors.get(full ^ (1 << n))
+        if det is None:
             raise ValueError("matrix is singular")
         inv = det.inverse()
-        xs = [minors[full ^ (1 << j)] * inv for j in range(n)]
+        xs = [minors.get(full ^ (1 << j), self.field.zero) * inv for j in range(n)]
         return [-x if (n - 1 - j) % 2 else x for j, x in enumerate(xs)]
 
     def __str__(self):

@@ -126,28 +126,38 @@ class AlgebraHom:
 
     @functools.cached_property
     def _power_table(self) -> list:
-        """Raw coefficient lists, lowest degree first, of image^k reduced
-        mod f_target, for k = 0..deg f_source."""
-        f = self.source.field
+        """Raw coefficient lists, lowest degree first and padded with zeros
+        to deg f_target, of image^k reduced mod f_target, for
+        k = 0..deg f_source."""
+        f, n = self.source.field, self.target.dim
         img = [c.value for c in self.image.coeffs]
         mod = [c.value for c in self.target.modulus.coeffs]
         acc = [f.one.value]
-        table = [acc]
+        pad = [f.zero.value] * n
+        table = [acc + pad[1:]]
         for _ in range(self.source.dim):
             acc = _reduce_values(f, _mul_values(f, acc, img), mod)
-            table.append(acc)
+            table.append(acc + pad[len(acc):])
         return table
+
+    def _substitute(self, cs) -> list:
+        """Raw coefficients in the target of sum_j cs_j * image^j, for raw
+        values cs_0, cs_1, ..., at most deg f_source + 1 of them: the
+        polynomial sum cs_j X^j with the image substituted for X, read off
+        the power table."""
+        f, table = self.source.field, self._power_table
+        mul, add, is_zero = f._mul, f._add, f._is_zero
+        out = [f.zero.value] * len(table[0])
+        for c, row in zip(cs, table):
+            if not is_zero(c):
+                out = [add(s, mul(c, v)) for s, v in zip(out, row)]
+        return out
 
     def is_homomorphism(self) -> bool:
         """True iff f_source(image(X)) == 0 in the target."""
         f = self.source.field
-        mul, add = f._mul, f._add
-        acc = [f.zero.value] * self.target.dim
-        for c, p in zip(self.source.modulus.coeffs, self._power_table):
-            c = c.value
-            for i, v in enumerate(p):
-                acc[i] = add(acc[i], mul(c, v))
-        return all(map(f._is_zero, acc))
+        mod = [c.value for c in self.source.modulus.coeffs]
+        return all(map(f._is_zero, self._substitute(mod)))
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         if u.algebra != self.source:
@@ -160,12 +170,7 @@ class AlgebraHom:
         """Induced linear map, columns = coordinates of images of X^k."""
         if self.target.dim != self.source.dim:
             raise ValueError("matrix of a map between different dimensions")
-        n = self.source.dim
-        zero = self.source.field.zero.value
-        table = self._power_table[:n]
-        return Matrix._wrap(
-            self.source.field, [[p[i] if i < len(p) else zero for p in table] for i in range(n)]
-        )
+        return Matrix._wrap(self.source.field, zip(*self._power_table[:-1]))
 
     def is_isomorphism(self) -> bool:
         if self.source.dim != self.target.dim:
@@ -236,19 +241,13 @@ class SubstitutionMap(AlgebraHom):
 
         The composites are raw coefficient lists: the image of X under
         the (k+1)-fold composite is the k-fold image with g substituted for
-        X, sum_j acc_j * (g^j mod f), read off the power table."""
+        X."""
         if not self._automorphic:
             raise ValueError("order of a non-automorphism")
-        f, n = self.algebra.field, self.algebra.dim
-        mul, add, zero = f._mul, f._add, f.zero.value
-        table = [p + [zero] * (n - len(p)) for p in self._power_table[:n]]
+        f, step = self.algebra.field, self._substitute
         acc = ident = [c.value for c in self.algebra.gen().coeffs]
         for k in range(1, max_order + 1):
-            nxt = [zero] * n
-            for c, row in zip(acc, table):
-                if not f._is_zero(c):
-                    nxt = [add(s, mul(c, v)) for s, v in zip(nxt, row)]
-            acc = nxt
+            acc = step(acc)
             if all(map(f._eq, acc, ident)):
                 return k
         return None
@@ -279,15 +278,28 @@ def idempotents(algebra: MonogenicAlgebra, roots) -> list[AlgebraElement]:
                 raise ValueError("roots must be pairwise distinct")
     if UniPoly.from_roots(field, zs) != algebra.modulus:
         raise ValueError("roots do not multiply out to the modulus")
-    out = []
+    return [algebra.from_poly(l) for l in lagrange_basis(field, zs)]
+
+
+def lagrange_pairs(zs, one):
+    """(N_i, d_i) for each i, with N_i the coefficients, X^0 first, of
+    prod_{j != i} (X - z_j) and d_i = prod_{j != i} (z_i - z_j), each
+    multiplied left to right from `one`.  Entries need only +, -, *, with
+    `one` the unit of their ring; over a field with the z_i distinct,
+    N_i/d_i is the Lagrange basis polynomial, 1 at z_i and 0 at the rest."""
+    pairs = []
     for i, zi in enumerate(zs):
-        den = field.one
+        d = one
         for j, zj in enumerate(zs):
             if j != i:
-                den = den * (zi - zj)
-        num = UniPoly(field, lagrange_numerator(zs, i, field.one))
-        out.append(algebra.from_poly(num * den.inverse()))
-    return out
+                d = d * (zi - zj)
+        pairs.append((lagrange_numerator(zs, i, one), d))
+    return pairs
+
+
+def lagrange_basis(field: Field, zs) -> list[UniPoly]:
+    """The Lagrange basis N_i/d_i on the distinct field elements zs."""
+    return [UniPoly(field, num) * d.inverse() for num, d in lagrange_pairs(zs, field.one)]
 
 
 def lagrange_numerator(zs, i, one):
@@ -381,14 +393,7 @@ def verify_idempotents(roots, es) -> bool:
     one, split = _ring_parts(roots[0].field)
     q, ws = common_denominator([split(z) for z in roots], one)
     zero = one - one
-    nums = [lagrange_numerator(ws, i, one) for i in range(n)]
-    ds = []
-    for i in range(n):
-        d = one
-        for j in range(n):
-            if j != i:
-                d = d * (ws[i] - ws[j])
-        ds.append(d)
+    nums, ds = zip(*lagrange_pairs(ws, one))
     for e, num, d in zip(es, nums, ds):
         qk = one
         for c, nk in zip(e.coeffs, num):
@@ -469,10 +474,6 @@ class FpaDecomposition:
     parts: tuple
     degree: int
 
-    def __str__(self):
-        body = ", ".join(f"(m={m}, count={r})" for m, r in self.parts)
-        return f"{{{body}}}"
-
 
 def fpa_decompose(root_multiplicities) -> FpaDecomposition:
     """Group explicit (root, multiplicity) data by multiplicity."""
@@ -509,16 +510,6 @@ class AutDescription:
     factors: tuple
     permutation_part: str
     finite_order: int | None
-
-    def __str__(self):
-        lines = [f"permutation part: {self.permutation_part}"]
-        for f in self.factors:
-            lines.append(
-                f"multiplicity {f.multiplicity} (x{f.count}): {f.connected}"
-            )
-        if self.finite_order is not None:
-            lines.append(f"finite group of order {self.finite_order}")
-        return "\n".join(lines)
 
 
 def _connected_description(m: int) -> tuple[str, int]:
@@ -572,13 +563,8 @@ def brute_force_automorphisms(algebra: MonogenicAlgebra) -> list[SubstitutionMap
     check_budget(q**n, "candidate images", max(1, n * n // 16))
     elems = list(field.elements())
     roots = [z for z in elems if algebra.modulus(z).is_zero()]
-    one = field.one
-    basis = [
-        UniPoly(field, lagrange_numerator(roots, i, one))
-        * math.prod((r - z for z in roots if z != r), start=one).inverse()
-        for i, r in enumerate(roots)
-    ]
-    vanishing = UniPoly(field, lagrange_numerator(roots, None, one))
+    basis = lagrange_basis(field, roots)
+    vanishing = UniPoly.from_roots(field, roots)
     lows = [
         sum((l * v for l, v in zip(basis, vs)), UniPoly.zero(field))
         for vs in itertools.product(roots, repeat=len(roots))

@@ -197,6 +197,29 @@ def test_determinant_past_the_bound_in_subprocess():
     assert f"MAX_DIMENSION = {linalg.MAX_DIMENSION}".encode() in proc.stderr
 
 
+def test_triangular_function_field_determinant_in_subprocess():
+    # the map's matrix on k[X]/(X^14) is lower triangular, so the
+    # shared-minor table over Q(a,t) keeps few nonzero minors
+    image = "0,1+t" + ",a+t" * 12
+    argv = ["aut", "--field", "Q", "--poly", "factored:(X)^14", "--check-map", image, "--symbols", "a,t"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(b": endomorphism=True, automorphism=True\n")
+
+
+@pytest.mark.parametrize("field,q", [("F(7,2)", 49), ("Fp(53)", 53)])
+def test_chi_checks_involution_pairs_up_to_the_bound(field, q):
+    code, text = run(["chi", "--field", field, "--json"])
+    assert code == 0
+    results = json.loads(text)["results"]
+    assert results["group_order"] == q * (q - 1)
+    if q <= chi.NO_S3_BOUND:
+        # 49 involutions chi(-1, b), so 49 * 48 ordered pairs
+        assert results["no_s3"] == {"ok": True, "pairs_checked": 49 * 48}
+    else:
+        assert "no_s3" not in results
+
+
 def test_chi_over_a_large_prime_field_in_subprocess():
     # past LISTING_BOUND the element lists are omitted, not enumerated
     proc = run_subprocess(["chi", "--field", "Fp(1000000009)"], 10)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -176,6 +177,73 @@ def test_shared_minor_det_matches_cofactor_expansion():
     syms = [MultiPoly.symbol(QQ, xs, x) for x in xs]
     rows = [[s**k for k in range(4)] for s in syms]
     assert laplace_det(rows) == cofactor_det(rows)
+
+
+AT = ("a", "t")
+
+
+def random_poly_entry(rng):
+    """An affine polynomial in a and t over Q."""
+    x = MultiPoly.constant(QQ, AT, rng.randint(-3, 3))
+    for name in AT:
+        x = x + MultiPoly.symbol(QQ, AT, name) * rng.randint(-2, 2)
+    return x
+
+
+def zero_patterned_rows(entry, zero, n, shape, rng):
+    """n x n rows of entry() with zeros laid out by `shape`: "sparse" keeps
+    each entry one time in three; "triangular" zeroes everything above the
+    diagonal; "singular" confines k >= 2 rows to k - 1 columns, so the
+    determinant is zero whatever the entries are."""
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if shape == "sparse":
+        rows = [[x if rng.random() < 1 / 3 else zero for x in r] for r in rows]
+    elif shape == "triangular":
+        rows = [[x if j <= i else zero for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    else:
+        k = rng.randint(2, n)
+        cols = set(rng.sample(range(n), k - 1))
+        for i in rng.sample(range(n), k):
+            rows[i] = [x if j in cols else zero for j, x in enumerate(rows[i])]
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["sparse", "triangular", "singular"])
+def test_shared_minor_det_with_zero_entries_matches_cofactor_expansion(shape):
+    # the shared-minor table skips zero entries and stores no zero minor;
+    # a determinant whose minor is missing is zero
+    rng = random.Random(64)
+    makers = [(f, functools.partial(random_entry, f, rng), f.zero) for f in (QQ, GF(7), GF(2, 2), QT)]
+    makers.append((None, functools.partial(random_poly_entry, rng), MultiPoly.zero(QQ, AT)))
+    zeros = 0
+    for field, entry, zero in makers:
+        for n in range(2, 7):
+            for _ in range(4):
+                rows = zero_patterned_rows(entry, zero, n, shape, rng)
+                det = laplace_det(rows)
+                assert det == cofactor_det(rows), (field, rows)
+                zeros += det.is_zero()
+                if field is not None:
+                    assert Matrix(field, rows).det() == det
+    if shape == "singular":
+        assert zeros == 5 * 5 * 4
+    else:
+        assert zeros < 5 * 5 * 4
+
+
+def test_cramer_with_zero_minors_matches_gauss_jordan():
+    # over Q(t), solve reads a missing numerator minor as zero and a
+    # missing determinant as a singular matrix
+    rng = random.Random(65)
+    results = []
+    for n in (2, 3, 4):
+        for shape in ("sparse", "triangular", "singular"):
+            for _ in range(4):
+                rows = zero_patterned_rows(lambda: random_entry(QT, rng), QT.zero, n, shape, rng)
+                b = [random_entry(QT, rng) if rng.random() < 0.5 else QT.zero for _ in range(n)]
+                results.append(check_against_gauss_jordan(Matrix(QT, rows), b))
+    assert "wrong" not in results
+    assert "regular" in results and "singular" in results
 
 
 def test_solve():

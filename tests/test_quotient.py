@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from symlab.cli import run
-from symlab.fields import GF, QQ, FieldError
+from symlab.fields import GF, QQ, FieldError, rationals_with_cube_root
 from symlab.linalg import Matrix, laplace_det
 from symlab.parse import parse_ratfunc
 from symlab.poly import FunctionField, MultiPoly, UniPoly
@@ -21,7 +21,9 @@ from symlab.quotient import (
     brute_force_automorphisms,
     fpa_decompose,
     idempotents,
+    lagrange_basis,
     lagrange_numerator,
+    lagrange_pairs,
     root_differences,
     vandermonde_adjugate,
     vandermonde_pair,
@@ -238,6 +240,61 @@ class TestIdempotents:
         assert lagrange_numerator(zs, 0, one) == [6, -5, 1]  # (X - 2)(X - 3)
         assert lagrange_numerator(zs, 2, one) == [2, -3, 1]  # (X - 1)(X - 2)
         assert lagrange_numerator(zs[:1], 0, one) == [1]
+
+    @pytest.mark.parametrize(
+        "field",
+        [GF(5), GF(7), GF(2, 2), QQ, rationals_with_cube_root()],
+        ids=["F5", "F7", "F4", "Q", "Qzeta3"],
+    )
+    def test_lagrange_basis_interpolates(self, field):
+        # l_i(z_j) = delta_ij, sum_i l_i = 1, and d_i = N_i(z_i)
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        if field.size() is not None:
+            values = st.sampled_from(list(field.elements()))
+        else:
+            rational = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+            values = st.builds(lambda x, y: field.coerce(x) + field.generator() * field.coerce(y),
+                               rational, rational) if field != QQ else rational.map(field.coerce)
+
+        @settings(max_examples=40, deadline=None, database=None)
+        @given(st.lists(values, min_size=1, max_size=5, unique_by=str))
+        def check(zs):
+            one, zero = field.one, field.zero
+            basis = lagrange_basis(field, zs)
+            for i, ((num, d), l) in enumerate(zip(lagrange_pairs(zs, one), basis)):
+                assert UniPoly(field, num)(zs[i]) == d
+                assert l == UniPoly(field, num) * d.inverse()
+                assert [l(z) for z in zs] == [one if j == i else zero for j in range(len(zs))]
+            assert sum(basis, UniPoly.zero(field)) == UniPoly.constant(field, 1)
+
+        check()
+
+    def test_lagrange_pairs_over_a_polynomial_ring(self):
+        # over k[a, t], with no division: N_i(z_j) = 0 for j != i,
+        # N_i(z_i) = d_i, and sum_i N_i * prod_{j != i} d_j = prod_j d_j
+        syms = ("a", "t")
+        one = MultiPoly.constant(QQ, syms, 1)
+        a, t = (MultiPoly.symbol(QQ, syms, s) for s in syms)
+        zs = [one - one, a, t, a + t * 2, a * t - one]
+        pairs = lagrange_pairs(zs, one)
+
+        def at(cs, z):
+            acc = one - one
+            for c in reversed(cs):
+                acc = acc * z + c
+            return acc
+
+        for i, (num, d) in enumerate(pairs):
+            assert num == lagrange_numerator(zs, i, one)
+            assert [at(num, z) for z in zs] == [d if j == i else one - one for j in range(len(zs))]
+        ds = [d for _, d in pairs]
+        total = [one - one] * len(zs)
+        for i, (num, _) in enumerate(pairs):
+            rest = functools.reduce(lambda x, y: x * y, ds[:i] + ds[i + 1:], one)
+            total = [s + c * rest for s, c in zip(total, num)]
+        assert total == [functools.reduce(lambda x, y: x * y, ds, one)] + [one - one] * (len(zs) - 1)
 
     def test_errors(self):
         a = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
@@ -553,6 +610,7 @@ class TestBruteForce:
     def test_orders_match_repeated_composition(self, field):
         for pattern, a in pattern_algebras(field, 4):
             auts = brute_force_automorphisms(a)
+            assert SubstitutionMap.identity(a) in auts, pattern  # not vacuous
             for g in auts:
                 assert g.order(len(auts)) == order_by_composition(g, len(auts)), (pattern, g)
 

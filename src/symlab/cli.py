@@ -30,7 +30,7 @@ from .families import (
     survival_condition,
     surviving_subgroup,
 )
-from .fields import Field, FieldError, parse_field_spec
+from .fields import MAX_POWER_DIGITS, QQ, Field, FieldError, parse_field_spec
 from .lines import (
     INFINITE,
     INTERSECTING,
@@ -508,6 +508,13 @@ def _text_talg(res: dict) -> list[str]:
 # -- lines -------------------------------------------------------------------
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refused unread past MAX_POWER_DIGITS digits or 4 exponent characters."""
+    if sum(map(str.isdigit, text)) > MAX_POWER_DIGITS or len(text.lower().partition("e")[2]) > 4:
+        raise InputError(f"a number of more than MAX_POWER_DIGITS = {MAX_POWER_DIGITS} digits")
+    return Fraction(text)
+
+
 def _parse_config(text: str) -> Config4:
     rows = [r.strip() for r in text.split(";") if r.strip()]
     if len(rows) != 4:
@@ -518,7 +525,7 @@ def _parse_config(text: str) -> Config4:
         if len(parts) != 3:
             raise InputError(f"line {r!r} must have three rational entries")
         try:
-            lines.append(Line(Fraction(parts[0]), Fraction(parts[1]), Fraction(parts[2])))
+            lines.append(Line(*map(_fraction, parts)))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad line {r!r}: {e}") from None
     return Config4(lines)
@@ -571,8 +578,7 @@ def _cmd_lines(args) -> dict:
     else:
         if args.family != "paper":
             raise InputError("only the built-in 'paper' family is available")
-        lo = Fraction(args.start)
-        hi = Fraction(args.stop)
+        lo, hi = _fraction(args.start), _fraction(args.stop)
         steps = args.steps
         if steps < 1:
             raise InputError("--steps must be at least 1")
@@ -580,19 +586,20 @@ def _cmd_lines(args) -> dict:
             raise InputError(f"--steps must be at most MAX_STEPS = {MAX_STEPS}")
         grid = [lo + (hi - lo) * Fraction(i, max(steps - 1, 1)) for i in range(steps)]
         rep = sweep(pivot_family, grid)
+        ts = [str(QQ.coerce(r.t)) for r in rep.rows]  # refused past MAX_POWER_DIGITS
         results = {
-            "grid": [str(r.t) for r in rep.rows],
+            "grid": ts,
             "rows": [
                 {
-                    "t": str(r.t),
+                    "t": t,
                     "generic_order": r.generic_order,
                     "design_order": r.design_order
                     if r.design_order != INFINITE
                     else "infinite",
                 }
-                for r in rep.rows
+                for t, r in zip(ts, rep.rows)
             ],
-            "transitions_at": [str(rep.rows[i].t) for i in rep.transitions],
+            "transitions_at": [ts[i] for i in rep.transitions],
         }
         inputs = {
             "family": args.family,

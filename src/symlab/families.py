@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldElement, RationalField
-from .poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly, taylor
+from .poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly, clear_denominators, taylor
 from .quotient import (
     AlgebraHom,
     MonogenicAlgebra,
@@ -322,12 +322,6 @@ def _rational_roots(g: UniPoly) -> set:
         for s in (1, -1)
         if math.gcd(p, q) == 1 and is_root(s * p, q)
     }
-
-
-def clear_denominators(vals) -> list:
-    """Rationals times their least common denominator, as integers."""
-    scale = math.lcm(*(v.denominator for v in vals))
-    return [v.numerator * (scale // v.denominator) for v in vals]
 
 
 def _divisors(n: int):

@@ -47,6 +47,12 @@ def check_budget(count: int, what: str, weight: int = 1):
         )
 
 
+# Most decimal digits of an integer or power that parse reads, and of a
+# rational printed over Q or read by `lines`; Python converts up to 4300.
+MAX_POWER_DIGITS = 4000
+_DIGIT_LIMIT = 10**MAX_POWER_DIGITS
+
+
 def signed_sum(terms, wrap: bool = False) -> str:
     """Join (coefficient string, monomial) pairs as "c*m + m - c*m".
 
@@ -330,6 +336,11 @@ class RationalField(Field):
 
     def _canonical(self, a):
         return a
+
+    def _fmt(self, a):
+        if max(abs(a.numerator), a.denominator) >= _DIGIT_LIMIT:
+            raise ValueError(f"a number of more than MAX_POWER_DIGITS = {MAX_POWER_DIGITS} digits")
+        return str(a)
 
     def _is_zero(self, a):
         return a == 0

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import clear_denominators, is_perm_group
+from .families import is_perm_group
+from .poly import clear_denominators
 
 INTERSECTING = "intersecting"
 PARALLEL = "parallel-distinct"

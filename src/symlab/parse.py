@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .fields import Field, primitive_cube_root
+from .fields import MAX_POWER_DIGITS, Field, primitive_cube_root
 from .poly import RationalFunction
 
 
@@ -36,12 +36,6 @@ MAX_NESTING = 100
 # --roots 0,t^D,1` takes 0.19, 0.67 and 2.5 s for D = 50, 100 and 200, and
 # `aut --poly factored:(X)^D` 0.01, 0.05 and 0.18 s.
 MAX_DEGREE = 100
-
-# Most decimal digits of an integer literal, and of the integers in a power
-# r^n over Q or Q(zeta3), estimated as n * log10(height(r)) before it is
-# formed; below the 4300 digits Python converts by default, so every admitted
-# literal can be read and every admitted power can still be printed.
-MAX_POWER_DIGITS = 4000
 
 
 class ParseError(ValueError):

@@ -2,16 +2,17 @@
 
 Univariate polynomials live over any fields.Field (including the function
 fields defined at the bottom of this module).  Multivariate polynomials
-carry a fixed, ordered symbol tuple; rational functions are unreduced
-numerator/denominator pairs whose equality is decided by cross
-multiplication, so no multivariate gcd is ever needed.  Construction does
-strip shared monomial content, shared integer content over Q, and makes the
-denominator's leading coefficient canonical, which keeps printed output
-stable and fraction growth tame.  In a single symbol it also cancels the
-gcd of numerator and denominator: over Q in Z[t], by a primitive
-pseudo-remainder sequence on Python ints, and over other fields by Euclid
-on raw field values, taking remainders only.  Every evaluation, expansion
-and limit at a point reads the one Taylor kernel `taylor`.
+carry a fixed, ordered symbol tuple; rational functions are pairs of them
+whose equality is decided by cross multiplication, so no multivariate gcd
+is ever needed.  Every construction reads the one canonical form
+`_canonical`, a single pass on raw values: it strips shared monomial
+content, over Q clears both denominators together, and makes the content
+and the denominator's leading coefficient canonical, which keeps printed
+output stable and fraction growth tame.  In a single symbol it also
+cancels the gcd of numerator and denominator: over Q in Z[t], by a
+primitive pseudo-remainder sequence on Python ints, and over other fields
+by Euclid on raw field values, taking remainders only.  Every evaluation,
+expansion and limit at a point reads the one Taylor kernel `taylor`.
 """
 
 from __future__ import annotations
@@ -64,10 +65,7 @@ class UniPoly(Arithmetic):
 
     @classmethod
     def from_roots(cls, field, roots):
-        p = cls.constant(field, 1)
-        for r in roots:
-            p = p * cls(field, [-field.coerce(r), field.one])
-        return p
+        return cls(field, lagrange_numerator([field.coerce(r) for r in roots], None, field.one))
 
     @property
     def degree(self) -> int:
@@ -109,8 +107,8 @@ class UniPoly(Arithmetic):
         return UniPoly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        # scaling by a constant, frequent in RationalFunction._normalize and
-        # the interpolation tables, skips the general product
+        # scaling by a constant, frequent in the interpolation tables, skips
+        # the general product
         if isinstance(other, (FieldElement, int, Fraction)):
             c = self.field.coerce(other)
             return UniPoly(self.field, [a * c for a in self.coeffs])
@@ -518,59 +516,72 @@ def _int_exact_quotient(a: list, g: list) -> list:
     return quo
 
 
-def _reduce_univariate(num: MultiPoly, den: MultiPoly):
-    """Cancel the univariate gcd when the context has a single symbol:
-    (num / g, den / g) for their monic gcd g.
+def clear_denominators(vals) -> list:
+    """Rationals times their least common denominator, as integers."""
+    scale = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals]
 
-    Over Q the gcd is taken in Z[t] (Gauss's lemma): with num = A/da and
-    den = B/db for integer polynomials A, B and a primitive gcd G of A and
-    B with leading coefficient l, g = G/l, so num / g = (A/G) * l/da, with
-    A/G an exact division in Z[t].  Other fields run Euclid on their raw
-    values.
-    """
-    field = num.field
-    if isinstance(field, RationalField):
-        a, b = (p.split(num.symbols[0])[()] for p in (num, den))
-        da = math.lcm(*(v.denominator for v in a))
-        db = math.lcm(*(v.denominator for v in b))
-        ia = [v.numerator * (da // v.denominator) for v in a]
-        ib = [v.numerator * (db // v.denominator) for v in b]
-        g = _int_gcd(ia, ib)
-        if len(g) < 2:
-            return num, den
-        lead = g[-1]
-        a = [Fraction(c * lead, da) for c in _int_exact_quotient(ia, g)]
-        b = [Fraction(c * lead, db) for c in _int_exact_quotient(ib, g)]
+
+def lagrange_numerator(zs, i, one):
+    """Coefficients, X^0 first, of prod_{j != i} (X - z_j), the product
+    over every j when i is None; entries need only +, -, *, with `one` the
+    unit of their ring."""
+    numer = [one]
+    for j, z in enumerate(zs):
+        if j != i:
+            numer = (
+                [-(z * numer[0])]
+                + [a - z * b for a, b in zip(numer, numer[1:])]
+                + [numer[-1]]
+            )
+    return numer
+
+
+def _canonical(num: MultiPoly, den: MultiPoly):
+    """(num, den) in canonical form, den nonzero, read once as raw values
+    and each wrapped once.  The largest monomial dividing every term of both is
+    stripped.  Over Q both are cleared of denominators together; in a single
+    symbol their primitive gcd in Z[t] is divided out, and then the joint
+    integer content, with the sign that makes den's leading term (in
+    `_sorted_terms` order) positive.  Over other fields, in a single symbol,
+    the monic gcd is divided out, and both are scaled by the inverse of
+    den's leading coefficient.  In one symbol the coprime pair so scaled is
+    unique, so equal values print alike."""
+    f, symbols = num.field, num.symbols
+    if num.is_zero():
+        return num, MultiPoly._wrap(f, symbols, {(0,) * len(symbols): f.one.value})
+    rational = isinstance(f, RationalField)
+    lows = [min(e) for e in zip(*num.terms, *den.terms)]
+    if len(symbols) == 1:
+        a, b = (p.split(symbols[0])[()][lows[0] :] for p in (num, den))
+        if rational:
+            ints = clear_denominators(a + b)
+            a, b = ints[: len(a)], ints[len(a) :]
+            g = _int_gcd(a, b)
+            if len(g) > 1:
+                a, b = _int_exact_quotient(a, g), _int_exact_quotient(b, g)
+        else:
+            g = _poly_gcd(UniPoly._wrap(f, a), UniPoly._wrap(f, b))
+            if g.degree > 0:
+                a, b = ([c.value for c in (UniPoly._wrap(f, p) // g).coeffs] for p in (a, b))
+        parts = [{(k,): v for k, v in enumerate(p) if not f._is_zero(v)} for p in (a, b)]
     else:
-        a, b = (UniPoly._wrap(field, p.split(num.symbols[0])[()]) for p in (num, den))
-        g = _poly_gcd(a, b)
-        if g.degree < 1:
-            return num, den
-        a, b = ([c.value for c in (p // g).coeffs] for p in (a, b))
-    is_zero = field._is_zero
-
-    def back(values):
-        return MultiPoly._wrap(
-            field, num.symbols, {(k,): v for k, v in enumerate(values) if not is_zero(v)}
-        )
-
-    return back(a), back(b)
-
-
-def _strip_monomial_content(num: MultiPoly, den: MultiPoly):
-    """Divide both by the largest monomial dividing every term of both."""
-    mins = [min(e[i] for p in (num, den) for e in p.terms) for i in range(len(num.symbols))]
-    if not any(mins):
-        return num, den
-
-    def divide(p):
-        return MultiPoly(
-            p.field,
-            p.symbols,
-            {tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()},
-        )
-
-    return divide(num), divide(den)
+        parts = [
+            {tuple(map(operator.sub, e, lows)): c.value for e, c in p.terms.items()}
+            for p in (num, den)
+        ]
+        if rational:
+            ints = clear_denominators([v for p in parts for v in p.values()])
+            parts = [dict(zip(parts[0], ints)), dict(zip(parts[1], ints[len(parts[0]) :]))]
+    lead = parts[1][max(parts[1], key=lambda e: (sum(e), e))]
+    if rational:
+        s = math.gcd(*parts[0].values(), *parts[1].values())
+        s = -s if lead < 0 else s
+        parts = [{e: Fraction(v // s) for e, v in p.items()} for p in parts]
+    else:
+        inv = f._inv(lead)
+        parts = [{e: f._mul(v, inv) for e, v in p.items()} for p in parts]
+    return tuple(MultiPoly._wrap(f, symbols, p) for p in parts)
 
 
 class RationalFunction(Arithmetic):
@@ -583,38 +594,7 @@ class RationalFunction(Arithmetic):
             raise ValueError("numerator and denominator in different contexts")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = MultiPoly.constant(den.field, den.symbols, 1)
-        else:
-            num, den = _strip_monomial_content(num, den)
-            if len(num.symbols) == 1:
-                num, den = _reduce_univariate(num, den)
-        num, den = self._normalize(num, den)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def _normalize(num, den):
-        field = num.field
-        if isinstance(field, RationalField):
-            vals = [c.value for c in num.terms.values()] + [c.value for c in den.terms.values()]
-            lcm_den = math.lcm(*(v.denominator for v in vals))
-            gcd_num = math.gcd(*(abs(v.numerator) for v in vals))
-            scale = Fraction(lcm_den, gcd_num) if gcd_num else Fraction(lcm_den)
-            lead = den._sorted_terms()[0][1].value * scale
-            if lead < 0:
-                scale = -scale
-            if scale != 1:
-                s = field.coerce(scale)
-                num = num * s
-                den = den * s
-            return num, den
-        lead = den._sorted_terms()[0][1]
-        if lead != field.one:
-            inv = lead.inverse()
-            num = num * inv
-            den = den * inv
-        return num, den
+        self.num, self.den = _canonical(num, den)
 
     @classmethod
     def from_poly(cls, p: MultiPoly):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .fields import Field, FieldError, check_budget, power
 from .linalg import CoordinateVector, Matrix
-from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values
+from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values, lagrange_numerator
 
 
 class MonogenicAlgebra:
@@ -300,21 +300,6 @@ def lagrange_pairs(zs, one):
 def lagrange_basis(field: Field, zs) -> list[UniPoly]:
     """The Lagrange basis N_i/d_i on the distinct field elements zs."""
     return [UniPoly(field, num) * d.inverse() for num, d in lagrange_pairs(zs, field.one)]
-
-
-def lagrange_numerator(zs, i, one):
-    """Coefficients, X^0 first, of prod_{j != i} (X - z_j), the product
-    over every j when i is None; entries need only +, -, *, with `one` the
-    unit of their ring."""
-    numer = [one]
-    for j, z in enumerate(zs):
-        if j != i:
-            numer = (
-                [-(z * numer[0])]
-                + [a - z * b for a, b in zip(numer, numer[1:])]
-                + [numer[-1]]
-            )
-    return numer
 
 
 def common_denominator(pairs, one):

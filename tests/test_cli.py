@@ -189,6 +189,33 @@ def test_constant_power_past_the_bound_in_subprocess(constant):
     assert f"MAX_POWER_DIGITS = {parse.MAX_POWER_DIGITS}".encode() in proc.stderr
 
 
+NINES = "9" * 4400  # past the 4300 digits Python converts by default
+# two values of 2,500-digit denominators in [1/2, 1]: the sweep's grid
+# points have denominators of about 5,000 digits
+WIDE_FROM, WIDE_TO = "7" * 2500 + "/" + "9" * 2500, "8" * 2500 + "/" + "9" * 2499 + "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--roots", "0,t,2^13000"],
+        ["family", "--roots", "0,t,2^13000", "--json"],
+        ["idem", "--roots", "0,2^13000,1"],
+        ["lines", "--to", NINES],
+        ["lines", "--config", f"{NINES} 1 0; 0 1 0; 1 0 0; 1 1 4"],
+        ["lines", "--from", WIDE_FROM, "--to", WIDE_TO, "--steps", "3"],
+    ],
+    ids=["family", "family_json", "idem", "lines_to", "lines_config", "lines_sweep"],
+)
+def test_digits_past_the_bound_in_subprocess(argv):
+    # an admitted power whose products outgrow the bound, a literal past it,
+    # and sweep points past it, each refused before Python's own limit
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert f"MAX_POWER_DIGITS = {fields.MAX_POWER_DIGITS}".encode() in proc.stderr
+
+
 def test_determinant_past_the_bound_in_subprocess():
     # checking X -> X on k[X]/(X^16) needs a 16 x 16 determinant
     proc = run_subprocess(["aut", "--poly", "factored:(X)^16", "--check-map", "0,1"], 10)

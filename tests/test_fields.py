@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symlab.fields import (
+    MAX_POWER_DIGITS,
     ExtensionField,
     FieldError,
     GF,
@@ -199,3 +200,13 @@ def test_power_behind_every_pow():
     for base, _ in cases[2:]:
         with pytest.raises(ValueError):
             base**-1
+
+
+def test_printing_refuses_more_digits_than_the_bound():
+    big = 10**MAX_POWER_DIGITS  # MAX_POWER_DIGITS + 1 digits
+    zeta = rationals_with_cube_root()
+    assert str(QQ.coerce(big - 1)) == "9" * MAX_POWER_DIGITS
+    assert str(QQ.coerce(Fraction(-1, big - 1))) == "-1/" + "9" * MAX_POWER_DIGITS
+    for x in (QQ.coerce(big), QQ.coerce(Fraction(1, big)), QQ.coerce(-big), zeta.coerce(big)):
+        with pytest.raises(ValueError, match=f"MAX_POWER_DIGITS = {MAX_POWER_DIGITS}"):
+            str(x)

@@ -1,6 +1,10 @@
 """Properties of the raw-value kernels, UniPoly divmod, the MultiPoly
 product and the univariate gcd, over Q, F_7, F_8 and Q(zeta3), and of the
-integer-gcd reduction of rational functions over Q."""
+canonical form of rational functions (poly._canonical) over the same
+fields in t and in a, t."""
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -8,12 +12,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from symlab.fields import GF, QQ, rationals_with_cube_root  # noqa: E402
-from symlab.poly import MultiPoly, UniPoly, _poly_gcd, _reduce_univariate  # noqa: E402
+from symlab.poly import MultiPoly, RationalFunction, UniPoly, _poly_gcd  # noqa: E402
 
 
 KERNEL_FIELDS = [QQ, GF(7), GF(2, 3), rationals_with_cube_root()]
 KERNEL_IDS = ["Q", "F7", "F8", "Qzeta3"]
 XY = ("x", "y")
+CONTEXTS = [("t",), ("a", "t")]
+CONTEXT_IDS = ["t", "a,t"]
 kernel_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -35,11 +41,15 @@ def unipolys(field, max_deg=5):
     return st.lists(elements(field), max_size=max_deg + 1).map(lambda cs: UniPoly(field, cs))
 
 
-def multipolys(field):
-    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    return st.dictionaries(exps, elements(field), max_size=5).map(
-        lambda terms: MultiPoly(field, XY, terms)
+def multipolys(field, symbols=XY, max_size=5):
+    exps = st.tuples(*[st.integers(0, 2)] * len(symbols))
+    return st.dictionaries(exps, elements(field), max_size=max_size).map(
+        lambda terms: MultiPoly(field, symbols, terms)
     )
+
+
+def raw_terms(p):
+    return {e: c.value for e, c in p.terms.items()}
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
@@ -106,6 +116,17 @@ def fraction_euclid_reduce(num, den):
     return back(a // g), back(b // g)
 
 
+def jointly_primitive(num, den):
+    """The raw terms of num and den times the one rational that makes them
+    integers with joint gcd 1 and den's highest coefficient in t positive:
+    the test-local oracle for the scaling of the canonical form."""
+    vals = [c.value for p in (num, den) for c in p.terms.values()]
+    scale = Fraction(math.lcm(*(v.denominator for v in vals)), math.gcd(*(v.numerator for v in vals)))
+    if den.terms[(den.degree_in("t"),)].value < 0:
+        scale = -scale
+    return [{e: v * scale for e, v in raw_terms(p).items()} for p in (num, den)]
+
+
 def test_integer_gcd_reduction_matches_fraction_euclid():
     @kernel_settings
     @given(unipolys(QQ, 3), unipolys(QQ, 3), unipolys(QQ, 3), elements(QQ))
@@ -114,12 +135,63 @@ def test_integer_gcd_reduction_matches_fraction_euclid():
             return
         num = MultiPoly(QQ, ("t",), {(k,): c for k, c in enumerate((f * g).coeffs)})
         den = MultiPoly(QQ, ("t",), {(k,): c * scale for k, c in enumerate((f * h).coeffs)})
-        got = _reduce_univariate(num, den)
-        expected = fraction_euclid_reduce(num, den)
-        assert [p.terms for p in got] == [p.terms for p in expected]
+        got = RationalFunction(num, den)
+        expected = jointly_primitive(*fraction_euclid_reduce(num, den))
+        assert [raw_terms(got.num), raw_terms(got.den)] == expected
         # what is left is coprime
         rn, rd = (UniPoly(QQ, [p.terms.get((k,), 0) for k in range(p.degree_in("t") + 1)])
-                  for p in got)
+                  for p in (got.num, got.den))
         assert _poly_gcd(rn, rd) == UniPoly(QQ, [1])
+
+    check()
+
+
+def assert_canonical(r, num, den):
+    """r = num/den by cross multiplication, and r's coefficients are scaled
+    canonically: over Q integers with joint gcd 1 and den's leading term
+    positive, over other fields den's leading coefficient 1."""
+    assert r.num * den == num * r.den
+    lead = r.den._sorted_terms()[0][1]
+    if r.field == QQ:
+        vals = [c.value for p in (r.num, r.den) for c in p.terms.values()]
+        assert all(v.denominator == 1 for v in vals)
+        assert math.gcd(*(v.numerator for v in vals)) == 1
+        assert lead.value > 0
+    else:
+        assert lead == r.field.one
+
+
+@pytest.mark.parametrize("symbols", CONTEXTS, ids=CONTEXT_IDS)
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_canonical_form_is_scaled_and_keeps_the_value(field, symbols):
+    exps = st.tuples(*[st.integers(0, 2)] * len(symbols))
+
+    @kernel_settings
+    @given(multipolys(field, symbols, 4), multipolys(field, symbols, 4), elements(field), exps)
+    def check(num, den, c, e):
+        if den.is_zero():
+            return
+        r = RationalFunction(num, den)
+        assert_canonical(r, num, den)
+        if c.is_zero():
+            return
+        # a common constant or monomial factor does not change the form
+        for m in (MultiPoly(field, symbols, {(0,) * len(symbols): c}), MultiPoly(field, symbols, {e: c})):
+            scaled = RationalFunction(num * m, den * m)
+            assert [raw_terms(scaled.num), raw_terms(scaled.den)] == [raw_terms(r.num), raw_terms(r.den)]
+
+    check()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_canonical_form_cancels_a_common_factor_in_one_symbol(field):
+    @kernel_settings
+    @given(*[multipolys(field, ("t",), 4)] * 3)
+    def check(num, den, h):
+        if den.is_zero() or h.is_zero():
+            return
+        r, cancelled = RationalFunction(num, den), RationalFunction(num * h, den * h)
+        assert_canonical(cancelled, num, den)
+        assert [raw_terms(cancelled.num), raw_terms(cancelled.den)] == [raw_terms(r.num), raw_terms(r.den)]
 
     check()

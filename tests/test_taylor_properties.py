@@ -15,11 +15,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from symlab.fields import GF, QQ, FieldElement, rationals_with_cube_root  # noqa: E402
 from symlab.poly import MultiPoly, Pole, RationalFunction, UniPoly, taylor  # noqa: E402
 
-from test_poly_properties import KERNEL_FIELDS, KERNEL_IDS, elements, unipolys  # noqa: E402
+from test_poly_properties import CONTEXT_IDS, CONTEXTS, KERNEL_FIELDS, KERNEL_IDS, elements, unipolys  # noqa: E402
 
 limit_settings = settings(max_examples=80, deadline=None, derandomize=True, database=None)
-CONTEXTS = [("t",), ("a", "t")]
-CONTEXT_IDS = ["t", "a,t"]
 
 t0s = st.sampled_from([Fraction(0)]) | st.fractions(
     min_value=-3, max_value=3, max_denominator=3

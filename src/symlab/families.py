@@ -240,14 +240,14 @@ class RootFamily:
                 factors[g] = None
         for g in factors:
             if g.degree == 1:
-                found.add(-g.coeffs[0] / g.coeffs[1])
+                found.add(-g.coeff(0) / g.coeff(1))
             elif g.degree >= 2:
                 if field.size() is not None:
                     candidates = field.elements()
                 elif isinstance(field, RationalField):
                     candidates = _rational_roots(g)
-                elif g.degree == 2 and all(c.value[1] == 0 for c in g.coeffs):
-                    rational = clear_denominators([c.value[0] for c in g.coeffs])
+                elif g.degree == 2 and all(c[1] == 0 for c in g.coeffs):
+                    rational = clear_denominators([c[0] for c in g.coeffs])
                     candidates = _quadratic_roots(field, *rational)
                 else:
                     candidates = ()
@@ -294,7 +294,7 @@ def _rational_roots(g: UniPoly) -> set:
     on, by the rational root theorem, the +-p/q in lowest terms with p
     dividing the constant and q the leading coefficient that are roots.
     Raises ValueError past DIVISOR_SEARCH_BOUND."""
-    ints = clear_denominators([c.value for c in g.coeffs])
+    ints = clear_denominators(g.coeffs)
     if g.degree == 2:
         return _quadratic_roots(g.field, *ints)
     d = g.degree
@@ -534,37 +534,28 @@ class SurvivalCondition:
 def survival_condition(sigma: tuple, field: Field = None) -> SurvivalCondition:
     """Survival condition of a permutation of the scaled three-root family.
 
-    Works with the exact adjugate of the symbolic Vandermonde matrix, so the
-    condition polynomial comes out with no spurious factors: the coefficient
-    of X^2 is t^(-1) * R(x)/D(x) with D = prod of root differences, and R is
-    the returned condition; the coefficient of X is limit_linear_coeff,
-    independent of t.
+    By the scaling law the map for the roots t*x_i is X -> t*g(X/t), g the
+    map for the roots x_i, so its X^k coefficient is t^(1-k) times that of
+    g.  Its X^2 coefficient is t^(-1) * R(x)/D(x) and its X coefficient
+    limit_linear_coeff = L(x)/D(x), independent of t: D = prod of root
+    differences is the Vandermonde determinant of x1, x2, x3, and R and L
+    are rows 2 and 1 of its exact adjugate applied to (x_sigma(1),
+    x_sigma(2), x_sigma(3)), so the condition R has no spurious factors.
     """
     if field is None:
         field = RationalField()
     if sorted(sigma) != [0, 1, 2]:
         raise ValueError("sigma must be a permutation of three slots")
-    full = SCALED_SYMBOLS
-
-    def sym(name):
-        return MultiPoly.symbol(field, full, name)
-
-    t = sym("t")
-    xs = [sym("x1"), sym("x2"), sym("x3")]
-    adj, det = vandermonde_adjugate([t * x for x in xs], MultiPoly.constant(field, full, 1))
-    permuted = [t * xs[sigma[i]] for i in range(3)]
-    c1_num, c2_num = (MultiPoly.dot(adj[k], permuted) for k in (1, 2))
-
-    # det = t^3 * D(x); c2_num * t = t^3 * R(x); c1_num = t^3 * L(x),
-    # so taking the t^3 coefficient leaves polynomials in x1, x2, x3 only
-    dpoly = det.coeff_of_power("t", 3)
-    condition = (c2_num * t).coeff_of_power("t", 3)
-    linear = c1_num.coeff_of_power("t", 3)
+    symbols = SCALED_SYMBOLS[:3]
+    xs = [MultiPoly.symbol(field, symbols, name) for name in symbols]
+    adj, det = vandermonde_adjugate(xs, MultiPoly.constant(field, symbols, 1))
+    permuted = [xs[j] for j in sigma]
+    linear, condition = (MultiPoly.dot(adj[k], permuted) for k in (1, 2))
     return SurvivalCondition(
         sigma=tuple(sigma),
         condition=condition,
-        denominator=dpoly,
-        limit_linear_coeff=RationalFunction(linear, dpoly),
+        denominator=det,
+        limit_linear_coeff=RationalFunction(linear, det),
     )
 
 

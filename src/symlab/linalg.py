@@ -4,6 +4,8 @@ Two kernels give determinants, solves and inverses.  Over a field whose
 elements are canonical (Q, F_p, their extensions), row reduction on raw
 values; over a function field, whose quotients would each need a gcd, the
 division-free Laplace expansion with shared minors and Cramer's rule.
+A matrix holds the field's raw values, which both kernels read directly;
+entries leave as FieldElements (m[i, j], det, mul_vec, solve).
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ def _shared_minors(rows):
 
 
 def laplace_det(rows):
-    """Determinant from the shared-minor table; works for FieldElement and
-    MultiPoly entries alike.  Matrix.det reads it over a function field."""
+    """Determinant from the shared-minor table, for entries that need only
+    +, -, * and is_zero: field elements, polynomials, or the raw
+    RationalFunction values that Matrix.det passes over a function field."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
@@ -155,13 +158,14 @@ class CoordinateVector(Arithmetic):
 
 
 class Matrix:
-    """Immutable dense matrix over a field."""
+    """Immutable dense matrix over a field; `rows` holds the field's raw
+    values, and only single entries leave as field elements."""
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Field, rows):
         self.field = field
-        self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(field.coerce(x).value for x in r) for r in rows)
         if self.rows:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):
@@ -169,19 +173,16 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, field, rows):
-        """From rows of raw values of `field`: each is wrapped once, without
-        coercion."""
+        """From rows of raw values of `field`, stored without coercion."""
         m = cls.__new__(cls)
         m.field = field
-        m.rows = tuple(tuple(FieldElement(field, v) for v in r) for r in rows)
+        m.rows = tuple(map(tuple, rows))
         return m
 
     @classmethod
     def identity(cls, field, n):
-        return cls(
-            field,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-        )
+        one, zero = field.one.value, field.zero.value
+        return cls._wrap(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self):
@@ -193,38 +194,32 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return FieldElement(self.field, self.rows[i][j])
+
+    def _dot(self, xs, ys):
+        """sum_k xs[k] * ys[k] on raw values."""
+        f = self.field
+        acc = f.zero.value
+        for x, y in zip(xs, ys):
+            acc = f._add(acc, f._mul(x, y))
+        return acc
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        return Matrix(
-            self.field,
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)),
-                        self.field.zero,
-                    )
-                    for j in range(other.ncols)
-                ]
-                for i in range(self.nrows)
-            ],
-        )
+        cols = list(zip(*other.rows))
+        return Matrix._wrap(self.field, [[self._dot(r, c) for c in cols] for r in self.rows])
 
     def mul_vec(self, vec):
-        vec = [self.field.coerce(x) for x in vec]
+        vec = [self.field.coerce(x).value for x in vec]
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return [
-            sum((self.rows[i][k] * vec[k] for k in range(self.ncols)), self.field.zero)
-            for i in range(self.nrows)
-        ]
+        return [FieldElement(self.field, self._dot(r, vec)) for r in self.rows]
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)))
+        return Matrix._wrap(self.field, zip(*self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -238,9 +233,8 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if self.rows and isinstance(self.field, FunctionField):
-            return laplace_det([list(r) for r in self.rows])
-        rows = [[x.value for x in r] for r in self.rows]
-        return FieldElement(self.field, _row_reduce(self.field, rows))
+            return FieldElement(self.field, laplace_det(self.rows))
+        return FieldElement(self.field, _row_reduce(self.field, [list(r) for r in self.rows]))
 
     def is_invertible(self) -> bool:
         return not self.det().is_zero()
@@ -254,12 +248,13 @@ class Matrix:
         return Matrix._wrap(self.field, self._eliminate(eye))
 
     def _eliminate(self, rhs_rows):
-        """Raw rows of X with self * X = the matrix of rows `rhs_rows`, by
-        row reduction and back substitution; raises ValueError when singular."""
+        """Raw rows of X with self * X = the matrix of raw rows `rhs_rows`,
+        by row reduction and back substitution; raises ValueError when
+        singular."""
         f, n = self.field, self.nrows
         if n != self.ncols:
             raise ValueError("elimination with a non-square matrix")
-        rows = [[x.value for x in (*r, *e)] for r, e in zip(self.rows, rhs_rows)]
+        rows = [[*r, *e] for r, e in zip(self.rows, rhs_rows)]
         if f._is_zero(_row_reduce(f, rows)):
             raise ValueError("matrix is singular")
         out = [row[n:] for row in rows]
@@ -274,27 +269,28 @@ class Matrix:
         rhs], the one without the last column is det(self), and the one
         without column j is the numerator of x_j times (-1)^(n-1-j), so only
         the final quotients divide.  Otherwise by row reduction."""
-        n = self.nrows
+        f, n = self.field, self.nrows
         if n != self.ncols:
             raise ValueError("solve with a non-square matrix")
-        rhs = [self.field.coerce(x) for x in rhs]
+        rhs = [f.coerce(x).value for x in rhs]
         if len(rhs) != n:
             raise ValueError("vector length mismatch")
         if n == 0:
             return []
-        if not isinstance(self.field, FunctionField):
-            return [FieldElement(self.field, r[0]) for r in self._eliminate([[b] for b in rhs])]
-        minors = _shared_minors([list(r) + [b] for r, b in zip(self.rows, rhs)])
+        if not isinstance(f, FunctionField):
+            return [FieldElement(f, r[0]) for r in self._eliminate([[b] for b in rhs])]
+        minors = _shared_minors([[*r, b] for r, b in zip(self.rows, rhs)])
         full = (1 << (n + 1)) - 1
         det = minors.get(full ^ (1 << n))
         if det is None:
             raise ValueError("matrix is singular")
         inv = det.inverse()
-        xs = [minors.get(full ^ (1 << j), self.field.zero) * inv for j in range(n)]
-        return [-x if (n - 1 - j) % 2 else x for j, x in enumerate(xs)]
+        xs = [minors.get(full ^ (1 << j), f.zero.value) * inv for j in range(n)]
+        return [FieldElement(f, -x if (n - 1 - j) % 2 else x) for j, x in enumerate(xs)]
 
     def __str__(self):
-        return "[" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + "]"
+        fmt = self.field._fmt
+        return "[" + "; ".join(", ".join(map(fmt, r)) for r in self.rows) + "]"
 
     def __repr__(self):
         return self.__str__()

@@ -57,7 +57,7 @@ def _height(r: RationalFunction) -> int:
     def size(v):
         return sum(map(size, v)) if isinstance(v, tuple) else abs(v.numerator) + v.denominator - 1
 
-    return max(sum(size(c.value) for c in p.terms.values()) for p in (r.num, r.den))
+    return max(sum(map(size, p.terms.values())) for p in (r.num, r.den))
 
 
 class _Parser:

@@ -4,12 +4,15 @@ Univariate polynomials live over any fields.Field (including the function
 fields defined at the bottom of this module).  Multivariate polynomials
 carry a fixed, ordered symbol tuple; rational functions are pairs of them
 whose equality is decided by cross multiplication, so no multivariate gcd
-is ever needed.  Every construction reads the one canonical form
-`_canonical`, a single pass on raw values: it strips shared monomial
-content, over Q clears both denominators together, and makes the content
-and the denominator's leading coefficient canonical, which keeps printed
-output stable and fraction growth tame.  In a single symbol it also
-cancels the gcd of numerator and denominator: over Q in Z[t], by a
+is ever needed.  Both polynomial types hold the field's raw values, so
+each operation runs once, on those values, through the field's raw-value
+protocol; a FieldElement is built only where one coefficient leaves
+(`coeff`, `as_constant`, evaluation).  Every construction reads the one
+canonical form `_canonical`, a single pass on raw values: it strips shared
+monomial content, over Q clears both denominators together, and makes the
+content and the denominator's leading coefficient canonical, which keeps
+printed output stable and fraction growth tame.  In a single symbol it
+also cancels the gcd of numerator and denominator: over Q in Z[t], by a
 primitive pseudo-remainder sequence on Python ints, and over other fields
 by Euclid on raw field values, taking remainders only.  Every evaluation,
 expansion and limit at a point reads the one Taylor kernel `taylor`.
@@ -27,13 +30,14 @@ from .fields import Arithmetic, Field, FieldElement, FieldError, RationalField, 
 
 
 class UniPoly(Arithmetic):
-    """Dense univariate polynomial over a field, lowest degree first."""
+    """Dense univariate polynomial over a field: `coeffs` holds the field's
+    raw values, lowest degree first, with no trailing zero."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [field.coerce(c).value for c in coeffs]
+        while cs and field._is_zero(cs[-1]):
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -41,10 +45,10 @@ class UniPoly(Arithmetic):
     @classmethod
     def _wrap(cls, field, values):
         """From raw values of `field`, lowest degree first, with no trailing
-        zero: each is wrapped once, without coercion."""
+        zero, stored without coercion."""
         p = cls.__new__(cls)
         p.field = field
-        p.coeffs = tuple(FieldElement(field, v) for v in values)
+        p.coeffs = tuple(values)
         return p
 
     @classmethod
@@ -75,10 +79,12 @@ class UniPoly(Arithmetic):
         return not self.coeffs
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.coeffs) and self.field._eq(self.coeffs[-1], self.field.one.value)
 
     def coeff(self, k: int) -> FieldElement:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
+        if 0 <= k < len(self.coeffs):
+            return FieldElement(self.field, self.coeffs[k])
+        return self.field.zero
 
     def _check(self, other):
         if isinstance(other, UniPoly):
@@ -91,30 +97,22 @@ class UniPoly(Arithmetic):
             return None
 
     def _plus(self, o):
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(self.field, [self.coeff(i) + o.coeff(i) for i in range(n)])
+        f, a, b = self.field, self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [*map(f._add, a, b), *a[len(b):]]
+        while out and f._is_zero(out[-1]):
+            out.pop()
+        return UniPoly._wrap(f, out)
 
     def _times(self, o):
-        f = self.field
-        return UniPoly._wrap(
-            f, _mul_values(f, [c.value for c in self.coeffs], [c.value for c in o.coeffs])
-        )
+        return UniPoly._wrap(self.field, _mul_values(self.field, self.coeffs, o.coeffs))
 
     def _equals(self, o):
         return self.coeffs == o.coeffs
 
     def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        # scaling by a constant, frequent in the interpolation tables, skips
-        # the general product
-        if isinstance(other, (FieldElement, int, Fraction)):
-            c = self.field.coerce(other)
-            return UniPoly(self.field, [a * c for a in self.coeffs])
-        return Arithmetic.__mul__(self, other)
-
-    __rmul__ = __mul__
+        return UniPoly._wrap(self.field, map(self.field._neg, self.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -130,9 +128,9 @@ class UniPoly(Arithmetic):
         f = self.field
         if len(self.coeffs) < len(o.coeffs):
             return UniPoly.zero(f), self
-        rem = [c.value for c in self.coeffs]
-        quo = [f.zero.value] * max(len(rem) - len(o.coeffs) + 1, 0)
-        _reduce_values(f, rem, [c.value for c in o.coeffs], quo)
+        rem = list(self.coeffs)
+        quo = [f.zero.value] * (len(rem) - len(o.coeffs) + 1)
+        _reduce_values(f, rem, o.coeffs, quo)
         return UniPoly._wrap(f, quo), UniPoly._wrap(f, rem)
 
     def __floordiv__(self, other):
@@ -143,23 +141,22 @@ class UniPoly(Arithmetic):
 
     def __call__(self, x: FieldElement) -> FieldElement:
         f = self.field
-        return FieldElement(f, next(taylor(f, [c.value for c in self.coeffs], f.coerce(x).value)))
+        return FieldElement(f, next(taylor(f, list(self.coeffs), f.coerce(x).value)))
 
     def compose_mod(self, g: "UniPoly", modulus: "UniPoly") -> "UniPoly":
         """self(g(X)) reduced mod `modulus`: Horner on raw values, reducing
-        each step, with only the result wrapped."""
+        each step."""
         f = self.field
-        gv, mv = [c.value for c in g.coeffs], [c.value for c in modulus.coeffs]
         acc = []
         for c in reversed(self.coeffs):
-            acc = _mul_values(f, acc, gv)
+            acc = _mul_values(f, acc, g.coeffs)
             if acc:
-                acc[0] = f._add(acc[0], c.value)
+                acc[0] = f._add(acc[0], c)
             else:
-                acc = [c.value]
+                acc = [c]
             while acc and f._is_zero(acc[-1]):
                 acc.pop()
-            _reduce_values(f, acc, mv)
+            _reduce_values(f, acc, modulus.coeffs)
         return UniPoly._wrap(f, acc)
 
     def __eq__(self, other):
@@ -169,14 +166,15 @@ class UniPoly(Arithmetic):
         return Arithmetic.__eq__(self, other)
 
     def __hash__(self):
-        return hash((self.field, tuple(self.field._hash_key(c.value) for c in self.coeffs)))
+        return hash((self.field, tuple(map(self.field._hash_key, self.coeffs))))
 
     def to_str(self, var: str = "X", ascending: bool = False) -> str:
-        rng = range(len(self.coeffs)) if ascending else range(len(self.coeffs) - 1, -1, -1)
+        f, cs = self.field, self.coeffs
+        rng = range(len(cs)) if ascending else range(len(cs) - 1, -1, -1)
         terms = [
-            (str(self.coeffs[i]), "" if i == 0 else var if i == 1 else f"{var}^{i}")
+            (f._fmt(cs[i]), "" if i == 0 else var if i == 1 else f"{var}^{i}")
             for i in rng
-            if not self.coeffs[i].is_zero()
+            if not f._is_zero(cs[i])
         ]
         return signed_sum(terms, wrap=True)
 
@@ -187,8 +185,8 @@ class UniPoly(Arithmetic):
 class MultiPoly(Arithmetic):
     """Multivariate polynomial over a field in a fixed ordered symbol tuple.
 
-    Terms map exponent tuples to nonzero coefficients; no zero coefficient
-    is ever stored.
+    `terms` maps exponent tuples to the field's raw values; no zero
+    coefficient is ever stored.
     """
 
     __slots__ = ("field", "symbols", "terms")
@@ -198,21 +196,21 @@ class MultiPoly(Arithmetic):
         self.symbols = tuple(symbols)
         clean = {}
         for exps, c in terms.items():
-            c = field.coerce(c)
+            c = field.coerce(c).value
             if len(exps) != len(self.symbols):
                 raise ValueError("exponent vector does not match symbol list")
-            if not c.is_zero():
+            if not field._is_zero(c):
                 clean[tuple(exps)] = c
         self.terms = clean
 
     @classmethod
     def _wrap(cls, field, symbols, raw):
-        """From {exponents: nonzero raw value of `field`}: each value is
-        wrapped once, without coercion."""
+        """From a fresh {exponents: nonzero raw value of `field`}, stored
+        as it is, without coercion."""
         p = cls.__new__(cls)
         p.field = field
         p.symbols = symbols
-        p.terms = {e: FieldElement(field, v) for e, v in raw.items()}
+        p.terms = raw
         return p
 
     @classmethod
@@ -221,10 +219,6 @@ class MultiPoly(Arithmetic):
 
     @classmethod
     def constant(cls, field, symbols, c):
-        c = field.coerce(c)
-        symbols = tuple(symbols)
-        if c.is_zero():
-            return cls(field, symbols, {})
         return cls(field, symbols, {(0,) * len(symbols): c})
 
     @classmethod
@@ -234,7 +228,7 @@ class MultiPoly(Arithmetic):
             raise ValueError(f"unknown symbol {name!r} (have {symbols})")
         e = [0] * len(symbols)
         e[symbols.index(name)] = 1
-        return cls(field, symbols, {tuple(e): field.one})
+        return cls._wrap(field, symbols, {tuple(e): field.one.value})
 
     def _check(self, other):
         if isinstance(other, MultiPoly):
@@ -250,17 +244,17 @@ class MultiPoly(Arithmetic):
         return not self.terms
 
     def _plus(self, o):
-        out = dict(self.terms)
+        f, out = self.field, dict(self.terms)
         for e, c in o.terms.items():
             if e in out:
-                s = out[e] + c
-                if s.is_zero():
+                s = f._add(out[e], c)
+                if f._is_zero(s):
                     del out[e]
                 else:
                     out[e] = s
             else:
                 out[e] = c
-        return MultiPoly(self.field, self.symbols, out)
+        return MultiPoly._wrap(f, self.symbols, out)
 
     def _times(self, o):
         return MultiPoly.dot((self,), (o,))
@@ -269,32 +263,19 @@ class MultiPoly(Arithmetic):
         return self.terms == o.terms
 
     def __neg__(self):
-        return MultiPoly(self.field, self.symbols, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        # scaling by a constant skips the general product, as for UniPoly
-        if isinstance(other, (FieldElement, int, Fraction)):
-            c = self.field.coerce(other)
-            if c.is_zero():
-                return MultiPoly.zero(self.field, self.symbols)
-            return MultiPoly(
-                self.field, self.symbols, {e: k * c for e, k in self.terms.items()}
-            )
-        return Arithmetic.__mul__(self, other)
-
-    __rmul__ = __mul__
+        neg = self.field._neg
+        return MultiPoly._wrap(self.field, self.symbols, {e: neg(c) for e, c in self.terms.items()})
 
     @staticmethod
     def dot(ps, qs) -> "MultiPoly":
         """sum_i ps[i] * qs[i] for nonempty, equally long sequences of
-        polynomials in one context, summed on raw values and wrapped once."""
+        polynomials in one context, summed on raw values."""
         f, symbols = ps[0].field, ps[0].symbols
         mul, add, is_zero = f._mul, f._add, f._is_zero
         out = {}
         for p, q in zip(ps, qs):
-            q_terms = [(e, c.value) for e, c in q.terms.items()]
-            for e1, c1 in p.terms.items():
-                a = c1.value
+            q_terms = list(q.terms.items())
+            for e1, a in p.terms.items():
                 for e2, b in q_terms:
                     e = tuple(map(operator.add, e1, e2))
                     prev = out.get(e)
@@ -334,7 +315,7 @@ class MultiPoly(Arithmetic):
         for e, c in self.terms.items():
             cs = out.setdefault(e[:i] + e[i + 1 :], [])
             cs.extend([zero] * (e[i] + 1 - len(cs)))
-            cs[e[i]] = c.value
+            cs[e[i]] = c
         return out
 
     def expand(self, name, value):
@@ -356,10 +337,6 @@ class MultiPoly(Arithmetic):
             raise ValueError("the zero polynomial has no order")
         return next((k, c) for k, c in enumerate(self.expand(name, value)) if not c.is_zero())
 
-    def coeff_of_power(self, name, k: int) -> "MultiPoly":
-        """Coefficient of name^k, as a polynomial in the remaining symbols."""
-        return next(itertools.islice(self.expand(name, 0), k, None))
-
     def substitute(self, name, value) -> "MultiPoly":
         """Evaluate `name` at a field element; result drops that symbol."""
         return next(self.expand(name, value))
@@ -380,7 +357,7 @@ class MultiPoly(Arithmetic):
         if len(self.terms) == 1:
             e, c = next(iter(self.terms.items()))
             if all(x == 0 for x in e):
-                return c
+                return FieldElement(self.field, c)
         raise ValueError("polynomial is not constant")
 
     def _sorted_terms(self):
@@ -390,7 +367,7 @@ class MultiPoly(Arithmetic):
         terms = []
         for e, c in self._sorted_terms():
             mon = "*".join(s if k == 1 else f"{s}^{k}" for s, k in zip(self.symbols, e) if k > 0)
-            terms.append((str(c), mon))
+            terms.append((self.field._fmt(c), mon))
         return signed_sum(terms, wrap=True)
 
 
@@ -462,7 +439,7 @@ def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd of two univariate polynomials (zero when both are), by
     Euclid on raw values, taking remainders only."""
     f = a.field
-    x, y = [c.value for c in a.coeffs], [c.value for c in b.coeffs]
+    x, y = list(a.coeffs), list(b.coeffs)
     while y:
         x, y = y, _reduce_values(f, x, y)
     if not x:
@@ -538,8 +515,7 @@ def lagrange_numerator(zs, i, one):
 
 
 def _canonical(num: MultiPoly, den: MultiPoly):
-    """(num, den) in canonical form, den nonzero, read once as raw values
-    and each wrapped once.  The largest monomial dividing every term of both is
+    """(num, den) in canonical form, den nonzero, read once as raw values.  The largest monomial dividing every term of both is
     stripped.  Over Q both are cleared of denominators together; in a single
     symbol their primitive gcd in Z[t] is divided out, and then the joint
     integer content, with the sign that makes den's leading term (in
@@ -563,11 +539,11 @@ def _canonical(num: MultiPoly, den: MultiPoly):
         else:
             g = _poly_gcd(UniPoly._wrap(f, a), UniPoly._wrap(f, b))
             if g.degree > 0:
-                a, b = ([c.value for c in (UniPoly._wrap(f, p) // g).coeffs] for p in (a, b))
+                a, b = ((UniPoly._wrap(f, p) // g).coeffs for p in (a, b))
         parts = [{(k,): v for k, v in enumerate(p) if not f._is_zero(v)} for p in (a, b)]
     else:
         parts = [
-            {tuple(map(operator.sub, e, lows)): c.value for e, c in p.terms.items()}
+            {tuple(map(operator.sub, e, lows)): c for e, c in p.terms.items()}
             for p in (num, den)
         ]
         if rational:

@@ -52,9 +52,8 @@ class MonogenicAlgebra:
         return self.from_poly(UniPoly(self.field, coeffs))
 
     def from_poly(self, p: UniPoly) -> "AlgebraElement":
-        p = p % self.modulus
-        cs = [p.coeff(i) for i in range(self.dim)]
-        return AlgebraElement(self, cs)
+        cs = (p % self.modulus).coeffs
+        return AlgebraElement._wrap(self, cs + (self.field.zero.value,) * (self.dim - len(cs)))
 
     def zero(self):
         return self.element([])
@@ -130,8 +129,7 @@ class AlgebraHom:
         to deg f_target, of image^k reduced mod f_target, for
         k = 0..deg f_source."""
         f, n = self.source.field, self.target.dim
-        img = [c.value for c in self.image.coeffs]
-        mod = [c.value for c in self.target.modulus.coeffs]
+        img, mod = self.image.coeffs, self.target.modulus.coeffs
         acc = [f.one.value]
         pad = [f.zero.value] * n
         table = [acc + pad[1:]]
@@ -156,8 +154,7 @@ class AlgebraHom:
     def is_homomorphism(self) -> bool:
         """True iff f_source(image(X)) == 0 in the target."""
         f = self.source.field
-        mod = [c.value for c in self.source.modulus.coeffs]
-        return all(map(f._is_zero, self._substitute(mod)))
+        return all(map(f._is_zero, self._substitute(self.source.modulus.coeffs)))
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         if u.algebra != self.source:

@@ -137,9 +137,9 @@ class StructElement(CoordinateVector):
         )
 
     def __hash__(self):
-        return hash(
-            (id(self.algebra), tuple(self.algebra.field._hash_key(c.value) for c in self.coeffs))
-        )
+        # equal algebras have equal fields and cells, so equal elements hash alike
+        a = self.algebra
+        return hash((a.field, a.cells, tuple(a.field._hash_key(c.value) for c in self.coeffs)))
 
     def __str__(self):
         # a basis vector named "1" is still a monomial: 2*1, not 2
@@ -182,7 +182,7 @@ class LinearAlgebraMap:
         return self.target.element(self.matrix.mul_vec(list(u.coeffs)))
 
     def image_of_basis(self, i: int) -> StructElement:
-        return self.target.element([row[i] for row in self.matrix.rows])
+        return StructElement._wrap(self.target, [row[i] for row in self.matrix.rows])
 
     def compose(self, inner: "LinearAlgebraMap") -> "LinearAlgebraMap":
         """self after inner."""
@@ -198,7 +198,7 @@ class LinearAlgebraMap:
         """
         f = self.source.field
         mul, add = f._mul, f._add
-        images = [[row[j].value for row in self.matrix.rows] for j in range(self.source.dim)]
+        images = list(zip(*self.matrix.rows))
 
         def image(cell):
             out = [f.zero.value] * self.target.dim
@@ -433,7 +433,7 @@ def limit_map_at_zero(phi: LinearAlgebraMap, param: str = "t") -> Matrix:
     for i in range(phi.matrix.nrows):
         row = []
         for j in range(phi.matrix.ncols):
-            lim = phi.matrix[i, j].value.limit_at(param, base.zero)
+            lim = phi.matrix.rows[i][j].limit_at(param, base.zero)
             if isinstance(lim, Pole):
                 raise ValueError(f"entry ({i}, {j}) has a pole at {param} = 0")
             row.append(target.coerce(lim) if rest else lim.as_constant())

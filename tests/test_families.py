@@ -685,7 +685,7 @@ def expanded_product_critical_values(fam):
     if field.size() is not None:
         return [z for z in field.elements() if num.eval_all({t: z}).is_zero()]
     found = [field.zero] if num.eval_all({t: field.zero}).is_zero() else []
-    coeffs = {e[0]: c.value for e, c in num.terms.items()}
+    coeffs = {e[0]: c for e, c in num.terms.items()}
     lo, hi = min(coeffs), max(coeffs)
     if lo == hi:
         return found

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symlab import linalg
-from symlab.fields import GF, QQ, rationals_with_cube_root
+from symlab.fields import GF, QQ, FieldElement, rationals_with_cube_root
 from symlab.linalg import Matrix, laplace_det
 from symlab.poly import FunctionField, MultiPoly
 from symlab.quotient import MonogenicAlgebra
@@ -40,6 +40,11 @@ def random_matrix(field, n, rng):
     return Matrix(field, [[random_entry(field, rng) for _ in range(n)] for _ in range(n)])
 
 
+def entries(m):
+    """The rows of m as field elements, read one entry at a time."""
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
 def test_inverse_round_trip_randomized():
     rng = random.Random(61)
     for field in [QQ, GF(5), GF(2, 2)]:
@@ -60,7 +65,7 @@ def gauss_jordan(m, rhs):
     as a test-only oracle for both kernels.  (0, None) when m is singular."""
     n = m.nrows
     det = m.field.one
-    aug = [list(r) + list(b) for r, b in zip(m.rows, rhs)]
+    aug = [r + list(b) for r, b in zip(entries(m), rhs)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
         if piv is None:
@@ -79,7 +84,7 @@ def gauss_jordan(m, rhs):
 
 
 def gauss_jordan_inverse(m):
-    return Matrix(m.field, gauss_jordan(m, Matrix.identity(m.field, m.nrows).rows)[1])
+    return Matrix(m.field, gauss_jordan(m, entries(Matrix.identity(m.field, m.nrows)))[1])
 
 
 def kernel_cases(seed):
@@ -136,6 +141,43 @@ def test_flipped_cramer_sign_is_caught(monkeypatch):
     assert any(check_against_gauss_jordan(m, b) == "wrong" for m, b in kernel_cases(64))
 
 
+def assert_raw_rows(m, want):
+    """m's rows hold raw values, no field element, and they are the values
+    coercion stores for the field elements in the rows `want`."""
+    assert not any(isinstance(x, FieldElement) for r in m.rows for x in r)
+    assert m.rows == tuple(tuple(m.field.coerce(x).value for x in r) for r in want)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2, 3), QZ, QT], ids=["Q", "F7", "F8", "Qzeta3", "Qt"])
+def test_rows_hold_raw_values_after_every_operation(field):
+    # product, transpose, solve and inverse against the entry-level
+    # schoolbook product and the Gauss-Jordan oracle; entries leave as
+    # field elements
+    rng = random.Random(66)
+    regular = 0
+    for n in (1, 2, 3):
+        for _ in range(4):
+            a, b = random_matrix(field, n, rng), random_matrix(field, n, rng)
+            ea, eb = entries(a), entries(b)
+            assert all(isinstance(x, FieldElement) and x.field == field for r in ea for x in r)
+            assert_raw_rows(a, ea)
+            prod = [[sum((ea[i][k] * eb[k][j] for k in range(n)), field.zero) for j in range(n)]
+                    for i in range(n)]
+            assert_raw_rows(a * b, prod)
+            assert_raw_rows(a.transpose(), zip(*ea))
+            rhs = [random_entry(field, rng) for _ in range(n)]
+            xs = gauss_jordan(a, [[c] for c in rhs])[1]
+            if xs is None:
+                continue
+            regular += 1
+            x = a.solve(rhs)
+            assert all(isinstance(c, FieldElement) and c.field == field for c in x)
+            assert x == [r[0] for r in xs]
+            assert a.mul_vec(x) == rhs
+            assert_raw_rows(a.inverse(), gauss_jordan(a, entries(Matrix.identity(field, n)))[1])
+    assert regular >= 6
+
+
 def test_row_swaps_flip_the_sign():
     # each column's first entry is zero, so every pivot comes from a swap
     assert Matrix(QQ, [[0, 1], [1, 0]]).det() == QQ.coerce(-1)
@@ -170,7 +212,7 @@ def test_shared_minor_det_matches_cofactor_expansion():
     for field in [QQ, GF(7), GF(2, 2)]:
         for n in (1, 2, 3, 4, 5, 6):
             for _ in range(3):
-                rows = [list(r) for r in random_matrix(field, n, rng).rows]
+                rows = entries(random_matrix(field, n, rng))
                 assert laplace_det(rows) == cofactor_det(rows)
     # polynomial entries: the Vandermonde determinant in x, y, z, w
     xs = ("x", "y", "z", "w")

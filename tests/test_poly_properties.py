@@ -1,7 +1,9 @@
 """Properties of the raw-value kernels, UniPoly divmod, the MultiPoly
 product and the univariate gcd, over Q, F_7, F_8 and Q(zeta3), and of the
 canonical form of rational functions (poly._canonical) over the same
-fields in t and in a, t."""
+fields in t and in a, t; and the raw-value representation of MultiPoly
+over those fields and Q(t): after every operation its terms are nonzero
+raw values, equal to the element-level results."""
 
 import math
 from fractions import Fraction
@@ -11,8 +13,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from symlab.fields import GF, QQ, rationals_with_cube_root  # noqa: E402
-from symlab.poly import MultiPoly, RationalFunction, UniPoly, _poly_gcd  # noqa: E402
+from symlab.fields import GF, QQ, FieldElement, rationals_with_cube_root  # noqa: E402
+from symlab.poly import FunctionField, MultiPoly, RationalFunction, UniPoly, _poly_gcd  # noqa: E402
 
 
 KERNEL_FIELDS = [QQ, GF(7), GF(2, 3), rationals_with_cube_root()]
@@ -23,9 +25,19 @@ CONTEXT_IDS = ["t", "a,t"]
 kernel_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
+QT = FunctionField(QQ, ("t",))
+
+
 def elements(field):
     """Field elements sum_i c_i * g^i over a basis 1, g, g^2, ... of the
-    field over its prime field, with small c_i."""
+    field over its prime field, with small c_i; over Q(t) a quotient of two
+    polynomials of degree <= 1."""
+    if field == QT:
+        small = st.integers(-3, 3)
+        t = field.symbol("t")
+        return st.tuples(small, small, small, small).filter(lambda c: c[2] or c[3]).map(
+            lambda c: (c[0] + c[1] * t) / (c[2] + c[3] * t)
+        )
     deg = getattr(field, "degree", 1)
     g = field.generator() if deg > 1 else field.one
     if field.characteristic() == 0:
@@ -49,7 +61,7 @@ def multipolys(field, symbols=XY, max_size=5):
 
 
 def raw_terms(p):
-    return {e: c.value for e, c in p.terms.items()}
+    return dict(p.terms)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
@@ -73,7 +85,7 @@ def test_multipoly_product_evaluates_as_product(field):
     def check(a, b, x, y):
         at = {"x": x, "y": y}
         assert (a * b).eval_all(at) == a.eval_all(at) * b.eval_all(at)
-        assert all(not c.is_zero() for c in (a * b).terms.values())
+        assert not any(field._is_zero(c) for c in (a * b).terms.values())
 
     check()
 
@@ -85,7 +97,7 @@ def test_gcd_keeps_common_factor(field):
     def check(f, g, h):
         if f.is_zero():
             return
-        f = f * f.coeffs[-1].inverse()
+        f = f * f.coeff(f.degree).inverse()
         d = _poly_gcd(f * g, f * h)
         assert (d % f).is_zero()
         assert d.is_zero() or d.is_monic()
@@ -100,13 +112,13 @@ def fraction_euclid_reduce(num, den):
     field, (sym,) = num.field, num.symbols
 
     def dense(p):
-        return UniPoly(field, [p.terms.get((k,), field.zero) for k in range(p.degree_in(sym) + 1)])
+        return UniPoly(field, [p.terms.get((k,), 0) for k in range(p.degree_in(sym) + 1)])
 
     a, b = dense(num), dense(den)
     g, h = a, b
     while not h.is_zero():
         g, h = h, g % h
-    g = g * g.coeffs[-1].inverse()
+    g = g * g.coeff(g.degree).inverse()
     if g.degree < 1:
         return num, den
 
@@ -120,9 +132,9 @@ def jointly_primitive(num, den):
     """The raw terms of num and den times the one rational that makes them
     integers with joint gcd 1 and den's highest coefficient in t positive:
     the test-local oracle for the scaling of the canonical form."""
-    vals = [c.value for p in (num, den) for c in p.terms.values()]
+    vals = [c for p in (num, den) for c in p.terms.values()]
     scale = Fraction(math.lcm(*(v.denominator for v in vals)), math.gcd(*(v.numerator for v in vals)))
-    if den.terms[(den.degree_in("t"),)].value < 0:
+    if den.terms[(den.degree_in("t"),)] < 0:
         scale = -scale
     return [{e: v * scale for e, v in raw_terms(p).items()} for p in (num, den)]
 
@@ -153,12 +165,12 @@ def assert_canonical(r, num, den):
     assert r.num * den == num * r.den
     lead = r.den._sorted_terms()[0][1]
     if r.field == QQ:
-        vals = [c.value for p in (r.num, r.den) for c in p.terms.values()]
+        vals = [c for p in (r.num, r.den) for c in p.terms.values()]
         assert all(v.denominator == 1 for v in vals)
         assert math.gcd(*(v.numerator for v in vals)) == 1
-        assert lead.value > 0
+        assert lead > 0
     else:
-        assert lead == r.field.one
+        assert lead == r.field.one.value
 
 
 @pytest.mark.parametrize("symbols", CONTEXTS, ids=CONTEXT_IDS)
@@ -193,5 +205,56 @@ def test_canonical_form_cancels_a_common_factor_in_one_symbol(field):
         r, cancelled = RationalFunction(num, den), RationalFunction(num * h, den * h)
         assert_canonical(cancelled, num, den)
         assert [raw_terms(cancelled.num), raw_terms(cancelled.den)] == [raw_terms(r.num), raw_terms(r.den)]
+
+    check()
+
+
+def element_terms(p):
+    """The terms of p with their coefficients as field elements."""
+    return {e: FieldElement(p.field, c) for e, c in p.terms.items()}
+
+
+def assert_raw_terms(p, want):
+    """p's terms hold raw values, no field element and no zero, and they
+    are the values coercion stores for the nonzero field elements of the
+    terms `want`."""
+    f = p.field
+    assert not any(isinstance(c, FieldElement) or f._is_zero(c) for c in p.terms.values())
+    assert p.terms == {e: f.coerce(c).value for e, c in want.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS + [QT], ids=KERNEL_IDS + ["Qt"])
+def test_multipoly_terms_hold_raw_values_after_every_operation(field):
+    # +, -, negation, scalar and polynomial products and the canonical form
+    # against the same operations on the terms as field elements; with
+    # b = -a every term of a + b cancels
+    size = 3 if field == QT else 5
+
+    @kernel_settings
+    @given(multipolys(field, XY, size), multipolys(field, XY, size), elements(field), st.booleans())
+    def check(a, b, c, negated):
+        if negated:
+            b = -a
+        ea, eb = element_terms(a), element_terms(b)
+        assert_raw_terms(a, ea)
+        zero = field.zero
+        keys = set(ea) | set(eb)
+        assert_raw_terms(a + b, {e: ea.get(e, zero) + eb.get(e, zero) for e in keys})
+        assert_raw_terms(a - b, {e: ea.get(e, zero) - eb.get(e, zero) for e in keys})
+        assert_raw_terms(-a, {e: -x for e, x in ea.items()})
+        assert_raw_terms(a * c, {e: x * c for e, x in ea.items()})
+        assert_raw_terms(3 * a, {e: 3 * x for e, x in ea.items()})
+        product = {}
+        for e1, x in ea.items():
+            for e2, y in eb.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1])
+                product[e] = product.get(e, zero) + x * y
+        assert_raw_terms(a * b, product)
+        if b.is_zero():
+            return
+        r = RationalFunction(a, b)
+        assert_raw_terms(r.num, element_terms(r.num))
+        assert_raw_terms(r.den, element_terms(r.den))
+        assert r.num * b == a * r.den
 
     check()

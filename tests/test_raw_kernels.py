@@ -10,7 +10,10 @@ as the oracle:
   against the schoolbook on the base field's operations;
 - StructElement._times and is_algebra_morphism (sparse raw cells)
   against the loops on wrapped elements;
-- no_s3_check (orders by prime order) against the order search.
+- no_s3_check (orders by prime order) against the order search;
+- the raw-value representation of UniPoly: after every operation its
+  coefficients are raw values, with no trailing zero, equal to the
+  element-level results.
 """
 
 import itertools
@@ -66,13 +69,18 @@ def unipolys(field, max_deg):
     return st.lists(elements(field), max_size=max_deg + 1).map(lambda cs: UniPoly(field, cs))
 
 
+def coefficients(p):
+    """The coefficients of p as field elements, lowest degree first."""
+    return [p.coeff(k) for k in range(len(p.coeffs))]
+
+
 def mul_oracle(a, b):
     """The schoolbook product on wrapped coefficients."""
     if a.is_zero() or b.is_zero():
         return UniPoly.zero(a.field)
     out = [a.field.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+    for i, x in enumerate(coefficients(a)):
+        for j, y in enumerate(coefficients(b)):
             out[i + j] = out[i + j] + x * y
     return UniPoly(a.field, out)
 
@@ -80,7 +88,7 @@ def mul_oracle(a, b):
 def compose_mod_oracle(p, g, modulus):
     """Horner on UniPolys, reducing each step."""
     acc = UniPoly.zero(p.field)
-    for c in reversed(p.coeffs):
+    for c in reversed(coefficients(p)):
         acc = (mul_oracle(acc, g) + UniPoly.constant(p.field, c)) % modulus
     return acc
 
@@ -115,8 +123,62 @@ def test_compose_mod_matches_horner_on_unipolys(field):
         want = compose_mod_oracle(p, g, modulus)
         assert got == want
         assert str(got) == str(want)
-        assert all(isinstance(c, FieldElement) and c.field == field for c in got.coeffs)
-        assert not got.coeffs or not got.coeffs[-1].is_zero()
+        assert_raw_coeffs(got, coefficients(want))
+
+    check()
+
+
+def assert_raw_coeffs(p, want):
+    """p's coefficients are raw values, no field element, with no trailing
+    zero, and they are the values coercion stores for the field elements
+    `want` stripped of their trailing zeros."""
+    f = p.field
+    assert not any(isinstance(c, FieldElement) for c in p.coeffs)
+    assert not p.coeffs or not f._is_zero(p.coeffs[-1])
+    want = [f.coerce(c).value for c in want]
+    while want and f._is_zero(want[-1]):
+        want.pop()
+    assert list(p.coeffs) == want
+
+
+RAW_FIELDS = [QQ, GF(7), GF(2, 3), rationals_with_cube_root(), QT]
+RAW_IDS = ["Q", "F7", "F8", "Qzeta3", "Qt"]
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=RAW_IDS)
+def test_unipoly_coeffs_hold_raw_values_after_every_operation(field):
+    # +, -, negation, scalar and polynomial products, divmod and compose_mod
+    # against the same operations on the coefficients as field elements;
+    # with b = -a all of a + b cancels, and with b = a + (b mod X^deg a)
+    # the top of a - b does
+    @raw_settings
+    @given(
+        unipolys(field, small(field, 4)), unipolys(field, small(field, 4)),
+        elements(field), st.sampled_from(["free", "negated", "same top"]),
+    )
+    def check(a, b, c, relation):
+        if relation == "negated":
+            b = -a
+        elif relation == "same top":
+            b = a + b % UniPoly.monomial(field, max(a.degree, 0))
+        ea = coefficients(a)
+        n = max(len(a.coeffs), len(b.coeffs))
+        assert_raw_coeffs(a, ea)
+        assert_raw_coeffs(a + b, [a.coeff(k) + b.coeff(k) for k in range(n)])
+        assert_raw_coeffs(a - b, [a.coeff(k) - b.coeff(k) for k in range(n)])
+        assert_raw_coeffs(-a, [-x for x in ea])
+        assert_raw_coeffs(a * c, [x * c for x in ea])
+        assert_raw_coeffs(c * a, [c * x for x in ea])
+        assert_raw_coeffs(a * 3, [x * 3 for x in ea])
+        assert_raw_coeffs(a * b, coefficients(mul_oracle(a, b)))
+        if b.is_zero():
+            return
+        q, r = divmod(a, b)
+        assert q * b + r == a and (r.is_zero() or r.degree < b.degree)
+        assert_raw_coeffs(q, coefficients(q))
+        assert_raw_coeffs(r, coefficients(r))
+        modulus = b * b + UniPoly.x(field)
+        assert_raw_coeffs(a.compose_mod(b, modulus), coefficients(compose_mod_oracle(a, b, modulus)))
 
     check()
 

@@ -59,6 +59,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StructureConstAlgebra(f5, bad, t1.unit)
 
+    def test_elements_of_equal_algebras_hash_alike(self):
+        # equal elements of two equal copies of T(1) are one set member;
+        # elements of T(1) and T(2) stay apart
+        f5 = GF(5)
+        a, b = build_T(f5.one), build_T(f5.one)
+        assert a is not b and a.basis(1) == b.basis(1)
+        assert hash(a.basis(1)) == hash(b.basis(1))
+        assert len({a.basis(1), b.basis(1), a.basis(1) * 1}) == 1
+        assert len({a.basis(1), build_T(f5.coerce(2)).basis(1)}) == 2
+
     def test_unit_axiom_enforced(self):
         f5 = GF(5)
         t1 = build_T(f5.one)

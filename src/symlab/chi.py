@@ -215,18 +215,18 @@ def no_s3_check(field: Field) -> NoS3Report:
         raise FieldError(f"exhaustive check requires a finite field of size <= {NO_S3_BOUND}")
     elems = list(field.elements())
     vals = [e.value for e in elems]
-    index = {field._hash_key(v): i for i, v in enumerate(vals)}
+    index = {v: i for i, v in enumerate(vals)}
 
     def table(op):
         # op is commutative: fill one triangle and mirror it
         t = [[0] * len(vals) for _ in vals]
         for i, x in enumerate(vals):
             for j in range(i, len(vals)):
-                t[i][j] = t[j][i] = index[field._hash_key(op(x, vals[j]))]
+                t[i][j] = t[j][i] = index[op(x, vals[j])]
         return t
 
     add, mul = table(field._add), table(field._mul)
-    zero, one = index[field._hash_key(field.zero.value)], index[field._hash_key(field.one.value)]
+    zero, one = index[field.zero.value], index[field.one.value]
     square = [mul[a][a] for a in range(len(vals))]
     ident = (one, zero)
 

@@ -3,9 +3,9 @@
 A field object is a descriptor; two descriptors built from the same data
 compare equal, so elements of independently constructed copies of F_7
 interoperate.  Elements are immutable wrappers around a canonical raw value
-(a reduced Fraction, a residue in [0, p), or a reduced coefficient tuple for
-extensions), which makes structural equality agree with mathematical
-equality.
+(a reduced Fraction, a residue in [0, p), or a tuple of those for
+extensions), so Python's own ==, hash and < on raw values are the field's
+equality, hash and order: the raw value is the element's key.
 
 Supported extensions are quotients base[Y]/(m(Y)) with m monic of degree 2
 or 3.  Over a finite base, irreducibility is certified by the absence of
@@ -203,7 +203,7 @@ class FieldElement(Arithmetic):
         return FieldElement(self.field, self.field._mul(self.value, o.value))
 
     def _equals(self, o):
-        return self.field._eq(self.value, o.value)
+        return self.value == o.value
 
     def __neg__(self):
         return FieldElement(self.field, self.field._neg(self.value))
@@ -228,11 +228,11 @@ class FieldElement(Arithmetic):
         return not self.is_zero()
 
     def __hash__(self):
-        return hash((self.field, self.field._hash_key(self.value)))
+        return hash((self.field, self.value))
 
     def sort_key(self):
         """Deterministic ordering key within one field (not for function fields)."""
-        return self.field._sort_key(self.value)
+        return self.value
 
     def __str__(self):
         return self.field._fmt(self.value)
@@ -241,6 +241,12 @@ class FieldElement(Arithmetic):
 class Field:
     """Base descriptor. Subclasses implement the raw-value protocol and set
     the immutable elements `zero` and `one` once, at construction.
+
+    The protocol is arithmetic only (`_add`, `_sub`, `_mul`, `_neg`,
+    `_inv`), plus the three hooks Python's operators cannot replace:
+    `_is_zero` (a function-field zero is a zero numerator), `_canonical`
+    (reduction mod p) and `_fmt` (rendering, under the digit bound).  Raw values are
+    canonical, so equality, hashing and ordering are Python's own on them.
 
     They are plain attributes, not a cached_property: writing the instance
     __dict__ directly turns off CPython 3.11's specialized attribute lookups
@@ -283,18 +289,9 @@ class Field:
     def _is_zero(self, a) -> bool:
         raise NotImplementedError
 
-    def _eq(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def _hash_key(self, a):
-        return a
-
     def _canonical(self, a):
         """The raw value of `a`, a value computed from raw values with
         Python's own +, - and * (prime fields and Q only)."""
-        raise NotImplementedError
-
-    def _sort_key(self, a):
         raise NotImplementedError
 
     def _fmt(self, a) -> str:
@@ -344,12 +341,6 @@ class RationalField(Field):
 
     def _is_zero(self, a):
         return a == 0
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _sort_key(self, a):
-        return a
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -418,12 +409,6 @@ class PrimeField(Field):
     def _is_zero(self, a):
         return a == 0
 
-    def _eq(self, a, b):
-        return a == b
-
-    def _sort_key(self, a):
-        return a
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -456,7 +441,7 @@ class ExtensionField(Field):
         deg = len(coeffs) - 1
         if deg < 2:
             raise FieldError("extension modulus must have degree at least 2")
-        if not base._eq(coeffs[-1], base.one.value):
+        if coeffs[-1] != base.one.value:
             raise FieldError("extension modulus must be monic")
         self.modulus = tuple(coeffs)
         self.degree = deg
@@ -548,15 +533,6 @@ class ExtensionField(Field):
 
     def _is_zero(self, a):
         return all(self.base._is_zero(c) for c in a)
-
-    def _eq(self, a, b):
-        return all(self.base._eq(x, y) for x, y in zip(a, b))
-
-    def _hash_key(self, a):
-        return tuple(self.base._hash_key(c) for c in a)
-
-    def _sort_key(self, a):
-        return tuple(self.base._sort_key(c) for c in a)
 
     def _fmt(self, a):
         name = self.generator_name

@@ -4,8 +4,9 @@ Two kernels give determinants, solves and inverses.  Over a field whose
 elements are canonical (Q, F_p, their extensions), row reduction on raw
 values; over a function field, whose quotients would each need a gcd, the
 division-free Laplace expansion with shared minors and Cramer's rule.
-A matrix holds the field's raw values, which both kernels read directly;
-entries leave as FieldElements (m[i, j], det, mul_vec, solve).
+A matrix and an algebra element (CoordinateVector) hold the field's raw
+values, which the kernels read directly; single entries leave as
+FieldElements (m[i, j], det, mul_vec, solve, coeff).
 """
 
 from __future__ import annotations
@@ -93,31 +94,34 @@ def laplace_det(rows):
 
 
 class CoordinateVector(Arithmetic):
-    """Element of a finite-dimensional algebra, held as its coordinates in
-    the algebra's basis.  A scalar c operand stands for c times the unit.
+    """Element of a finite-dimensional algebra: `coeffs` holds the raw
+    values of its coordinates in the algebra's basis, and `coeff(i)` gives
+    one as a field element.  A scalar c operand stands for c times the unit.
 
     Subclasses supply `_times` (the algebra product of two elements of
-    one algebra), hashing and rendering; the algebra supplies `field`,
-    `dim` and `one()`.
+    one algebra) and rendering; the algebra supplies `field`, `dim`,
+    `one()` and a hash, so equal elements of equal algebras hash alike.
     """
 
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra, coeffs):
-        cs = [algebra.field.coerce(c) for c in coeffs]
+        cs = tuple(algebra.field.coerce(c).value for c in coeffs)
         if len(cs) != algebra.dim:
             raise ValueError("coordinate vector length must equal the dimension")
         self.algebra = algebra
-        self.coeffs = tuple(cs)
+        self.coeffs = cs
 
     @classmethod
     def _wrap(cls, algebra, values):
-        """From raw values of the algebra's field: each is wrapped once,
-        without coercion."""
+        """From raw values of the algebra's field, stored without coercion."""
         v = cls.__new__(cls)
         v.algebra = algebra
-        v.coeffs = tuple(FieldElement(algebra.field, x) for x in values)
+        v.coeffs = tuple(values)
         return v
+
+    def coeff(self, i: int) -> FieldElement:
+        return FieldElement(self.algebra.field, self.coeffs[i])
 
     def _check(self, other):
         """`other` as an element of this algebra, or None for a foreign type."""
@@ -132,29 +136,33 @@ class CoordinateVector(Arithmetic):
         return self.algebra.one() * c
 
     def _plus(self, o):
-        return type(self)(self.algebra, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._wrap(self.algebra, map(self.algebra.field._add, self.coeffs, o.coeffs))
 
     def _equals(self, o):
         return self.coeffs == o.coeffs
 
     def __neg__(self):
-        return type(self)(self.algebra, [-a for a in self.coeffs])
+        return self._wrap(self.algebra, map(self.algebra.field._neg, self.coeffs))
 
     def __mul__(self, other):
         """A scalar scales the coordinates; an element of the algebra
         multiplies by `_times`."""
         if isinstance(other, type(self)):
             return self._times(self._check(other))
+        f = self.algebra.field
         try:
-            c = self.algebra.field.coerce(other)
+            c = f.coerce(other).value
         except TypeError:
             return NotImplemented
-        return type(self)(self.algebra, [a * c for a in self.coeffs])
+        return self._wrap(self.algebra, [f._mul(a, c) for a in self.coeffs])
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return all(map(self.algebra.field._is_zero, self.coeffs))
+
+    def __hash__(self):
+        return hash((self.algebra, self.coeffs))
 
 
 class Matrix:

@@ -79,7 +79,7 @@ class UniPoly(Arithmetic):
         return not self.coeffs
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.field._eq(self.coeffs[-1], self.field.one.value)
+        return bool(self.coeffs) and self.coeffs[-1] == self.field.one.value
 
     def coeff(self, k: int) -> FieldElement:
         if 0 <= k < len(self.coeffs):
@@ -166,7 +166,7 @@ class UniPoly(Arithmetic):
         return Arithmetic.__eq__(self, other)
 
     def __hash__(self):
-        return hash((self.field, tuple(map(self.field._hash_key, self.coeffs))))
+        return hash((self.field, self.coeffs))
 
     def to_str(self, var: str = "X", ascending: bool = False) -> str:
         f, cs = self.field, self.coeffs
@@ -694,7 +694,8 @@ class FunctionField(Field):
     """Field of rational functions over a base field in fixed symbols.
 
     Raw values are RationalFunction instances.  No canonical form exists,
-    so elements are not hashable; equality is cross multiplication.
+    so elements are not hashable (RationalFunction.__hash__ raises) and
+    have no order; their == is cross multiplication.
     """
 
     def __init__(self, base: Field, symbols):
@@ -711,12 +712,12 @@ class FunctionField(Field):
                     self, RationalFunction.constant(self.base, self.symbols, x)
                 )
             raise FieldError(f"mixed fields: {self} and {x.field}")
-        if isinstance(x, RationalFunction):
+        if isinstance(x, (MultiPoly, RationalFunction)):
+            if x.field == self:  # over this field: its own operators apply
+                raise TypeError(f"{x} is over {self}, not an element of it")
             if x.field != self.base or x.symbols != self.symbols:
                 raise FieldError("rational function from a different context")
-            return FieldElement(self, x)
-        if isinstance(x, MultiPoly):
-            return self.coerce(RationalFunction.from_poly(x))
+            return FieldElement(self, RationalFunction.from_poly(x) if isinstance(x, MultiPoly) else x)
         if isinstance(x, (int, Fraction)):
             return FieldElement(
                 self, RationalFunction.constant(self.base, self.symbols, x)
@@ -748,15 +749,6 @@ class FunctionField(Field):
 
     def _is_zero(self, a):
         return a.is_zero()
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _hash_key(self, a):
-        raise TypeError("function-field elements are not hashable")
-
-    def _sort_key(self, a):
-        raise TypeError("function-field elements have no canonical order")
 
     def __eq__(self, other):
         return (

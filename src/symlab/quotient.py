@@ -83,7 +83,10 @@ class AlgebraElement(CoordinateVector):
     __slots__ = ()
 
     def as_poly(self) -> UniPoly:
-        return UniPoly(self.algebra.field, self.coeffs)
+        f, cs = self.algebra.field, list(self.coeffs)
+        while cs and f._is_zero(cs[-1]):
+            cs.pop()
+        return UniPoly._wrap(f, cs)
 
     def _times(self, other):
         return self.algebra.from_poly(self.as_poly() * other.as_poly())
@@ -92,11 +95,6 @@ class AlgebraElement(CoordinateVector):
         if n < 0:
             raise ValueError("negative powers are not defined here")
         return power(self, n, self.algebra.one())
-
-    def __hash__(self):
-        return hash(
-            (self.algebra, tuple(self.algebra.field._hash_key(c.value) for c in self.coeffs))
-        )
 
     def __str__(self):
         return self.as_poly().to_str(ascending=True)
@@ -180,7 +178,8 @@ class AlgebraHom:
         matrix."""
         if not self.is_homomorphism():
             raise ValueError("map is not a homomorphism")
-        sol = self.matrix().solve(list(self.target.gen().coeffs))
+        x = self.target.gen()
+        sol = self.matrix().solve([x.coeff(k) for k in range(self.target.dim)])
         return UniPoly(self.source.field, sol)
 
     def inverse_hom(self) -> "AlgebraHom":
@@ -241,11 +240,10 @@ class SubstitutionMap(AlgebraHom):
         X."""
         if not self._automorphic:
             raise ValueError("order of a non-automorphism")
-        f, step = self.algebra.field, self._substitute
-        acc = ident = [c.value for c in self.algebra.gen().coeffs]
+        acc = ident = list(self.algebra.gen().coeffs)
         for k in range(1, max_order + 1):
-            acc = step(acc)
-            if all(map(f._eq, acc, ident)):
+            acc = self._substitute(acc)
+            if acc == ident:
                 return k
         return None
 
@@ -378,8 +376,8 @@ def verify_idempotents(roots, es) -> bool:
     nums, ds = zip(*lagrange_pairs(ws, one))
     for e, num, d in zip(es, nums, ds):
         qk = one
-        for c, nk in zip(e.coeffs, num):
-            cn, cd = split(c)
+        for k, nk in enumerate(num):
+            cn, cd = split(e.coeff(k))
             if cn * d != cd * qk * nk:
                 return False
             qk = qk * q

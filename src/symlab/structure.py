@@ -5,6 +5,10 @@ enumeration over small finite fields.
 The triangular family T(t) has basis (1, e2, e3) with e2^2 = t^2,
 e3^2 = 0, e2*e3 = t*e3, e3*e2 = -t*e3.  At t = 1 this is the algebra of
 upper-triangular 2x2 matrices; at t = 0 it is commutative.
+
+An algebra holds its table once, as sparse cells of raw field values, and
+its elements and maps hold raw values too; products, the morphism check
+and the brute force run on those.
 """
 
 from __future__ import annotations
@@ -27,27 +31,25 @@ class StructureConstAlgebra:
 
     table[i][j] is the coordinate vector of (basis_i * basis_j); the unit is
     given by its coordinate vector.  Construction verifies the unit axiom
-    and full associativity.  The table is also held once as sparse raw
-    cells, the (k, raw value) pairs of each cell's nonzero coordinates,
-    and products run on those.
+    and full associativity.  The table is held once, as sparse raw cells:
+    cells[i][j] holds the (k, raw value) pairs of the nonzero coordinates
+    of table[i][j], and products run on those.  `unit` holds raw values.
     """
 
     def __init__(self, field: Field, table, unit, basis_names=None):
         self.field = field
-        self.table = tuple(
-            tuple(tuple(field.coerce(c) for c in cell) for cell in row) for row in table
-        )
-        n = len(self.table)
-        if any(len(row) != n for row in self.table) or any(
-            len(cell) != n for row in self.table for cell in row
-        ):
+        n = self.dim = len(table)
+        if any(len(row) != n or any(len(cell) != n for cell in row) for row in table):
             raise ValueError("table must be n x n cells of n coordinates")
-        self.dim = n
         self.cells = tuple(
-            tuple(tuple((k, c.value) for k, c in enumerate(cell) if not c.is_zero()) for cell in row)
-            for row in self.table
+            tuple(
+                tuple((k, v) for k, v in enumerate(field.coerce(c).value for c in cell)
+                      if not field._is_zero(v))
+                for cell in row
+            )
+            for row in table
         )
-        self.unit = tuple(field.coerce(c) for c in unit)
+        self.unit = tuple(field.coerce(c).value for c in unit)
         if len(self.unit) != n:
             raise ValueError("unit vector length must equal the dimension")
         self.basis_names = tuple(basis_names) if basis_names else tuple(
@@ -56,7 +58,7 @@ class StructureConstAlgebra:
         self._verify()
 
     def _verify(self):
-        one = self.element(self.unit)
+        one = self.one()
         for i in range(self.dim):
             b = self.basis(i)
             if one * b != b or b * one != b:
@@ -92,12 +94,12 @@ class StructureConstAlgebra:
         return StructElement(self, coeffs)
 
     def basis(self, i: int) -> "StructElement":
-        cs = [self.field.zero] * self.dim
-        cs[i] = self.field.one
-        return self.element(cs)
+        cs = [self.field.zero.value] * self.dim
+        cs[i] = self.field.one.value
+        return StructElement._wrap(self, cs)
 
     def one(self) -> "StructElement":
-        return self.element(self.unit)
+        return StructElement._wrap(self, self.unit)
 
     def zero(self) -> "StructElement":
         return self.element([0] * self.dim)
@@ -112,14 +114,10 @@ class StructureConstAlgebra:
     def __eq__(self, other):
         if not isinstance(other, StructureConstAlgebra):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.table == other.table
-            and self.unit == other.unit
-        )
+        return self.field == other.field and self.cells == other.cells and self.unit == other.unit
 
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("StructureConstAlgebra is not hashable")
+    def __hash__(self):
+        return hash((self.field, self.cells, self.unit))
 
     def __repr__(self):
         return f"<{self.dim}-dim algebra over {self.field}>"
@@ -129,24 +127,15 @@ class StructElement(CoordinateVector):
     __slots__ = ()
 
     def _times(self, other):
-        return StructElement._wrap(
-            self.algebra,
-            self.algebra.product_values(
-                [c.value for c in self.coeffs], [c.value for c in other.coeffs]
-            ),
-        )
-
-    def __hash__(self):
-        # equal algebras have equal fields and cells, so equal elements hash alike
-        a = self.algebra
-        return hash((a.field, a.cells, tuple(a.field._hash_key(c.value) for c in self.coeffs)))
+        return StructElement._wrap(self.algebra, self.algebra.product_values(self.coeffs, other.coeffs))
 
     def __str__(self):
         # a basis vector named "1" is still a monomial: 2*1, not 2
+        f = self.algebra.field
         terms = [
-            (str(c), name)
+            (f._fmt(c), name)
             for name, c in zip(self.algebra.basis_names, self.coeffs)
-            if not c.is_zero()
+            if not f._is_zero(c)
         ]
         return signed_sum(terms, wrap=True)
 
@@ -168,9 +157,8 @@ class LinearAlgebraMap:
 
     @classmethod
     def from_images(cls, source, target, images):
-        cols = [im.coeffs if isinstance(im, StructElement) else im for im in images]
-        rows = list(map(list, zip(*cols)))
-        return cls(source, target, Matrix(source.field, rows))
+        """The map sending basis vector i to the target element images[i]."""
+        return cls(source, target, Matrix._wrap(source.field, zip(*(im.coeffs for im in images))))
 
     @classmethod
     def identity(cls, algebra):
@@ -179,7 +167,8 @@ class LinearAlgebraMap:
     def __call__(self, u: StructElement) -> StructElement:
         if u.algebra is not self.source and u.algebra != self.source:
             raise ValueError("element of a different algebra")
-        return self.target.element(self.matrix.mul_vec(list(u.coeffs)))
+        dot = self.matrix._dot
+        return StructElement._wrap(self.target, [dot(row, u.coeffs) for row in self.matrix.rows])
 
     def image_of_basis(self, i: int) -> StructElement:
         return StructElement._wrap(self.target, [row[i] for row in self.matrix.rows])
@@ -207,8 +196,8 @@ class LinearAlgebraMap:
                     out[r] = add(out[r], mul(x, c))
             return out
 
-        unit = [(k, c.value) for k, c in enumerate(self.source.unit) if not c.is_zero()]
-        if image(unit) != [c.value for c in self.target.unit]:
+        unit = [(k, c) for k, c in enumerate(self.source.unit) if not f._is_zero(c)]
+        if image(unit) != list(self.target.unit):
             return False
         product = self.target.product_values
         for i, row in enumerate(self.source.cells):
@@ -265,28 +254,19 @@ def build_T(t, field: Field = None) -> StructureConstAlgebra:
 
 
 def _self_span_profile(algebra: StructureConstAlgebra, i: int):
-    """(alpha, beta) with basis_i^2 = alpha*1 + beta*basis_i, or None."""
-    prod = (algebra.basis(i) * algebra.basis(i)).coeffs
-    u = algebra.unit
-    alpha = None
-    for k in range(algebra.dim):
-        if k == i or u[k].is_zero():
-            continue
-        a = prod[k] / u[k]
-        if alpha is None:
-            alpha = a
-        elif alpha != a:
-            return None
-    if alpha is None:
+    """Raw (alpha, beta) with basis_i^2 = alpha*1 + beta*basis_i, or None:
+    alpha from the first nonzero unit coordinate off i, beta from
+    coordinate i, then the whole square compared once."""
+    f, u = algebra.field, algebra.unit
+    k = next((k for k, c in enumerate(u) if k != i and not f._is_zero(c)), None)
+    if k is None:
         return None
-    beta = prod[i] - alpha * u[i]
-    for k in range(algebra.dim):
-        expect = alpha * u[k]
-        if k == i:
-            expect = expect + beta
-        if prod[k] != expect:
-            return None
-    return alpha, beta
+    prod = (algebra.basis(i) * algebra.basis(i)).coeffs
+    alpha = f._mul(prod[k], f._inv(u[k]))
+    beta = f._sub(prod[i], f._mul(alpha, u[i]))
+    span = [f._mul(alpha, c) for c in u]
+    span[i] = f._add(span[i], beta)
+    return (alpha, beta) if prod == tuple(span) else None
 
 
 def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlgebraMap]:
@@ -313,7 +293,7 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
     check_budget(q**n, "vectors in the pruning pass")
     mul, add = field._mul, field._add
     all_vectors = list(itertools.product([e.value for e in field.elements()], repeat=n))
-    unit_col = [c.value for c in algebra.unit]
+    unit_col = algebra.unit
     profiles = {i: _self_span_profile(algebra, i) for i in free}
     if any(p is not None for p in profiles.values()):
         squares = [algebra.product_values(v, v) for v in all_vectors]
@@ -322,7 +302,7 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
         if prof is None:
             candidates[i] = all_vectors
         else:
-            alpha, beta = prof[0].value, prof[1].value
+            alpha, beta = prof
             candidates[i] = [
                 v for v, sq in zip(all_vectors, squares)
                 if sq == [add(mul(alpha, u), mul(beta, x)) for u, x in zip(unit_col, v)]
@@ -337,11 +317,7 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
         phi = LinearAlgebraMap(algebra, algebra, Matrix._wrap(field, rows))
         if phi.is_algebra_morphism() and phi.is_invertible():
             out.append(phi)
-    out.sort(
-        key=lambda m: tuple(
-            m.matrix[i, j].sort_key() for j in range(n) for i in range(n)
-        )
-    )
+    out.sort(key=lambda m: tuple(x for col in zip(*m.matrix.rows) for x in col))
     return out
 
 
@@ -407,10 +383,8 @@ def algebra_from_json(text: str) -> StructureConstAlgebra:
         return field.coerce(Fraction(v) if isinstance(v, str) else Fraction(v))
 
     table = doc["table"]
-    if len(table) != n or any(
-        len(row) != n or any(len(cell) != n for cell in row) for row in table
-    ):
-        raise ValueError("table must be n x n cells of n constants")
+    if len(table) != n:
+        raise ValueError(f"dimension {n} but a table of {len(table)} rows")
     rows = [[[const(v) for v in cell] for cell in row] for row in table]
     unit = [const(v) for v in doc["unit"]]
     return StructureConstAlgebra(field, rows, unit)

@@ -307,7 +307,7 @@ def test_criterion_07_brute_force_group_counts():
         pairs = []
         for phi in t_auts:
             im2, im3 = phi.image_of_basis(1), phi.image_of_basis(2)
-            b, bp = im2.coeffs[2], im3.coeffs[2]
+            b, bp = im2.coeff(2), im3.coeff(2)
             assert im2 == t1.basis(1) + b * t1.basis(2)
             assert im3 == bp * t1.basis(2)
             pairs.append(structure.AutPair(b, bp))

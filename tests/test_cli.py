@@ -44,6 +44,9 @@ GOLDEN = [
          "--target-roots", "0,0,1", "--iso", "0,t", "--aut", "0,a,1-a", "--limit", "0"],
     ),
     ("talg_pairs_f5", ["talg", "--t", "1", "--field", "Fp(5)", "--pair", "5,2", "--brute-force"]),
+    # structure elements and maps with coordinates in an extension field
+    ("talg_brute_force_f4", ["talg", "--t", "1", "--field", "F(2,2)", "--brute-force"]),
+    ("idem_qzeta3", ["idem", "--roots", "0,1,zeta3", "--field", "Qzeta3"]),
     ("chi_f4", ["chi", "--field", "F(2,2)"]),
     ("chi_f3", ["chi", "--field", "Fp(3)"]),
     ("idem_family", ["idem", "--roots", "0,t,1", "--field", "Q", "--symbols", "t"]),

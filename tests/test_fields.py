@@ -16,8 +16,9 @@ from symlab.fields import (
     primitive_cube_root,
     rationals_with_cube_root,
 )
-from symlab.poly import MultiPoly, UniPoly
+from symlab.poly import FunctionField, MultiPoly, UniPoly
 from symlab.quotient import MonogenicAlgebra
+from symlab.structure import build_T
 
 
 def sample_fields():
@@ -56,6 +57,34 @@ def test_field_axioms_randomized():
             if not a.is_zero():
                 assert a * a.inverse() == field.one
             assert a + (-a) == field.zero
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(7), GF(2, 3), rationals_with_cube_root()], ids=["Q", "F7", "F8", "Qzeta3"]
+)
+def test_one_value_by_any_route_has_one_key(field):
+    # raw values are canonical, so ==, hash and sort_key are Python's own on
+    # them: every route to a value must end at the same raw value
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(-40, 40)
+        x, y = random_element(field, rng), random_element(field, rng)
+        pairs = [(field.coerce(n), field.coerce(Fraction(n))), (x + y - y, x), (-(-x), x)]
+        if not y.is_zero():
+            pairs.append((x * y * y.inverse(), x))
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and a.sort_key() == b.sort_key()
+            assert len({a, b}) == 1
+
+
+def test_function_field_values_are_not_hashable():
+    # a rational function has no canonical raw value, so neither it nor an
+    # algebra element with such coordinates has a hash
+    qt = FunctionField(QQ, ("t",))
+    t = qt.symbol("t")
+    for value in (t, MonogenicAlgebra.from_roots(qt, [qt.zero, t]).gen(), build_T(t).basis(1)):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_extension_arithmetic_matches_polynomials_mod_the_modulus():

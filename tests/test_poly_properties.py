@@ -225,9 +225,9 @@ def assert_raw_terms(p, want):
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS + [QT], ids=KERNEL_IDS + ["Qt"])
 def test_multipoly_terms_hold_raw_values_after_every_operation(field):
-    # +, -, negation, scalar and polynomial products and the canonical form
-    # against the same operations on the terms as field elements; with
-    # b = -a every term of a + b cancels
+    # +, -, negation, scalar products on either side, polynomial products
+    # and the canonical form against the same operations on the terms as
+    # field elements; with b = -a every term of a + b cancels
     size = 3 if field == QT else 5
 
     @kernel_settings
@@ -243,6 +243,7 @@ def test_multipoly_terms_hold_raw_values_after_every_operation(field):
         assert_raw_terms(a - b, {e: ea.get(e, zero) - eb.get(e, zero) for e in keys})
         assert_raw_terms(-a, {e: -x for e, x in ea.items()})
         assert_raw_terms(a * c, {e: x * c for e, x in ea.items()})
+        assert_raw_terms(c * a, {e: c * x for e, x in ea.items()})
         assert_raw_terms(3 * a, {e: 3 * x for e, x in ea.items()})
         product = {}
         for e1, x in ea.items():

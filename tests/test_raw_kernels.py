@@ -9,7 +9,8 @@ as the oracle:
 - ExtensionField._mul (native products, one reduction per coefficient)
   against the schoolbook on the base field's operations;
 - StructElement._times and is_algebra_morphism (sparse raw cells)
-  against the loops on wrapped elements;
+  against the loops on wrapped elements over a dense table the test
+  writes itself;
 - no_s3_check (orders by prime order) against the order search;
 - the raw-value representation of UniPoly: after every operation its
   coefficients are raw values, with no trailing zero, equal to the
@@ -290,35 +291,49 @@ def test_extension_product_over_qzeta3_matches_schoolbook():
     check()
 
 
-def product_oracle(u, v):
-    """The structure-constant product on wrapped elements, dense cells."""
+def t_table(t):
+    """The dense table of T(t), written from its defining relations: 1 is
+    the unit, e2^2 = t^2, e3^2 = 0, e2*e3 = t*e3, e3*e2 = -t*e3."""
+    zero, one = t.field.zero, t.field.one
+    return [
+        [[one, zero, zero], [zero, one, zero], [zero, zero, one]],
+        [[zero, one, zero], [t * t, zero, zero], [zero, zero, t]],
+        [[zero, zero, one], [zero, zero, -t], [zero, zero, zero]],
+    ]
+
+
+def product_oracle(u, v, table):
+    """The structure-constant product on wrapped elements, from a dense
+    table of field elements rather than the algebra's sparse cells."""
     algebra = u.algebra
     n = algebra.dim
     out = [algebra.field.zero] * n
-    for i, a in enumerate(u.coeffs):
+    for i in range(n):
+        a = u.coeff(i)
         if a.is_zero():
             continue
-        for j, b in enumerate(v.coeffs):
+        for j in range(n):
+            b = v.coeff(j)
             if b.is_zero():
                 continue
             ab = a * b
-            cell = algebra.table[i][j]
+            cell = table[i][j]
             for k in range(n):
                 if not cell[k].is_zero():
                     out[k] = out[k] + ab * cell[k]
     return StructElement(algebra, out)
 
 
-def morphism_oracle(phi):
+def morphism_oracle(phi, table):
     """phi(1) = 1 and phi(b_i b_j) = phi(b_i) phi(b_j), multiplying basis
-    vectors for every pair."""
+    vectors for every pair through the dense `table`."""
     if phi(phi.source.one()) != phi.target.one():
         return False
     images = [phi.image_of_basis(i) for i in range(phi.source.dim)]
     for i in range(phi.source.dim):
         for j in range(phi.source.dim):
-            prod = product_oracle(phi.source.basis(i), phi.source.basis(j))
-            if phi(prod) != product_oracle(images[i], images[j]):
+            prod = product_oracle(phi.source.basis(i), phi.source.basis(j), table)
+            if phi(prod) != product_oracle(images[i], images[j], table):
                 return False
     return True
 
@@ -328,22 +343,23 @@ def test_struct_product_matches_old_loop_over_fp(p):
     field = GF(p)
     elems = list(field.elements())
     for t in elems:
-        algebra = build_T(t)
+        algebra, table = build_T(t), t_table(t)
         vectors = [algebra.element(list(cs)) for cs in itertools.product(elems, repeat=3)]
         rng = random.Random(p * 100 + t.value)
         for u, v in itertools.product(rng.sample(vectors, 12), rng.sample(vectors, 12)):
-            got, want = u * v, product_oracle(u, v)
+            got, want = u * v, product_oracle(u, v, table)
             assert got == want and str(got) == str(want)
 
 
 def test_struct_product_matches_old_loop_over_function_field():
-    algebra = build_T(QT.symbol("t"))
+    t = QT.symbol("t")
+    algebra, table = build_T(t), t_table(t)
     vec = st.lists(elements(QT), min_size=3, max_size=3).map(algebra.element)
 
     @raw_settings
     @given(vec, vec)
     def check(u, v):
-        got, want = u * v, product_oracle(u, v)
+        got, want = u * v, product_oracle(u, v, table)
         assert got == want
         assert str(got) == str(want)
 
@@ -356,64 +372,66 @@ def test_morphism_check_matches_old_check_over_f3():
     field = GF(3)
     elems = list(field.elements())
     for t in elems:
-        algebra = build_T(t)
+        algebra, table = build_T(t), t_table(t)
         hits = 0
         for c1, c2 in itertools.product(itertools.product(elems, repeat=3), repeat=2):
             rows = [[field.one, c1[0], c2[0]], [field.zero, c1[1], c2[1]],
                     [field.zero, c1[2], c2[2]]]
             phi = LinearAlgebraMap(algebra, algebra, Matrix(field, rows))
             got = phi.is_algebra_morphism()
-            assert got == morphism_oracle(phi)
+            assert got == morphism_oracle(phi, table)
             hits += got
         assert hits >= len(brute_force_automorphisms(algebra))
 
 
 def test_morphism_check_detects_a_wrong_unit():
     field = GF(5)
-    algebra = build_T(field.one)
+    algebra, table = build_T(field.one), t_table(field.one)
     twice = LinearAlgebraMap(algebra, algebra, Matrix(field, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert not twice.is_algebra_morphism() and not morphism_oracle(twice)
+    assert not twice.is_algebra_morphism() and not morphism_oracle(twice, table)
     # the zero map is multiplicative; only phi(1) = 1 fails
     zero = LinearAlgebraMap(algebra, algebra, Matrix(field, [[0] * 3] * 3))
-    assert not zero.is_algebra_morphism() and not morphism_oracle(zero)
+    assert not zero.is_algebra_morphism() and not morphism_oracle(zero, table)
 
 
 def rebased(algebra, basis):
     """The same algebra on a new basis, given by the coordinate vectors of
-    its elements in the old one; its cells have several nonzero entries."""
+    its elements in the old one, and its dense table of field elements;
+    its cells have several nonzero entries."""
     field, n = algebra.field, algebra.dim
     change = Matrix(field, list(map(list, zip(*basis))))
     back = change.inverse()
     vectors = [algebra.element(b) for b in basis]
     table = [[back.mul_vec(list((u * v).coeffs)) for v in vectors] for u in vectors]
-    return StructureConstAlgebra(field, table, back.mul_vec(list(algebra.unit)), [f"b{i}" for i in range(n)])
+    unit = back.mul_vec(list(algebra.unit))
+    return StructureConstAlgebra(field, table, unit, [f"b{i}" for i in range(n)]), table
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_product_and_morphism_check_on_dense_cells(p):
     field = GF(p)
-    algebra = rebased(build_T(field.coerce(2)), [[1, 1, 0], [1, 2, 1], [3, 0, 1]])
+    algebra, table = rebased(build_T(field.coerce(2)), [[1, 1, 0], [1, 2, 1], [3, 0, 1]])
     assert max(len(cell) for row in algebra.cells for cell in row) == 3
     elems = list(field.elements())
     vectors = [algebra.element(list(cs)) for cs in itertools.product(elems, repeat=3)]
     rng = random.Random(p)
     for u, v in itertools.product(rng.sample(vectors, 15), rng.sample(vectors, 15)):
-        got, want = u * v, product_oracle(u, v)
+        got, want = u * v, product_oracle(u, v, table)
         assert got == want and str(got) == str(want)
     auts = brute_force_automorphisms(algebra)
     assert len(auts) == p * (p - 1)  # Aut(T(t)) for t != 0: the pairs (b, b')
     for phi in auts:
-        assert morphism_oracle(phi)
+        assert morphism_oracle(phi, table)
         # one entry moved: the two checks still agree
         rows = [list(r) for r in phi.matrix.rows]
         i, j = rng.randrange(3), rng.randrange(3)
         rows[i][j] = rows[i][j] + rng.randrange(1, p)
         moved = LinearAlgebraMap(algebra, algebra, Matrix(field, rows))
-        assert moved.is_algebra_morphism() == morphism_oracle(moved)
+        assert moved.is_algebra_morphism() == morphism_oracle(moved, table)
     for _ in range(200):
         rows = [[rng.choice(elems) for _ in range(3)] for _ in range(3)]
         phi = LinearAlgebraMap(algebra, algebra, Matrix(field, rows))
-        assert phi.is_algebra_morphism() == morphism_oracle(phi)
+        assert phi.is_algebra_morphism() == morphism_oracle(phi, table)
 
 
 def no_s3_oracle(field):

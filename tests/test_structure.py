@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from symlab.fields import ENUMERATION_BUDGET, GF, QQ, FieldError
+from symlab.fields import ENUMERATION_BUDGET, GF, QQ, FieldError, rationals_with_cube_root
 from symlab.linalg import Matrix
 from symlab.poly import FunctionField
+from symlab.quotient import MonogenicAlgebra
 from symlab.structure import (
     AutPair,
     algebra_from_json,
@@ -28,6 +29,16 @@ def k_plus_k(field):
         [[zero, one], [zero, one]],
     ]
     return StructureConstAlgebra(field, table, [one, zero], ("1", "u"))
+
+
+# T(1) written from its relations: 1 is the unit, e2^2 = 1, e3^2 = 0,
+# e2*e3 = e3 and e3*e2 = -e3
+T1_TABLE = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    [[0, 0, 1], [0, 0, -1], [0, 0, 0]],
+]
+T1_UNIT = [1, 0, 0]
 
 
 class TestConstruction:
@@ -53,27 +64,34 @@ class TestConstruction:
 
     def test_corrupted_table_rejected(self):
         f5 = GF(5)
-        t1 = build_T(f5.one)
-        bad = [list(map(list, row)) for row in t1.table]
-        bad[1][2][0] = f5.coerce(3)  # tamper with e2*e3
+        assert StructureConstAlgebra(f5, T1_TABLE, T1_UNIT, ("1", "e2", "e3")) == build_T(f5.one)
+        bad = [[list(cell) for cell in row] for row in T1_TABLE]
+        bad[1][2][0] = 3  # tamper with e2*e3
         with pytest.raises(ValueError):
-            StructureConstAlgebra(f5, bad, t1.unit)
+            StructureConstAlgebra(f5, bad, T1_UNIT)
 
     def test_elements_of_equal_algebras_hash_alike(self):
-        # equal elements of two equal copies of T(1) are one set member;
-        # elements of T(1) and T(2) stay apart
-        f5 = GF(5)
+        # equal elements of two equal copies of T(1), or of k[X]/(f), are
+        # one set member; elements of T(1) and T(2), or of k[X]/(f) and
+        # k[X]/(g), stay apart
+        f5, q3 = GF(5), rationals_with_cube_root()
         a, b = build_T(f5.one), build_T(f5.one)
         assert a is not b and a.basis(1) == b.basis(1)
         assert hash(a.basis(1)) == hash(b.basis(1))
         assert len({a.basis(1), b.basis(1), a.basis(1) * 1}) == 1
         assert len({a.basis(1), build_T(f5.coerce(2)).basis(1)}) == 2
+        z = q3.generator()
+        assert len({build_T(z).basis(2) * z, build_T(z).basis(2) * z + 0}) == 1
+        for field, roots, other in ((f5, [0, 1, 3], [0, 1, 4]), (q3, [0, 1, z], [0, 1, -z])):
+            m, n = MonogenicAlgebra.from_roots(field, roots), MonogenicAlgebra.from_roots(field, roots)
+            assert m is not n and m.gen() == n.gen() and hash(m.gen()) == hash(n.gen())
+            assert len({m.gen() * m.gen(), n.gen() ** 2, n.one() * n.gen() ** 2}) == 1
+            assert len({m.gen(), MonogenicAlgebra.from_roots(field, other).gen()}) == 2
 
     def test_unit_axiom_enforced(self):
         f5 = GF(5)
-        t1 = build_T(f5.one)
         with pytest.raises(ValueError):
-            StructureConstAlgebra(f5, t1.table, [f5.zero, f5.one, f5.zero])
+            StructureConstAlgebra(f5, T1_TABLE, [0, 1, 0])
 
 
 class TestMorphisms:
@@ -122,8 +140,8 @@ class TestBruteForce:
         for phi in auts:
             # every automorphism fixes 1 and has the (b, b') shape
             im2, im3 = phi.image_of_basis(1), phi.image_of_basis(2)
-            b = im2.coeffs[2]
-            bp = im3.coeffs[2]
+            b = im2.coeff(2)
+            bp = im3.coeff(2)
             assert im2 == t1.basis(1) + b * t1.basis(2)
             assert im3 == bp * t1.basis(2)
             pairs.append(AutPair(b, bp))

@@ -30,7 +30,7 @@ from .families import (
     survival_condition,
     surviving_subgroup,
 )
-from .fields import MAX_POWER_DIGITS, QQ, Field, FieldError, parse_field_spec
+from .fields import MAX_POWER_DIGITS, QQ, Field, parse_field_spec
 from .lines import (
     INFINITE,
     INTERSECTING,
@@ -42,7 +42,7 @@ from .lines import (
     pivot_family,
     sweep,
 )
-from .parse import ParseError, parse_cycles, parse_factored, parse_ratfunc, parse_ratfunc_list
+from .parse import parse_cycles, parse_factored, parse_ratfunc, parse_ratfunc_list
 from .poly import FunctionField, Pole, UniPoly
 from .quotient import (
     MonogenicAlgebra,
@@ -65,8 +65,9 @@ TWO_PAIR_NOTE = (
 )
 
 
-# Upper bound on `lines --steps`: each grid point costs about 2.3 ms (the
-# paper family on a 2-vCPU VM, Python 3.11), so a sweep ends within about 3 s.
+# Upper bound on `lines --steps`: each grid point costs about 0.35 ms (the
+# paper family, in-process CPU time on a 2-vCPU Xeon VM, Python 3.11), so a
+# sweep ends within about half a second.
 MAX_STEPS = 1000
 
 
@@ -824,7 +825,7 @@ def run(argv) -> tuple[int, str]:
         report = _COMMANDS[args.subcommand](args)
     except InternalInconsistencyError as e:
         return 2, f"internal inconsistency: {e}\n"
-    except (InputError, ParseError, FieldError, ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         return 1, f"error: {e}\n"
     mode = "json" if getattr(args, "json", False) else "text"
     return 0, emit_report(report, mode)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import is_perm_group
 from .poly import clear_denominators
 
 INTERSECTING = "intersecting"
@@ -101,38 +100,19 @@ class GenericSymmetry:
         return len(self.group)
 
 
+def _stabilizer(table) -> tuple:
+    """The permutations p with table[p[i]][p[j]] == table[i][j] for all i < j,
+    in lexicographic order: the stabilizer of a relation, a group."""
+    pairs = tuple(itertools.combinations(range(4), 2))
+    perms = itertools.permutations(range(4))
+    return tuple(p for p in perms if all(table[p[i]][p[j]] == table[i][j] for i, j in pairs))
+
+
 def generic_symmetry(config: Config4) -> GenericSymmetry:
     """All permutations preserving the pairwise intersection pattern."""
-    rel = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            rel[(i, j)] = pair_relation(config[i], config[j])
-
-    def rel_of(i, j):
-        return rel[(i, j)] if i < j else rel[(j, i)]
-
-    coarse = []
-    fine = []
-    for p in itertools.permutations(range(4)):
-        ok_coarse = ok_fine = True
-        for i in range(4):
-            for j in range(i + 1, 4):
-                r1, r2 = rel_of(i, j), rel_of(p[i], p[j])
-                if (r1 == INTERSECTING or r1 == COINCIDENT) != (
-                    r2 == INTERSECTING or r2 == COINCIDENT
-                ):
-                    ok_coarse = False
-                if r1 != r2:
-                    ok_fine = False
-            if not ok_coarse and not ok_fine:
-                break
-        if ok_coarse:
-            coarse.append(p)
-        if ok_fine:
-            fine.append(p)
-    if not is_perm_group(set(coarse)) or not is_perm_group(set(fine)):
-        raise RuntimeError("pattern stabilizer failed the subgroup check")
-    return GenericSymmetry(group=tuple(sorted(coarse)), fine_group=tuple(sorted(fine)))
+    rel = [[pair_relation(l1, l2) for l2 in config.lines] for l1 in config.lines]
+    meets = [[r != PARALLEL for r in row] for row in rel]
+    return GenericSymmetry(group=_stabilizer(meets), fine_group=_stabilizer(rel))
 
 
 @dataclass(frozen=True)

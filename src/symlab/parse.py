@@ -11,19 +11,20 @@ Grammar:
 
 Symbols come from the caller's symbol list; the name `zeta3` additionally
 resolves to the field's primitive cube root of unity when the field has
-one.  Parentheses nest at most MAX_NESTING deep, so that the recursion stays
-far inside Python's stack limit; degrees are bounded by MAX_DEGREE, and
-integer literals and the integers of a power over Q or Q(zeta3) by
-MAX_POWER_DIGITS.  Errors
-carry the 0-based character position, in a list counted from the first
-nonblank character of the failing entry.
+one, and an extension field's generator name (`Y`) to its generator, so
+every printed field value reads back.  Parentheses nest at most
+MAX_NESTING deep, so that the recursion stays far inside Python's stack
+limit; degrees are bounded by MAX_DEGREE, and integer literals and the
+integers of a power over Q or Q(zeta3) by MAX_POWER_DIGITS.  Errors carry
+the 0-based character position, in a list counted from the first nonblank
+character of the failing entry.
 """
 
 from __future__ import annotations
 
 import math
 
-from .fields import MAX_POWER_DIGITS, Field, primitive_cube_root
+from .fields import MAX_POWER_DIGITS, ExtensionField, Field, primitive_cube_root
 from .poly import RationalFunction
 
 
@@ -223,6 +224,8 @@ class _Parser:
                 if self._zeta is None:
                     raise self._error(f"{self.field} has no primitive cube root of unity", start)
                 return self._const(self._zeta)
+            if isinstance(self.field, ExtensionField) and name == self.field.generator_name:
+                return self._const(self.field.generator())
             raise self._error(f"unknown symbol {name!r}", start)
         raise self._error("expected a number, symbol, or parenthesized expression", self.pos)
 

@@ -292,6 +292,12 @@ def test_steps_at_the_bound():
     assert len(json.loads(text)["results"]["grid"]) == cli.MAX_STEPS
 
 
+def test_extension_generator_is_accepted_as_input():
+    code, text = run(["talg", "--t", "Y", "--field", "F(3,2)", "--brute-force"])
+    assert code == 0, text
+    assert "  t: Y\n" in text
+
+
 RECTANGLE = "1 0 2; 0 1 0; 1 0 0; 0 1 4"
 
 

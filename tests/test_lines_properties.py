@@ -8,7 +8,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from symlab.lines import INFINITE, Config4, Line, design_isometries  # noqa: E402
+from symlab.families import is_perm_group  # noqa: E402
+from symlab.lines import (  # noqa: E402
+    INFINITE,
+    Config4,
+    Line,
+    design_isometries,
+    generic_symmetry,
+)
 
 small = st.integers(-3, 3)
 offsets = st.integers(-5, 5)
@@ -100,3 +107,39 @@ def test_order_invariant_under_relabeling(config, perm):
 )
 def test_known_orders(rows, expected):
     assert order(Config4([Line(*row) for row in rows])) == expected
+
+
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def oracle_relation(l1, l2):
+    """0 coincident, 1 parallel-distinct, 2 intersecting, read off the cross
+    products of the coefficient triples and of the normals."""
+    (a1, b1, c1), (a2, b2, c2) = (l1.a, l1.b, l1.c), (l2.a, l2.b, l2.c)
+    if cross((a1, b1, c1), (a2, b2, c2)) == (0, 0, 0):
+        return 0
+    return 1 if cross((a1, b1, 0), (a2, b2, 0))[2] == 0 else 2
+
+
+def oracle_stabilizer(config, key):
+    """The permutations mapping the set of unordered pairs in each class of
+    key(relation) onto itself, sorted."""
+    classes = {}
+    for pair in itertools.combinations(range(4), 2):
+        rel = key(oracle_relation(*(config[k] for k in pair)))
+        classes.setdefault(rel, set()).add(frozenset(pair))
+    return sorted(
+        p
+        for p in itertools.permutations(range(4))
+        if all({frozenset(p[k] for k in pair) for pair in pairs} == pairs for pairs in classes.values())
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_pattern_groups_are_groups_matching_the_oracle(config):
+    g = generic_symmetry(config)
+    assert is_perm_group(set(g.group)) and is_perm_group(set(g.fine_group))
+    assert list(g.group) == oracle_stabilizer(config, lambda r: r != 1)
+    assert list(g.fine_group) == oracle_stabilizer(config, lambda r: r)

@@ -62,6 +62,19 @@ class TestRatfunc:
         with pytest.raises(ParseError):
             parse_ratfunc("zeta3", GF(5))
 
+    @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 3), (5, 2)])
+    def test_every_extension_element_reads_back(self, p, k):
+        field = GF(p, k)
+        for e in field.elements():
+            assert parse_ratfunc(str(e), field) == RationalFunction.constant(field, (), e)
+
+    def test_generator_name_yields_to_a_symbol(self):
+        f9 = GF(3, 2)
+        assert parse_ratfunc("Y", f9).as_constant() == f9.generator()
+        assert parse_ratfunc("Y", f9, ("Y",)) == RationalFunction.symbol(f9, ("Y",), "Y")
+        with pytest.raises(ParseError, match="unknown symbol 'Y'"):
+            parse_ratfunc("Y", GF(5))
+
     def test_prime_field_constants(self):
         assert parse_ratfunc("2/3", GF(7)).as_constant() == GF(7).coerce(3)
 

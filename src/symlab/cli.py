@@ -115,6 +115,8 @@ def _field_and_symbols(args) -> tuple[Field, tuple]:
     for i, s in enumerate(symbols):
         if s in symbols[:i]:
             raise InputError(f"symbol {s!r} is repeated in --symbols")
+        if s == getattr(base, "generator_name", None):
+            raise InputError(f"symbol {s!r} is the name of the generator of {base}")
     return base, symbols
 
 

@@ -3,9 +3,10 @@
 A field object is a descriptor; two descriptors built from the same data
 compare equal, so elements of independently constructed copies of F_7
 interoperate.  Elements are immutable wrappers around a canonical raw value
-(a reduced Fraction, a residue in [0, p), or a tuple of those for
-extensions), so Python's own ==, hash and < on raw values are the field's
-equality, hash and order: the raw value is the element's key.
+(over Q an int when integral and a reduced Fraction otherwise, a residue in
+[0, p), or a tuple of those for extensions), so Python's own ==, hash and <
+on raw values are the field's equality, hash and order (an int and a
+Fraction compare and hash alike): the raw value is the element's key.
 
 Supported extensions are quotients base[Y]/(m(Y)) with m monic of degree 2
 or 3.  Over a finite base, irreducibility is certified by the absence of
@@ -298,8 +299,14 @@ class Field:
         return str(a)
 
 
+def _rational(a):
+    """The raw value of Q of an int or a Fraction: an int when integral."""
+    return a if type(a) is int or a.denominator != 1 else a.numerator
+
+
 class RationalField(Field):
-    """The rational numbers, with Fraction raw values."""
+    """The rational numbers; a raw value is an int when integral, a reduced
+    Fraction otherwise."""
 
     def __init__(self):
         self.zero, self.one = self.coerce(0), self.coerce(1)
@@ -310,29 +317,29 @@ class RationalField(Field):
                 raise FieldError(f"mixed fields: {self} and {x.field}")
             return x
         if isinstance(x, (int, Fraction)):
-            return FieldElement(self, Fraction(x))
+            return FieldElement(self, _rational(x))
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def characteristic(self):
         return 0
 
     def _add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def _sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def _mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def _neg(self, a):
         return -a
 
     def _inv(self, a):
-        return 1 / a
+        return _rational(Fraction(a.denominator, a.numerator))
 
     def _canonical(self, a):
-        return a
+        return _rational(a)
 
     def _fmt(self, a):
         if max(abs(a.numerator), a.denominator) >= _DIGIT_LIMIT:
@@ -424,11 +431,11 @@ class ExtensionField(Field):
     prime field or Q.
 
     Raw values are tuples of base raw values of length deg(m), lowest
-    degree first.  Products are formed natively on those values (ints
-    over F_p, Fractions over Q): the schoolbook product and the fold by m
-    accumulate with Python's own arithmetic, and each output coefficient
+    degree first.  Products are formed natively on those values (ints over
+    F_p, ints and Fractions over Q): the schoolbook product and the fold by
+    m accumulate with Python's own arithmetic, and each output coefficient
     is brought back to its raw value once, by the base's `_canonical`
-    (% p over F_p, nothing over Q).
+    (% p over F_p, an integral Fraction to its int over Q).
     """
 
     def __init__(self, base: Field, modulus, generator_name: str = "Y"):
@@ -462,8 +469,7 @@ class ExtensionField(Field):
                         f"modulus has root {x} over {self.base}: not irreducible"
                     )
             return
-        one = Fraction(1)
-        if isinstance(self.base, RationalField) and self.modulus == (one, one, one):
+        if isinstance(self.base, RationalField) and self.modulus == (1, 1, 1):
             return
         raise FieldError(
             "over the rationals only the modulus Y^2 + Y + 1 is supported"
@@ -528,8 +534,8 @@ class ExtensionField(Field):
         # Q(zeta3) is the only infinite extension admitted; its norm form
         # gives (x + y*Y)(x - y - y*Y) = x^2 - x*y + y^2.
         x, y = a
-        n = x * x - x * y + y * y
-        return ((x - y) / n, -y / n)
+        n = Fraction(x * x - x * y + y * y)
+        return (_rational((x - y) / n), _rational(-y / n))
 
     def _is_zero(self, a):
         return all(self.base._is_zero(c) for c in a)

@@ -495,7 +495,9 @@ def _int_exact_quotient(a: list, g: list) -> list:
 
 def clear_denominators(vals) -> list:
     """Rationals times their least common denominator, as integers."""
-    scale = math.lcm(*(v.denominator for v in vals))
+    # a list: f(*generator) shrinks a 10-slot tuple to size, and CPython's
+    # tuple free lists keep each such tuple until a full garbage collection
+    scale = math.lcm(*[v.denominator for v in vals])
     return [v.numerator * (scale // v.denominator) for v in vals]
 
 
@@ -553,7 +555,7 @@ def _canonical(num: MultiPoly, den: MultiPoly):
     if rational:
         s = math.gcd(*parts[0].values(), *parts[1].values())
         s = -s if lead < 0 else s
-        parts = [{e: Fraction(v // s) for e, v in p.items()} for p in parts]
+        parts = [{e: v // s for e, v in p.items()} for p in parts]
     else:
         inv = f._inv(lead)
         parts = [{e: f._mul(v, inv) for e, v in p.items()} for p in parts]

@@ -155,7 +155,7 @@ def test_criterion_04_survival_conditions():
 
         def proportional(p, q):
             e, c = next(iter(q.terms.items()))
-            return e in p.terms and p == q * (p.terms[e] / c)
+            return e in p.terms and p == q * Fraction(p.terms[e], c)
 
         assert proportional(
             survival_condition(SWAP12).condition, (x2 - x1) * (2 * x3 - x1 - x2)

@@ -513,6 +513,33 @@ class TestExitCodes:
         repeated = argv[argv.index("--symbols") + 1].split(",")[-1].strip()
         assert f"'{repeated}'" in err
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["idem", "--roots", "0,zeta3,Y", "--field", "F(2,2)", "--symbols", "Y"], "Y"),
+            (["idem", "--roots", "0,zeta3,t", "--field", "Qzeta3", "--symbols", "zeta3,t"], "zeta3"),
+            (["aut", "--field", "F(3,2)", "--poly", "factored:(X)(X-a)", "--symbols", "a,Y"], "Y"),
+        ],
+    )
+    def test_symbol_named_like_the_generator_exit_1(self, argv, name, capsys):
+        # it would print exactly as the generator: (Y + Y)*X^2 over F(2,2),
+        # an unreduced zeta3^3*t^2 over Q(zeta3)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"symbol '{name}'" in captured.err
+        assert "generator" in captured.err
+
+    def test_generator_name_is_a_symbol_over_other_fields(self, capsys):
+        # Y names no generator over Q or F_5, and zeta3 none over F(2,2)
+        for argv in (
+            ["idem", "--roots", "0,Y,1", "--symbols", "Y"],
+            ["idem", "--roots", "0,Y,1", "--field", "Fp(5)", "--symbols", "Y"],
+            ["idem", "--roots", "0,zeta3,t", "--field", "F(2,2)", "--symbols", "zeta3,t"],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("perm", [[], ["--perm", "(13)"]], ids=["all", "one_perm"])
     def test_root_pole_at_critical_value_exit_1(self, perm, capsys):
         # 1/(t+1) has a pole at the critical value t = -1; the verdict must

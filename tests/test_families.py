@@ -443,7 +443,7 @@ def _proportional(p: MultiPoly, q: MultiPoly) -> bool:
     e, c = next(iter(q.terms.items()))
     if e not in p.terms:
         return False
-    ratio = p.terms[e] / c
+    ratio = Fraction(p.terms[e], c)
     return p == q * ratio
 
 

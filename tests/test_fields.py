@@ -77,6 +77,53 @@ def test_one_value_by_any_route_has_one_key(field):
             assert len({a, b}) == 1
 
 
+def rational_leaves(field, value):
+    """The raw values of Q inside the raw value `value` of `field`: itself
+    over Q, its components over Q(zeta3), the coefficients of its
+    numerator and denominator over a function field of Q; none over F_q."""
+    if isinstance(field, FunctionField):
+        terms = [*value.num.terms.values(), *value.den.terms.values()]
+        return [q for c in terms for q in rational_leaves(field.base, c)]
+    if isinstance(field, ExtensionField):
+        return [q for c in value for q in rational_leaves(field.base, c)]
+    return [value] if field == QQ else []
+
+
+def assert_rational_raw(field, values):
+    """Every raw value of Q inside the raw values `values` of `field` is an
+    int if and only if it is integral, a Fraction otherwise, never a float
+    or a bool."""
+    for q in (q for v in values for q in rational_leaves(field, v)):
+        want = Fraction if isinstance(q, Fraction) and q.denominator != 1 else int
+        assert type(q) is want, repr(q)
+
+
+def test_rational_raw_value_is_an_int_when_integral():
+    qz = rationals_with_cube_root()
+    ints = [
+        QQ.coerce(True).value,
+        QQ.coerce(Fraction(4, 2)).value,
+        QQ._inv(1),
+        QQ._inv(-1),
+        QQ._inv(Fraction(1, 3)),
+        QQ._mul(Fraction(1, 2), 2),
+        QQ._add(Fraction(1, 2), Fraction(3, 2)),
+        QQ._sub(Fraction(1, 2), Fraction(-1, 2)),
+        QQ._canonical(Fraction(6, 3)),
+    ]
+    assert ints == [1, 2, 1, -1, 3, 1, 2, 1, 2]
+    assert all(type(q) is int for q in ints)
+    assert type(QQ._inv(3)) is Fraction and QQ._inv(3) == Fraction(1, 3)
+    assert type(QQ.coerce(Fraction(1, 2)).value) is Fraction
+    # (x + y*zeta3)^-1 over Q(zeta3): Fractions where the norm does not
+    # divide, ints where it does, never a float
+    for x, y in [(2, 1), (1, 0), (0, 1), (1, 1), (3, -5), (Fraction(1, 2), 1)]:
+        a = qz.coerce(x) + qz.generator() * y
+        inv = a.inverse()
+        assert_rational_raw(qz, [a.value, inv.value, (a * inv).value])
+        assert (a * inv).value == (1, 0)
+
+
 def test_function_field_values_are_not_hashable():
     # a rational function has no canonical raw value, so neither it nor an
     # algebra element with such coordinates has a hash

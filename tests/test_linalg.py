@@ -10,6 +10,7 @@ from symlab.linalg import Matrix, laplace_det
 from symlab.poly import FunctionField, MultiPoly
 from symlab.quotient import MonogenicAlgebra
 from symlab.structure import build_T
+from test_fields import assert_rational_raw
 
 
 QT = FunctionField(QQ, ("t",))
@@ -143,8 +144,10 @@ def test_flipped_cramer_sign_is_caught(monkeypatch):
 
 def assert_raw_rows(m, want):
     """m's rows hold raw values, no field element, and they are the values
-    coercion stores for the field elements in the rows `want`."""
+    coercion stores for the field elements in the rows `want`; a raw value
+    of Q among them is an int if and only if it is integral."""
     assert not any(isinstance(x, FieldElement) for r in m.rows for x in r)
+    assert_rational_raw(m.field, [x for r in m.rows for x in r])
     assert m.rows == tuple(tuple(m.field.coerce(x).value for x in r) for r in want)
 
 

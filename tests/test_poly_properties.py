@@ -3,7 +3,8 @@ product and the univariate gcd, over Q, F_7, F_8 and Q(zeta3), and of the
 canonical form of rational functions (poly._canonical) over the same
 fields in t and in a, t; and the raw-value representation of MultiPoly
 over those fields and Q(t): after every operation its terms are nonzero
-raw values, equal to the element-level results."""
+raw values, equal to the element-level results, and a raw value of Q is an
+int exactly when it is integral."""
 
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from symlab.fields import GF, QQ, FieldElement, rationals_with_cube_root  # noqa: E402
 from symlab.poly import FunctionField, MultiPoly, RationalFunction, UniPoly, _poly_gcd  # noqa: E402
+from test_fields import assert_rational_raw  # noqa: E402
 
 
 KERNEL_FIELDS = [QQ, GF(7), GF(2, 3), rationals_with_cube_root()]
@@ -217,9 +219,11 @@ def element_terms(p):
 def assert_raw_terms(p, want):
     """p's terms hold raw values, no field element and no zero, and they
     are the values coercion stores for the nonzero field elements of the
-    terms `want`."""
+    terms `want`; a raw value of Q among them is an int if and only if it
+    is integral."""
     f = p.field
     assert not any(isinstance(c, FieldElement) or f._is_zero(c) for c in p.terms.values())
+    assert_rational_raw(f, p.terms.values())
     assert p.terms == {e: f.coerce(c).value for e, c in want.items() if not c.is_zero()}
 
 

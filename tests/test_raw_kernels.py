@@ -14,12 +14,12 @@ as the oracle:
 - no_s3_check (orders by prime order) against the order search;
 - the raw-value representation of UniPoly: after every operation its
   coefficients are raw values, with no trailing zero, equal to the
-  element-level results.
+  element-level results, and a raw value of Q is an int exactly when it
+  is integral.
 """
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -34,6 +34,7 @@ from symlab.quotient import AlgebraHom, MonogenicAlgebra  # noqa: E402
 from symlab.structure import (  # noqa: E402
     LinearAlgebraMap, StructElement, StructureConstAlgebra, brute_force_automorphisms, build_T,
 )
+from test_fields import assert_rational_raw  # noqa: E402
 
 QT = FunctionField(QQ, ("t",))
 HOM_FIELDS = [GF(5), GF(7), GF(2, 2), GF(3, 2), QQ, rationals_with_cube_root(), QT]
@@ -132,9 +133,11 @@ def test_compose_mod_matches_horner_on_unipolys(field):
 def assert_raw_coeffs(p, want):
     """p's coefficients are raw values, no field element, with no trailing
     zero, and they are the values coercion stores for the field elements
-    `want` stripped of their trailing zeros."""
+    `want` stripped of their trailing zeros; a raw value of Q among them is
+    an int if and only if it is integral."""
     f = p.field
     assert not any(isinstance(c, FieldElement) for c in p.coeffs)
+    assert_rational_raw(f, p.coeffs)
     assert not p.coeffs or not f._is_zero(p.coeffs[-1])
     want = [f.coerce(c).value for c in want]
     while want and f._is_zero(want[-1]):
@@ -284,9 +287,10 @@ def test_extension_product_over_qzeta3_matches_schoolbook():
     @raw_settings
     @given(st.tuples(small, small), st.tuples(small, small))
     def check(a, b):
+        a, b = (tuple(QQ.coerce(c).value for c in x) for x in (a, b))
         got = field._mul(a, b)
         assert got == schoolbook(field, a, b)
-        assert all(type(c) is Fraction for c in got)
+        assert_rational_raw(field, [got])
 
     check()
 

@@ -234,13 +234,12 @@ def _cmd_idem(args) -> dict:
     roots = _as_field_values(parse_ratfunc_list(args.roots, base, symbols), field, symbols)
     algebra = MonogenicAlgebra.from_roots(field, roots)
     es = idempotents(algebra, roots)
-    verified = verify_idempotents(roots, es)
     det = root_differences(roots, field.one)
     results = {
         "modulus": str(algebra.modulus),
         "idempotents": [str(e) for e in es],
         "vandermonde_det": str(det),
-        "verified": verified,
+        "verified": verify_idempotents(roots, es),
     }
     return _report(
         "idem",

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldElement, RationalField
-from .poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly, clear_denominators, taylor
+from .poly import MultiPoly, Pole, RationalFunction, UniPoly, clear_denominators, taylor
 from .quotient import (
     AlgebraHom,
     MonogenicAlgebra,
@@ -102,12 +102,12 @@ def is_perm_group(perms: set) -> bool:
 class RootFamily:
     """Pairwise-distinct rational-function roots over (field, symbols)."""
 
-    def __init__(self, field: Field, symbols, roots, param: str = "t"):
+    def __init__(self, field: Field, symbols, roots):
         self.field = field
         self.symbols = tuple(symbols)
-        if param not in self.symbols:
-            raise ValueError(f"parameter {param!r} must be one of the symbols")
-        self.param = param
+        self.param = "t"
+        if "t" not in self.symbols:
+            raise ValueError("parameter 't' must be one of the symbols")
         rs = []
         for r in roots:
             if isinstance(r, RationalFunction):
@@ -132,9 +132,6 @@ class RootFamily:
     @property
     def n(self) -> int:
         return len(self.roots)
-
-    def function_field(self) -> FunctionField:
-        return FunctionField(self.field, self.symbols)
 
     def roots_at(self, t0) -> list[FieldElement]:
         """Exact root values at the parameter value t0 (other symbols must
@@ -374,8 +371,7 @@ def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> PermAutomorphism:
 
 @dataclass(frozen=True)
 class Survives:
-    limit_map: SubstitutionMap
-    verified: bool = True  # analyze_at only builds verified survivals
+    limit_map: SubstitutionMap  # verified as an automorphism by analyze_at
 
 @dataclass(frozen=True)
 class PoleAt:

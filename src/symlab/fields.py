@@ -565,7 +565,7 @@ class ExtensionField(Field):
 QQ = RationalField()
 
 
-def GF(p: int, k: int = 1, generator_name: str = "Y") -> Field:
+def GF(p: int, k: int = 1) -> Field:
     """F_p for k = 1, else F_{p^k} via the lexicographically smallest
     monic irreducible modulus of degree k over F_p (k in {2, 3})."""
     base = PrimeField(p)
@@ -576,15 +576,15 @@ def GF(p: int, k: int = 1, generator_name: str = "Y") -> Field:
     for tail in itertools.product(range(p), repeat=k):
         coeffs = list(tail) + [1]
         try:
-            return ExtensionField(base, coeffs, generator_name)
+            return ExtensionField(base, coeffs)
         except FieldError:
             continue
     raise FieldError(f"no irreducible modulus of degree {k} over F_{p}")  # unreachable
 
 
-def rationals_with_cube_root(generator_name: str = "zeta3") -> ExtensionField:
+def rationals_with_cube_root() -> ExtensionField:
     """Q extended by a primitive cube root of unity: Q[z]/(z^2 + z + 1)."""
-    return ExtensionField(QQ, [1, 1, 1], generator_name)
+    return ExtensionField(QQ, [1, 1, 1], "zeta3")
 
 
 def primitive_cube_root(field: Field) -> FieldElement | None:

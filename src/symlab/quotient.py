@@ -7,10 +7,10 @@ is polynomial composition of the images: compose(outer, inner) has image
 outer_image(inner_image(X)) mod f, so it reproduces the classical closed
 composition law on X -> aX + bX^2 maps coefficient for coefficient.
 
-The checks of brute-force candidates and the orders of the maps found run
-on raw field values: a map's powers image^k mod f are computed once, and
-the homomorphism test, the matrix behind the determinant test, the inverse
-and the order all read them.
+A map (AlgebraHom) owns its homomorphism and isomorphism verdicts and
+reaches each at most once.  They run on raw field values: a map's powers
+image^k mod f are computed once, and the verdicts, the matrix behind the
+determinant test, the inverse and the order all read them.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ class MonogenicAlgebra:
         return self.modulus.degree
 
     def element(self, coeffs) -> "AlgebraElement":
-        if isinstance(coeffs, UniPoly):
-            return self.from_poly(coeffs)
         return self.from_poly(UniPoly(self.field, coeffs))
 
     def from_poly(self, p: UniPoly) -> "AlgebraElement":
@@ -107,9 +105,10 @@ class AlgebraHom:
     (is_homomorphism), not a construction invariant, because testing the
     failure case is part of the point.
 
-    The homomorphism test, the matrix and the inverse all read one power
-    table, the raw coefficients of image^k mod f_target for
-    k = 0..deg f_source, built at most once per map.
+    Its two verdicts, homomorphism and isomorphism, are each reached at
+    most once; every check, the inverse and a substitution map's order read
+    them.  The verdicts, the matrix and the inverse read one power table,
+    the raw coefficients of image^k mod f_target for k = 0..deg f_source.
     """
 
     def __init__(self, source: MonogenicAlgebra, target: MonogenicAlgebra, image: UniPoly):
@@ -149,12 +148,24 @@ class AlgebraHom:
                 out = [add(s, mul(c, v)) for s, v in zip(out, row)]
         return out
 
-    def is_homomorphism(self) -> bool:
+    @functools.cached_property
+    def _homomorphic(self) -> bool:
         """True iff f_source(image(X)) == 0 in the target."""
         f = self.source.field
         return all(map(f._is_zero, self._substitute(self.source.modulus.coeffs)))
 
-    def apply(self, u: AlgebraElement) -> AlgebraElement:
+    @functools.cached_property
+    def _isomorphic(self) -> bool:
+        same_dim = self.source.dim == self.target.dim
+        return same_dim and self._homomorphic and self.matrix().is_invertible()
+
+    def is_homomorphism(self) -> bool:
+        return self._homomorphic
+
+    def is_isomorphism(self) -> bool:
+        return self._isomorphic
+
+    def __call__(self, u: AlgebraElement) -> AlgebraElement:
         if u.algebra != self.source:
             raise ValueError("element of a different algebra")
         return self.target.from_poly(
@@ -167,23 +178,15 @@ class AlgebraHom:
             raise ValueError("matrix of a map between different dimensions")
         return Matrix._wrap(self.source.field, zip(*self._power_table[:-1]))
 
-    def is_isomorphism(self) -> bool:
-        if self.source.dim != self.target.dim:
-            return False
-        return self.is_homomorphism() and self.matrix().is_invertible()
-
     def inverse_image(self) -> UniPoly:
         """Image of X under the inverse map (target -> source); raises
         ValueError for a non-homomorphism and, from solve, for a singular
         matrix."""
-        if not self.is_homomorphism():
+        if not self._homomorphic:
             raise ValueError("map is not a homomorphism")
         x = self.target.gen()
         sol = self.matrix().solve([x.coeff(k) for k in range(self.target.dim)])
         return UniPoly(self.source.field, sol)
-
-    def inverse_hom(self) -> "AlgebraHom":
-        return AlgebraHom(self.target, self.source, self.inverse_image())
 
 
 class SubstitutionMap(AlgebraHom):
@@ -202,19 +205,11 @@ class SubstitutionMap(AlgebraHom):
     def identity(cls, algebra):
         return cls(algebra, UniPoly.x(algebra.field))
 
-    def __call__(self, u: AlgebraElement) -> AlgebraElement:
-        return self.apply(u)
-
     def is_endomorphism(self) -> bool:
-        return self.is_homomorphism()
-
-    @functools.cached_property
-    def _automorphic(self) -> bool:
-        """The verdict of is_isomorphism, reached once per map."""
-        return self.is_isomorphism()
+        return self._homomorphic
 
     def is_automorphism(self) -> bool:
-        return self._automorphic
+        return self._isomorphic
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """Map with image self.image(inner.image(X)) mod f."""
@@ -238,7 +233,7 @@ class SubstitutionMap(AlgebraHom):
         The composites are raw coefficient lists: the image of X under
         the (k+1)-fold composite is the k-fold image with g substituted for
         X."""
-        if not self._automorphic:
+        if not self._isomorphic:
             raise ValueError("order of a non-automorphism")
         acc = ident = list(self.algebra.gen().coeffs)
         for k in range(1, max_order + 1):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from symlab import families
 from symlab.cli import run
 
 from symlab.families import (
@@ -33,7 +34,7 @@ from symlab.fields import GF, QQ, primitive_cube_root, rationals_with_cube_root
 from symlab.linalg import Matrix
 from symlab.parse import parse_ratfunc
 from symlab.poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly
-from symlab.quotient import MonogenicAlgebra, SubstitutionMap, idempotents
+from symlab.quotient import AlgebraHom, MonogenicAlgebra, SubstitutionMap, idempotents
 from test_linalg import gauss_jordan_inverse
 
 T = ("t",)
@@ -165,7 +166,7 @@ class TestPermCoeffVector:
     def test_composition_homomorphism_all_pairs(self, fam_0_t_1):
         fams = [fam_0_t_1, specialize_scaled(QQ, [1, 3, 2])]
         for fam in fams:
-            ff = fam.function_field()
+            ff = FunctionField(fam.field, fam.symbols)
             alg = MonogenicAlgebra.from_roots(ff, [ff.coerce(r) for r in fam.roots])
             maps = {
                 sigma: SubstitutionMap(
@@ -199,8 +200,36 @@ class TestAnalyzeAt:
         pa = perm_coeff_vector(fam_0_t_t2, CYCLE123)
         assert pa.coeffs[2].limit_at("t", 0) == Pole(2)
 
+    def test_finite_limit_failing_verification_raises(self, fam_0_t_1, monkeypatch):
+        # the mandatory check behind Survives: a finite limit that is not an
+        # automorphism is an internal inconsistency, named by sigma and t0
+        monkeypatch.setattr(AlgebraHom, "_isomorphic", property(lambda hom: False))
+        with pytest.raises(InternalInconsistencyError,
+                           match=r"^finite limit of \(12\) at t=0 is not an automorphism of "):
+            analyze_at(fam_0_t_1, SWAP12, 0)
+        assert analyze_at(fam_0_t_1, CYCLE123, 0) == PoleAt(1, 1)  # no limit, no check
+        code, out = run(["family", "--roots", "0,t,1", "--at", "0"])
+        assert (code, out.splitlines()[0]) == (
+            2, "internal inconsistency: finite limit of id at t=0 is not an automorphism of "
+            "Q[X]/(X^3 - X^2)")
+
 
 class TestSurvivingSubgroup:
+    def test_survivors_not_closed_raise(self, fam_0_t_1, monkeypatch):
+        # the mandatory closure check: with the identity's limit turned into
+        # a pole, the survivors {(12)} are not a subgroup of S3
+        analyze = families.analyze_at
+
+        def without_identity(fam, sigma, t0):
+            return PoleAt(0, 1) if sigma == (0, 1, 2) else analyze(fam, sigma, t0)
+
+        monkeypatch.setattr(families, "analyze_at", without_identity)
+        with pytest.raises(InternalInconsistencyError,
+                           match=r"^surviving set at t=0 is not a subgroup: \(12\)$"):
+            surviving_subgroup(fam_0_t_1, 0)
+        with pytest.raises(InternalInconsistencyError, match=r"^surviving set at t=1 .*: \(23\)$"):
+            surviving_subgroup(fam_0_t_1, 1)
+
     def test_family_0_t_1(self, fam_0_t_1):
         rep = surviving_subgroup(fam_0_t_1, 0)
         assert set(rep.surviving) == {(0, 1, 2), SWAP12}
@@ -552,7 +581,7 @@ def gauss_jordan_vectors(fam, perms):
     """The pre-adjugate path, kept as a test-only oracle: invert the
     Vandermonde matrix of the roots over the function field by Gauss-Jordan
     elimination and apply it to every permuted root vector."""
-    ff = fam.function_field()
+    ff = FunctionField(fam.field, fam.symbols)
     roots = [ff.coerce(r) for r in fam.roots]
     m_inv = gauss_jordan_inverse(Matrix(ff, [[r**k for k in range(fam.n)] for r in roots]))
     return {
@@ -806,7 +835,7 @@ def shifted_status(fam, sigma, t0):
     st = analyze_at(fam, sigma, t0)
     if isinstance(st, PoleAt):
         return ("pole", st.coeff_index, st.order)
-    assert st.verified
+    assert st.limit_map.is_automorphism()
     return ("survives", st.limit_map.image)
 
 

@@ -43,6 +43,22 @@ def partitions(n, largest=None):
     ]
 
 
+def count_evaluations(monkeypatch, name):
+    """Patch the cached property `name` of AlgebraHom so that every map it
+    is computed for is recorded; returns the list of those maps."""
+    compute = AlgebraHom.__dict__[name].func
+    calls = []
+
+    def counting(hom):
+        calls.append(hom)
+        return compute(hom)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(AlgebraHom, name)
+    monkeypatch.setattr(AlgebraHom, name, prop)
+    return calls
+
+
 def algebra(field, coeffs):
     return MonogenicAlgebra(field, UniPoly(field, coeffs))
 
@@ -617,14 +633,7 @@ class TestBruteForce:
     def test_order_profile_checks_no_map_again(self, monkeypatch):
         # the CLI's order profile reads each map's verdict from the search:
         # the only full checks are the 27 of the 3^3 images enumerated
-        full_check = AlgebraHom.is_isomorphism
-        calls = []
-
-        def counted(g):
-            calls.append(g)
-            return full_check(g)
-
-        monkeypatch.setattr(AlgebraHom, "is_isomorphism", counted)
+        calls = count_evaluations(monkeypatch, "_isomorphic")
         code, out = run(["aut", "--field", "Fp(5)", "--poly", "factored:(X)(X-1)(X-2)", "--brute-force"])
         assert code == 0 and "order profile: order 1: 1, order 2: 3, order 3: 2" in out
         assert len(calls) == 27
@@ -707,7 +716,7 @@ class TestAlgebraHom:
         assert iso.is_homomorphism() and iso.is_isomorphism()
         back = iso.inverse_image()
         assert back == UniPoly(ff, [ff.zero, t.inverse()])
-        assert iso.inverse_hom().is_isomorphism()
+        assert AlgebraHom(tgt, src, back).is_isomorphism()
 
     def test_non_hom_detected(self):
         hom = AlgebraHom(X3, X3X2, UniPoly(QQ, [0, 1]))
@@ -727,19 +736,94 @@ class TestAlgebraHom:
             squaring.inverse_image()
 
     def test_one_power_table_per_map(self, monkeypatch):
-        builds = []
-        build = AlgebraHom.__dict__["_power_table"].func
-
-        def counting(hom):
-            builds.append(hom)
-            return build(hom)
-
-        table = functools.cached_property(counting)
-        table.__set_name__(AlgebraHom, "_power_table")
-        monkeypatch.setattr(AlgebraHom, "_power_table", table)
+        builds = count_evaluations(monkeypatch, "_power_table")
         h = SubstitutionMap(X3, [0, 1, 1])
         assert h.is_automorphism() and h.is_homomorphism()
         assert h.matrix() == Matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
         assert h.inverse_image() == UniPoly(QQ, [0, 1, -1])
         assert h.inverse().image == UniPoly(QQ, [0, 1, -1])
         assert builds == [h]
+
+    @staticmethod
+    def random_isos(field, draw, count):
+        """Isomorphisms k[X]/(f) -> k[Y]/(g) sending X to a*Y + b, for a
+        random monic f of degree 3, random a != 0 and b, and g the monic
+        f(a*Y + b) / a^3."""
+        out = []
+        while len(out) < count:
+            a, b = draw(), draw()
+            if a.is_zero():
+                continue
+            f = UniPoly(field, [draw() for _ in range(3)] + [field.one])
+            lin = UniPoly(field, [b, a])
+            g = UniPoly.zero(field)
+            for k in range(f.degree, -1, -1):
+                g = g * lin + UniPoly.constant(field, f.coeff(k))
+            g = g * UniPoly.constant(field, a.inverse() ** 3)
+            out.append(AlgebraHom(MonogenicAlgebra(field, f), MonogenicAlgebra(field, g), lin))
+        return out
+
+    def test_call_maps_coordinates_by_the_matrix_and_respects_products(self):
+        rng = random.Random(23)
+        qt, qat = FunctionField(QQ, ("t",)), FunctionField(QQ, ("a", "t"))
+        draws = {
+            QQ: lambda: QQ.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3))),
+            GF(7): lambda: GF(7).coerce(rng.randint(0, 6)),
+            qt: lambda: qt.coerce(rng.randint(-3, 3)) + rng.randint(-2, 2) * qt.symbol("t"),
+            qat: lambda: qat.coerce(rng.randint(-3, 3)) + rng.randint(-2, 2) * qat.symbol("t"),
+        }
+        # the README conj pair: X -> tX from k[X]/(X^2 (X - t)) to k[X]/(X^2 (X - 1))
+        readme = AlgebraHom(
+            MonogenicAlgebra.from_roots(qat, [0, 0, qat.symbol("t")]),
+            MonogenicAlgebra.from_roots(qat, [0, 0, 1]),
+            UniPoly(qat, [0, qat.symbol("t")]),
+        )
+        isos = [readme] + [iso for f in (QQ, GF(7), qt) for iso in self.random_isos(f, draws[f], 4)]
+        for iso in isos:
+            assert iso.is_isomorphism(), iso.image
+            draw = draws[iso.source.field]
+            for _ in range(3):
+                u, v = (iso.source.element([draw() for _ in range(3)]) for _ in range(2))
+                assert iso(u) == iso.target.element(iso.matrix().mul_vec(u.coeffs))
+                assert iso(u * v) == iso(u) * iso(v)
+            if iso.target != iso.source:
+                with pytest.raises(ValueError, match="different algebra"):
+                    iso(iso.target.gen())
+
+    def test_each_verdict_reached_once_per_map(self, monkeypatch):
+        homs = count_evaluations(monkeypatch, "_homomorphic")
+        isos = count_evaluations(monkeypatch, "_isomorphic")
+        h = SubstitutionMap(X3, [0, 1, 1])
+        for _ in range(2):
+            assert h.is_endomorphism() and h.is_homomorphism()
+            assert h.is_automorphism() and h.is_isomorphism()
+            assert h.inverse_image() == UniPoly(QQ, [0, 1, -1])
+            assert h.order(8) is None  # X -> X + X^2 has infinite order over Q
+        assert homs == isos == [h]
+        # a non-homomorphism is refused by its one verdict, checked once
+        scale = SubstitutionMap(algebra(QQ, [-1, 0, 1]), [0, 2])
+        for _ in range(2):
+            assert not scale.is_automorphism() and not scale.is_endomorphism()
+            with pytest.raises(ValueError, match="non-automorphism"):
+                scale.order()
+            with pytest.raises(ValueError, match="not a homomorphism"):
+                scale.inverse_image()
+        assert homs == [h, scale] and isos == [h, scale]
+
+    @pytest.mark.parametrize(
+        "argv,verdicts",
+        [
+            # iso, alpha and the conjugated map, each checked once
+            (["conj", "--field", "Q", "--symbols", "a,t", "--source-roots", "0,0,t",
+              "--target-roots", "0,0,1", "--iso", "0,t", "--aut", "0,a,1-a", "--limit", "0"], 3),
+            # the endomorphism and the automorphism line read one verdict
+            (["aut", "--field", "Q", "--poly", "factored:(X)^2(X-1)", "--check-map", "0,a,1-a",
+              "--symbols", "a"], 1),
+        ],
+        ids=["conj", "aut-check-map"],
+    )
+    def test_readme_rows_reach_each_homomorphism_verdict_once(self, monkeypatch, argv, verdicts):
+        homs = count_evaluations(monkeypatch, "_homomorphic")
+        code, out = run(argv)
+        assert code == 0 and "True" in out, out
+        assert len(homs) == verdicts and len(set(map(id, homs))) == verdicts

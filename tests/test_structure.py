@@ -11,6 +11,7 @@ from symlab.structure import (
     AutPair,
     algebra_from_json,
     LinearAlgebraMap,
+    StructElement,
     StructureConstAlgebra,
     brute_force_automorphisms,
     build_T,
@@ -60,7 +61,9 @@ class TestConstruction:
 
     def test_symbolic_member_is_associative(self):
         ff = FunctionField(QQ, ("t",))
-        build_T(ff.symbol("t"))  # constructor checks all 27 triples
+        # the constructor checks the unit axiom and the 8 triples of e2, e3;
+        # the unit axiom settles the other 19
+        build_T(ff.symbol("t"))
 
     def test_corrupted_table_rejected(self):
         f5 = GF(5)
@@ -92,6 +95,97 @@ class TestConstruction:
         f5 = GF(5)
         with pytest.raises(ValueError):
             StructureConstAlgebra(f5, T1_TABLE, [0, 1, 0])
+
+
+def count_products(monkeypatch):
+    """Record the operands of every product of two algebra elements."""
+    times = StructElement._times
+    calls = []
+
+    def counting(u, v):
+        calls.append((u.coeffs, v.coeffs))
+        return times(u, v)
+
+    monkeypatch.setattr(StructElement, "_times", counting)
+    return calls
+
+
+def first_failing_triple(field, table, unit):
+    """Oracle for the construction checks, on the dense table of field
+    elements: the message for the first basis vector failing the unit axiom,
+    else for the first of all n^3 basis triples, in lexicographic order,
+    that does not associate, else None."""
+    n = len(table)
+
+    def mul(u, v):
+        out = [field.zero] * n
+        for i, j in itertools.product(range(n), repeat=2):
+            out = [o + u[i] * v[j] * c for o, c in zip(out, table[i][j])]
+        return out
+
+    basis = [[field.one if k == i else field.zero for k in range(n)] for i in range(n)]
+    for i, b in enumerate(basis):
+        if mul(unit, b) != b or mul(b, unit) != b:
+            return f"unit axiom fails on basis vector {i + 1}"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if mul(mul(basis[i], basis[j]), basis[k]) != mul(basis[i], mul(basis[j], basis[k])):
+            return f"associativity fails on basis triple ({i + 1}, {j + 1}, {k + 1})"
+    return None
+
+
+class TestUnitSettledTriples:
+    """A triple holding the unit basis vector associates by the unit axiom,
+    so construction checks associativity only on the other triples."""
+
+    def test_build_T_makes_38_products(self, monkeypatch):
+        # unit axiom: 2 products per basis vector; 2^3 triples of e2, e3: 4 each
+        for t in (GF(7).coerce(3), QQ.zero, FunctionField(QQ, ("t",)).symbol("t")):
+            products = count_products(monkeypatch)
+            build_T(t)
+            assert len(products) == 3 * 2 + 2**3 * 4, t
+
+    def test_unit_off_the_basis_checks_every_triple(self, monkeypatch):
+        from test_raw_kernels import rebased
+
+        field = GF(7)
+        algebra, table = rebased(build_T(field.coerce(2)), [[1, 1, 0], [1, 2, 1], [3, 0, 1]])
+        assert all(algebra.basis(i) != algebra.one() for i in range(3))
+        products = count_products(monkeypatch)
+        assert StructureConstAlgebra(field, table, algebra.unit) == algebra
+        assert len(products) == 3 * 2 + 3**3 * 4
+
+    def test_non_associative_table_with_a_unit_basis_vector(self):
+        # basis (a, 1, b): a*a = b, a*b = a, b*a = b*b = 0, so
+        # (a*a)*a = 0 but a*(a*a) = a; the unit is the second basis vector
+        a, u, b, z = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+        table = [[b, a, a], [a, u, b], [z, b, z]]
+        message = "associativity fails on basis triple (1, 1, 1)"
+        dense = [[list(map(QQ.coerce, cell)) for cell in row] for row in table]
+        assert first_failing_triple(QQ, dense, list(map(QQ.coerce, u))) == message
+        with pytest.raises(ValueError) as err:
+            StructureConstAlgebra(QQ, table, u)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_same_verdict_and_message_as_every_triple(self, p):
+        # random tables with the unit at a random basis vector: the check on
+        # the triples the unit axiom leaves open fails exactly when some
+        # triple fails, and on the same first triple
+        field, rng = GF(p), random.Random(p)
+        for _ in range(150):
+            n, at = 3, rng.randrange(3)
+            basis = [[field.one if k == i else field.zero for k in range(n)] for i in range(n)]
+            table = [[[field.coerce(rng.randrange(p)) for _ in range(n)] for _ in range(n)]
+                     for _ in range(n)]
+            for i in range(n):
+                table[at][i], table[i][at] = basis[i], basis[i]
+            want = first_failing_triple(field, table, basis[at])
+            try:
+                StructureConstAlgebra(field, table, basis[at])
+                got = None
+            except ValueError as e:
+                got = str(e)
+            assert got == want, (table, at)
 
 
 class TestMorphisms:

@@ -45,3 +45,16 @@ def test_every_traced_target_resolves(table):
         if not callable(found):
             missing.append(f"{name}: symlab.{module}.{qualname}")
     assert not missing, missing
+
+
+def test_cli_registry_the_tracer_patches():
+    # the tracer wraps every entry of cli._COMMANDS in place, so the
+    # registry must stay one dict from subcommand name to command function
+    import argparse
+
+    from symlab import cli
+
+    assert "cli._COMMANDS.items()" in TRACING.read_text()
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert type(cli._COMMANDS) is dict and set(cli._COMMANDS) == set(sub.choices)
+    assert all(callable(fn) for fn in cli._COMMANDS.values())

@@ -39,7 +39,6 @@ from .quotient import (
 from .chi import Chi, all_chis, no_s3_check, order_class
 from .families import (
     InternalInconsistencyError,
-    PermAutomorphism,
     PoleAt,
     RootFamily,
     SurvivalCondition,
@@ -49,7 +48,6 @@ from .families import (
     conjugate_through_iso,
     normalize_scaled_triple,
     perm_coeff_vector,
-    scaled_family,
     specialize_scaled,
     survival_condition,
     surviving_subgroup,
@@ -62,7 +60,6 @@ from .structure import (
     build_T,
     compose_pair,
     limit_map_at_zero,
-    pair_to_map,
     transport_aut,
 )
 from .lines import (

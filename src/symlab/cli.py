@@ -283,8 +283,7 @@ def _status_text(st: dict) -> str:
 
 def _cmd_family(args) -> dict:
     base, _ = _field_and_symbols(args)
-    roots = parse_ratfunc_list(args.roots, base, ("t",))
-    fam = RootFamily(base, ("t",), roots)
+    fam = RootFamily(base, parse_ratfunc_list(args.roots, base, RootFamily.symbols))
     if not 2 <= fam.n <= 5:
         raise InputError("family analysis supports 2 to 5 roots")
     crit = fam.critical_values()
@@ -296,11 +295,10 @@ def _cmd_family(args) -> dict:
     }
     perms = [parse_cycles(args.perm, fam.n)] if args.perm else all_perms(fam.n)
     for sigma in perms:
-        pa = perm_coeff_vector(fam, sigma)
         results["generic_maps"].append(
             {
                 "perm": perm_to_cycles(sigma),
-                "coefficients": [str(c) for c in pa.coeffs],
+                "coefficients": [str(c) for c in perm_coeff_vector(fam, sigma)],
             }
         )
     at_values = [v.as_constant() for v in parse_ratfunc_list(args.at, base)] if args.at else crit

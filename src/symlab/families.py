@@ -1,12 +1,14 @@
 """Parametrized root families and what happens to their symmetries at
 critical parameter values.
 
-A family is a list of pairwise-distinct rational functions r_i(t) defining
-the algebras A_t = k[X]/(prod (X - r_i(t))).  Away from critical values the
-automorphisms permute the Lagrange idempotents, so each permutation yields
-a substitution map whose coefficients are rational functions of t; taking
-exact limits of those coefficients decides which permutations survive at a
-critical value, collapse (pole), or degenerate.
+A family (RootFamily) is a list of pairwise-distinct rational functions
+r_i(t) in the one parameter t, defining the algebras A_t = k[X]/(prod (X -
+r_i(t))).  Away from critical values the automorphisms permute the Lagrange
+idempotents, so each permutation sigma yields a substitution map, its
+generic map, given by its coefficient vector: rational functions of t
+(perm_coeff_vector).  Taking exact limits of those coefficients decides
+which permutations survive at a critical value, collapse (pole), or
+degenerate.
 
 The coefficient vector c(sigma) of sigma's map X -> g_sigma(X) solves
 M c = (r_sigma(1), ..., r_sigma(n)) for the Vandermonde matrix M of the
@@ -100,29 +102,25 @@ def is_perm_group(perms: set) -> bool:
 
 
 class RootFamily:
-    """Pairwise-distinct rational-function roots over (field, symbols)."""
+    """Pairwise-distinct roots r_i(t), each a RationalFunction over
+    (field, ("t",)): the family A_t in its one parameter t."""
 
-    def __init__(self, field: Field, symbols, roots):
+    param = "t"
+    symbols = ("t",)
+
+    def __init__(self, field: Field, roots):
         self.field = field
-        self.symbols = tuple(symbols)
-        self.param = "t"
-        if "t" not in self.symbols:
-            raise ValueError("parameter 't' must be one of the symbols")
-        rs = []
-        for r in roots:
-            if isinstance(r, RationalFunction):
-                if r.field != field or r.symbols != self.symbols:
-                    raise ValueError("root from a different context")
-                rs.append(r)
-            else:
-                rs.append(RationalFunction.constant(field, self.symbols, r))
+        rs = tuple(roots)
+        for r in rs:
+            if not isinstance(r, RationalFunction) or (r.field, r.symbols) != (field, self.symbols):
+                raise ValueError("root from a different context")
         for i in range(len(rs)):
             for j in range(i + 1, len(rs)):
                 if rs[i] == rs[j]:
                     raise ValueError(
                         f"roots {i + 1} and {j + 1} coincide as rational functions"
                     )
-        self.roots = tuple(rs)
+        self.roots = rs
         # per-family memo: interpolation table, and per parameter value the
         # specialized algebra and the shifted table, freed with the family
         self._table = None
@@ -134,10 +132,7 @@ class RootFamily:
         return len(self.roots)
 
     def roots_at(self, t0) -> list[FieldElement]:
-        """Exact root values at the parameter value t0 (other symbols must
-        already be specialized away)."""
-        if self.symbols != (self.param,):
-            raise ValueError("family still carries symbols besides the parameter")
+        """Exact root values at the parameter value t0."""
         t0 = self.field.coerce(t0)
         out = []
         for r in self.roots:
@@ -222,8 +217,6 @@ class RootFamily:
         and otherwise by sort_key, which over a finite field is the order
         of field.elements().
         """
-        if self.symbols != (self.param,):
-            raise ValueError("family still carries symbols besides the parameter")
         field = self.field
         found = set()
         factors = {}  # distinct g, each searched once
@@ -335,26 +328,16 @@ def _divisors(n: int):
     return sorted(set(out))
 
 
-@dataclass(frozen=True)
-class PermAutomorphism:
-    """A permutation of the root slots with the coefficient vector of the
-    induced map's image of X, as rational functions of the parameters."""
-
-    sigma: tuple
-    coeffs: tuple  # RationalFunction entries, index k = coefficient of X^k
-
-    def __str__(self):
-        return f"{perm_to_cycles(self.sigma)}: ({', '.join(str(c) for c in self.coeffs)})"
-
-
 def _check_perm(fam: RootFamily, sigma: tuple):
     if sorted(sigma) != list(range(fam.n)):
         raise ValueError(f"{sigma} is not a permutation of 0..{fam.n - 1}")
 
 
-def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> PermAutomorphism:
-    """Solve M c = (r_{sigma(1)}, ..., r_{sigma(n)}) for the Vandermonde M
-    of the roots; entry k of c is the coefficient of X^k.
+def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> tuple:
+    """The generic map of sigma as its coefficient vector c, a tuple of
+    RationalFunctions in t: the solution of M c = (r_{sigma(1)}, ...,
+    r_{sigma(n)}) for the Vandermonde M of the roots, with entry k the
+    coefficient of X^k.
 
     c = adj(M) (r_{sigma(1)}, ..., r_{sigma(n)}) / det(M), read off the
     family's interpolation table: with the roots written r_j = p_j/q,
@@ -365,8 +348,7 @@ def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> PermAutomorphism:
     _check_perm(fam, sigma)
     rows, ps = fam.interpolation_table()
     images = [ps[j] for j in sigma]
-    coeffs = [RationalFunction(MultiPoly.dot(adj_k, images), den) for adj_k, den in rows]
-    return PermAutomorphism(sigma=sigma, coeffs=tuple(coeffs))
+    return tuple(RationalFunction(MultiPoly.dot(adj_k, images), den) for adj_k, den in rows)
 
 
 @dataclass(frozen=True)
@@ -436,7 +418,6 @@ class SurvivalReport:
     """Per-permutation survival at one critical value, plus the surviving
     subgroup (verified closed under composition and inverses)."""
 
-    t0: FieldElement
     statuses: tuple  # pairs (sigma, Survives | PoleAt), lexicographic in sigma
     surviving: tuple  # the surviving permutations
 
@@ -465,32 +446,19 @@ def surviving_subgroup(fam: RootFamily, t0) -> SurvivalReport:
             f"surviving set at {fam.param}={t0} is not a subgroup: "
             + ", ".join(perm_to_cycles(s) for s in surviving)
         )
-    return SurvivalReport(t0=t0, statuses=tuple(statuses), surviving=tuple(surviving))
+    return SurvivalReport(statuses=tuple(statuses), surviving=tuple(surviving))
 
 
 # -- symbolic three-root families r_i = t * x_i -----------------------------
 
-SCALED_SYMBOLS = ("x1", "x2", "x3", "t")
-
-
-def scaled_family(field: Field = None) -> RootFamily:
-    """The symbolic family with roots (t*x1, t*x2, t*x3)."""
-    if field is None:
-        field = RationalField()
-    t = MultiPoly.symbol(field, SCALED_SYMBOLS, "t")
-    roots = [
-        RationalFunction.from_poly(t * MultiPoly.symbol(field, SCALED_SYMBOLS, f"x{i}"))
-        for i in (1, 2, 3)
-    ]
-    return RootFamily(field, SCALED_SYMBOLS, roots)
+SCALED_SYMBOLS = ("x1", "x2", "x3")
 
 
 def specialize_scaled(field: Field, xs) -> RootFamily:
     """The family with roots (t*x_1, t*x_2, t*x_3) at concrete x values."""
     xs = [field.coerce(x) for x in xs]
-    t = MultiPoly.symbol(field, ("t",), "t")
-    roots = [RationalFunction.from_poly(t * x) for x in xs]
-    return RootFamily(field, ("t",), roots)
+    t = MultiPoly.symbol(field, RootFamily.symbols, RootFamily.param)
+    return RootFamily(field, [RationalFunction.from_poly(t * x) for x in xs])
 
 
 def normalize_scaled_triple(xs) -> list:
@@ -516,7 +484,6 @@ class SurvivalCondition:
     `condition`: the full X^2 coefficient is condition/(denominator * t).
     """
 
-    sigma: tuple
     condition: MultiPoly  # in (x1, x2, x3)
     denominator: MultiPoly  # in (x1, x2, x3)
     limit_linear_coeff: RationalFunction  # in (x1, x2, x3)
@@ -542,13 +509,11 @@ def survival_condition(sigma: tuple, field: Field = None) -> SurvivalCondition:
         field = RationalField()
     if sorted(sigma) != [0, 1, 2]:
         raise ValueError("sigma must be a permutation of three slots")
-    symbols = SCALED_SYMBOLS[:3]
-    xs = [MultiPoly.symbol(field, symbols, name) for name in symbols]
-    adj, det = vandermonde_adjugate(xs, MultiPoly.constant(field, symbols, 1))
+    xs = [MultiPoly.symbol(field, SCALED_SYMBOLS, name) for name in SCALED_SYMBOLS]
+    adj, det = vandermonde_adjugate(xs, MultiPoly.constant(field, SCALED_SYMBOLS, 1))
     permuted = [xs[j] for j in sigma]
     linear, condition = (MultiPoly.dot(adj[k], permuted) for k in (1, 2))
     return SurvivalCondition(
-        sigma=tuple(sigma),
         condition=condition,
         denominator=det,
         limit_linear_coeff=RationalFunction(linear, det),

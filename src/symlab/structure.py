@@ -334,22 +334,14 @@ def compose_pair(p2: AutPair, p1: AutPair) -> AutPair:
     return AutPair(p2.b + p1.b * p2.bp, p1.bp * p2.bp)
 
 
-def pair_to_map(algebra: StructureConstAlgebra, pair: AutPair) -> LinearAlgebraMap:
-    """The (b, b') automorphism on T(1): e2 -> e2 + b*e3, e3 -> b'*e3, the
-    map transport_aut gives at t = 1."""
-    return transport_aut(algebra.field.one, pair, algebra)
-
-
-def transport_aut(t, pair: AutPair, algebra: StructureConstAlgebra = None) -> LinearAlgebraMap:
-    """The automorphism of T(t), t != 0, matching (b, b') on T(1) through
-    the change of basis e2' = t*e2, e3' = e3: e2' -> e2' + t*b*e3',
+def transport_aut(t, pair: AutPair, algebra: StructureConstAlgebra) -> LinearAlgebraMap:
+    """The automorphism of algebra = T(t), t != 0, matching (b, b') on T(1)
+    through the change of basis e2' = t*e2, e3' = e3: e2' -> e2' + t*b*e3',
     e3' -> b'*e3'."""
     field = pair.b.field
     t = field.coerce(t)
     if t.is_zero():
         raise ValueError("transport requires t != 0")
-    if algebra is None:
-        algebra = build_T(t)
     one = algebra.one()
     e2 = algebra.basis(1)
     e3 = algebra.basis(2)

@@ -25,7 +25,6 @@ from symlab.families import (
     is_perm_group,
     perm_coeff_vector,
     perm_to_cycles,
-    scaled_family,
     specialize_scaled,
     survival_condition,
     surviving_subgroup,
@@ -62,13 +61,13 @@ def tfrac(num_coeffs, den_coeffs):
 
 @pytest.fixture
 def fam_0_t_1():
-    return RootFamily(QQ, T, [tconst(0), tsym(), tconst(1)])
+    return RootFamily(QQ, [tconst(0), tsym(), tconst(1)])
 
 
 @pytest.fixture
 def fam_0_t_t2():
     t = tsym()
-    return RootFamily(QQ, T, [tconst(0), t, t * t])
+    return RootFamily(QQ, [tconst(0), t, t * t])
 
 
 def test_is_perm_group():
@@ -90,7 +89,14 @@ class TestRootFamily:
     def test_distinctness_enforced(self):
         t = tsym()
         with pytest.raises(ValueError):
-            RootFamily(QQ, T, [t, t, tconst(1)])
+            RootFamily(QQ, [t, t, tconst(1)])
+
+    def test_roots_are_rational_functions_in_t_over_the_field(self):
+        a_t = RationalFunction.symbol(QQ, ("a", "t"), "t")
+        over_f7 = RationalFunction.symbol(GF(7), T, "t")
+        for stray in (a_t, over_f7, 1):
+            with pytest.raises(ValueError, match="^root from a different context$"):
+                RootFamily(QQ, [tconst(0), stray])
 
     def test_critical_values(self, fam_0_t_1, fam_0_t_t2):
         assert sorted(str(c) for c in fam_0_t_1.critical_values()) == ["0", "1"]
@@ -102,12 +108,12 @@ class TestRootFamily:
         # collision polynomial 2t^2 - 5t + 2 needs denominator clearing
         # before the divisor search; roots are 2 and 1/2
         p = MultiPoly(QQ, T, {(0,): 1, (1,): Fraction(-5, 2), (2,): 1})
-        fam = RootFamily(QQ, T, [tconst(0), RationalFunction.from_poly(p)])
+        fam = RootFamily(QQ, [tconst(0), RationalFunction.from_poly(p)])
         crits = sorted(fam.critical_values(), key=lambda c: c.value)
         assert [str(c) for c in crits] == ["1/2", "2"]
         # duplicates are never reported
         q = MultiPoly(QQ, T, {(1,): 2, (2,): -2})
-        fam2 = RootFamily(QQ, T, [tconst(0), RationalFunction.from_poly(q)])
+        fam2 = RootFamily(QQ, [tconst(0), RationalFunction.from_poly(q)])
         crits2 = fam2.critical_values()
         assert len(crits2) == len({str(c) for c in crits2}) == 2
 
@@ -119,33 +125,33 @@ class TestRootFamily:
 class TestPermCoeffVector:
     def test_swap_first_two_of_0_t_1(self, fam_0_t_1):
         pa = perm_coeff_vector(fam_0_t_1, SWAP12)
-        assert pa.coeffs[0] == tsym()
-        assert pa.coeffs[1] == tfrac([-1, -1, 1], [1, -1])  # (t^2-t-1)/(1-t)
-        assert pa.coeffs[2] == tfrac([2, -1], [1, -1])  # (2-t)/(1-t)
+        assert pa[0] == tsym()
+        assert pa[1] == tfrac([-1, -1, 1], [1, -1])  # (t^2-t-1)/(1-t)
+        assert pa[2] == tfrac([2, -1], [1, -1])  # (2-t)/(1-t)
 
     def test_cycle_of_0_t_1(self, fam_0_t_1):
         pa = perm_coeff_vector(fam_0_t_1, CYCLE123)
-        assert pa.coeffs[0] == tsym()
-        assert pa.coeffs[1] == tfrac([1, -1, 0, 1], [0, 1, -1])  # (1-t+t^3)/(t(1-t))
-        assert pa.coeffs[2] == tfrac([-1, 1, -1], [0, 1, -1])  # (-1+t-t^2)/(t(1-t))
+        assert pa[0] == tsym()
+        assert pa[1] == tfrac([1, -1, 0, 1], [0, 1, -1])  # (1-t+t^3)/(t(1-t))
+        assert pa[2] == tfrac([-1, 1, -1], [0, 1, -1])  # (-1+t-t^2)/(t(1-t))
 
     def test_swap_first_two_of_0_t_t2(self, fam_0_t_t2):
         pa = perm_coeff_vector(fam_0_t_t2, SWAP12)
-        assert pa.coeffs[0] == tsym()
-        assert pa.coeffs[1] == tfrac([1, -1, -1], [0, -1, 1])  # (1-t-t^2)/(t(t-1))
-        assert pa.coeffs[2] == tfrac([-1, 2], [0, 0, -1, 1])  # (-1+2t)/(t^2(t-1))
+        assert pa[0] == tsym()
+        assert pa[1] == tfrac([1, -1, -1], [0, -1, 1])  # (1-t-t^2)/(t(t-1))
+        assert pa[2] == tfrac([-1, 2], [0, 0, -1, 1])  # (-1+2t)/(t^2(t-1))
 
     def test_cycle_of_0_t_t2(self, fam_0_t_t2):
         # the companion inverse (4.5.3-style) forces the X coefficient to be
         # (t^3 - t^2 + 1)/(t(t-1)); the X^2 coefficient matches the display
         pa = perm_coeff_vector(fam_0_t_t2, CYCLE123)
-        assert pa.coeffs[0] == tsym()
-        assert pa.coeffs[1] == tfrac([1, 0, -1, 1], [0, -1, 1])
-        assert pa.coeffs[2] == tfrac([-1, 1, -1], [0, 0, -1, 1])
+        assert pa[0] == tsym()
+        assert pa[1] == tfrac([1, 0, -1, 1], [0, -1, 1])
+        assert pa[2] == tfrac([-1, 1, -1], [0, 0, -1, 1])
 
     def test_specialization_is_automorphism_permuting_idempotents(self):
         rng = random.Random(21)
-        fam = RootFamily(QQ, T, [tconst(0), tsym(), tconst(1)])
+        fam = RootFamily(QQ, [tconst(0), tsym(), tconst(1)])
         for sigma in all_perms(3):
             pa = perm_coeff_vector(fam, sigma)
             for _ in range(5):
@@ -154,7 +160,7 @@ class TestPermCoeffVector:
                 if len({r.sort_key() for r in roots}) < 3:
                     continue
                 algebra = fam.algebra_at(t0)
-                coeffs = [c.limit_at("t", t0).as_constant() for c in pa.coeffs]
+                coeffs = [c.limit_at("t", t0).as_constant() for c in pa]
                 g = SubstitutionMap(algebra, UniPoly(QQ, coeffs))
                 assert g.is_automorphism()
                 es = idempotents(algebra, roots)
@@ -170,7 +176,7 @@ class TestPermCoeffVector:
             alg = MonogenicAlgebra.from_roots(ff, [ff.coerce(r) for r in fam.roots])
             maps = {
                 sigma: SubstitutionMap(
-                    alg, UniPoly(ff, [ff.coerce(c) for c in perm_coeff_vector(fam, sigma).coeffs])
+                    alg, UniPoly(ff, [ff.coerce(c) for c in perm_coeff_vector(fam, sigma)])
                 )
                 for sigma in all_perms(3)
             }
@@ -198,7 +204,7 @@ class TestAnalyzeAt:
         assert analyze_at(fam_0_t_t2, CYCLE123, 0) == PoleAt(1, 1)
         # the X^2 coefficient of the displayed cycle map has the order-2 pole
         pa = perm_coeff_vector(fam_0_t_t2, CYCLE123)
-        assert pa.coeffs[2].limit_at("t", 0) == Pole(2)
+        assert pa[2].limit_at("t", 0) == Pole(2)
 
     def test_finite_limit_failing_verification_raises(self, fam_0_t_1, monkeypatch):
         # the mandatory check behind Survives: a finite limit that is not an
@@ -254,7 +260,7 @@ class TestSurvivingSubgroup:
         # Klein four subgroup of S4
         t = tsym()
         c = tconst
-        fam = RootFamily(QQ, T, [c(0), t, c(1), c(2)])
+        fam = RootFamily(QQ, [c(0), t, c(1), c(2)])
         assert {str(v) for v in fam.critical_values()} == {"0", "1", "2"}
         expected = {
             0: {(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)},
@@ -277,7 +283,7 @@ class TestSurvivingSubgroup:
         f7 = GF(7)
         t = RationalFunction.symbol(f7, T, "t")
         c = lambda v: RationalFunction.constant(f7, T, v)
-        fam = RootFamily(f7, T, [c(0), t, c(1)])
+        fam = RootFamily(f7, [c(0), t, c(1)])
         assert {str(v) for v in fam.critical_values()} == {"0", "1"}
         rep = surviving_subgroup(fam, 0)
         assert set(rep.surviving) == {(0, 1, 2), SWAP12}
@@ -315,7 +321,7 @@ class TestRandomFamilies:
                     )
                 )
             try:
-                fam = RootFamily(QQ, T, polys)
+                fam = RootFamily(QQ, polys)
             except ValueError:
                 continue
             crits = fam.critical_values()
@@ -328,9 +334,7 @@ class TestRandomFamilies:
 def specialize_scaled_two(field, xs):
     xs = [field.coerce(x) for x in xs]
     t = MultiPoly.symbol(field, T, "t")
-    return RootFamily(
-        field, T, [RationalFunction.from_poly(t * x) for x in xs]
-    )
+    return RootFamily(field, [RationalFunction.from_poly(t * x) for x in xs])
 
 
 class TestSurvivalConditions:
@@ -411,37 +415,43 @@ class TestSurvivalConditions:
             checked += 1
 
     def test_symbolic_family_coefficient_structure(self):
-        # dual route: the function-field elimination on the fully symbolic
-        # family (t*x1, t*x2, t*x3) must agree with the adjugate-derived
-        # survival data, and the coefficient vector has the shape
-        # (t*rat1(x), rat2(x), rat3(x)/t)
-        from symlab.families import SCALED_SYMBOLS, scaled_family
+        # dual route: at a pairwise-distinct triple xs over Q, F_7 and F_11
+        # the generic maps of the family (t*x1, t*x2, t*x3) agree with the
+        # adjugate-derived survival data, with the shape (., rat2, rat3/t)
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
 
-        fam = scaled_family()
-        xs_syms = ("x1", "x2", "x3")
+        def check_over(field):
+            if field.size() is None:
+                values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+            else:
+                values = st.integers(0, field.size() - 1)
+            t = RationalFunction.symbol(field, T, "t")
 
-        def lift(p):
-            return MultiPoly(
-                QQ, SCALED_SYMBOLS, {e + (0,): c for e, c in p.terms.items()}
-            )
+            def const(c):
+                return RationalFunction.constant(field, T, c)
 
-        t = MultiPoly.symbol(QQ, SCALED_SYMBOLS, "t")
-        for sigma in all_perms(3):
-            pa = perm_coeff_vector(fam, sigma)
-            sc = survival_condition(sigma)
-            dpoly = lift(sc.denominator)
-            # X coefficient is t-free and equals rat2
-            assert pa.coeffs[1] == RationalFunction(
-                lift(sc.limit_linear_coeff.num), lift(sc.limit_linear_coeff.den)
-            )
-            # X^2 coefficient times t is t-free and equals the condition/den
-            assert pa.coeffs[2] * RationalFunction.from_poly(t) == RationalFunction(
-                lift(sc.condition), dpoly
-            )
-            # constant coefficient divided by t is t-free
-            c0_over_t = pa.coeffs[0] / RationalFunction.from_poly(t)
-            if not c0_over_t.is_zero():
-                assert c0_over_t.num.degree_in("t") == c0_over_t.den.degree_in("t")
+            @settings(max_examples=25, deadline=None, database=None)
+            @given(st.lists(values, min_size=3, max_size=3, unique=True))
+            def check(raw):
+                xs = [field.coerce(x) for x in raw]
+                fam = specialize_scaled(field, xs)
+                at = dict(zip(families.SCALED_SYMBOLS, xs))
+                for sigma in all_perms(3):
+                    coeffs = perm_coeff_vector(fam, sigma)
+                    sc = survival_condition(sigma, field)
+                    linear = sc.limit_linear_coeff
+                    # X coefficient is t-free and equals rat2 at xs
+                    assert coeffs[1] == const(linear.num.eval_all(at) / linear.den.eval_all(at))
+                    # X^2 coefficient times t is t-free and equals condition/den at xs
+                    assert coeffs[2] * t == const(
+                        sc.condition.eval_all(at) / sc.denominator.eval_all(at)
+                    )
+
+            check()
+
+        for field in (QQ, GF(7), GF(11)):
+            check_over(field)
 
     def test_zeta3_witness(self):
         qz = rationals_with_cube_root()
@@ -620,7 +630,7 @@ def random_family(rng, field, n, cli_spec=None):
         texts += [random_root_text(rng, kinds, bound) for _ in range(n - len(texts))]
         roots = [parse_ratfunc(x, field, T) for x in texts]
         try:
-            fam = RootFamily(field, T, roots)
+            fam = RootFamily(field, roots)
         except ValueError:
             continue
         if cli_spec is None:
@@ -639,23 +649,16 @@ class TestAdjugateAgainstGaussJordan:
             perms = all_perms(n)
             expected = gauss_jordan_vectors(fam, perms)
             for sigma in perms:
-                got = perm_coeff_vector(fam, sigma).coeffs
+                got = perm_coeff_vector(fam, sigma)
                 assert list(got) == expected[sigma], (fam.roots, sigma)
 
     def test_rational_function_roots_with_shared_and_distinct_denominators(self):
         texts = ["1/(t+1)", "t/(t+1)", "1/(t+2)", "t"]
-        fam = RootFamily(QQ, T, [parse_ratfunc(x, QQ, T) for x in texts])
+        fam = RootFamily(QQ, [parse_ratfunc(x, QQ, T) for x in texts])
         perms = all_perms(4)
         expected = gauss_jordan_vectors(fam, perms)
         for sigma in perms:
-            assert list(perm_coeff_vector(fam, sigma).coeffs) == expected[sigma]
-
-    def test_symbolic_scaled_family_matches_oracle(self):
-        fam = scaled_family()
-        perms = all_perms(3)
-        expected = gauss_jordan_vectors(fam, perms)
-        for sigma in perms:
-            assert list(perm_coeff_vector(fam, sigma).coeffs) == expected[sigma]
+            assert list(perm_coeff_vector(fam, sigma)) == expected[sigma]
 
     def test_memoized_algebra_is_shared(self, fam_0_t_1):
         assert fam_0_t_1.algebra_at(0) is fam_0_t_1.algebra_at(QQ.coerce(0))
@@ -762,7 +765,7 @@ def random_collision_family(rng, field, n):
     while True:
         texts = [collision_root_text(rng, max_deg) for _ in range(n)]
         try:
-            return texts, RootFamily(field, T, [parse_ratfunc(x, field, T) for x in texts])
+            return texts, RootFamily(field, [parse_ratfunc(x, field, T) for x in texts])
         except ValueError:
             continue
 
@@ -802,7 +805,7 @@ class TestCriticalValuesAgainstExpandedProduct:
         # gives its root in any field, listed 0 first, then by sort_key
         qz = rationals_with_cube_root()
         roots = [parse_ratfunc(x, qz, T) for x in ["0", "t", "1", "zeta3", "zeta3*t + 2"]]
-        got = RootFamily(qz, T, roots).critical_values()
+        got = RootFamily(qz, roots).critical_values()
         z = qz.generator()
         # t = 0, 1, zeta3 and the roots of (zeta3*t + 2) - r for r = 0, t, 1, zeta3
         others = {qz.one, z, -2 / z, 2 / (1 - z), -1 / z, (z - 2) / z}
@@ -820,7 +823,7 @@ def reduced_form_status(fam, sigma, t0):
     t0 = fam.field.coerce(t0)
     algebra = fam.algebra_at(t0)
     limits = []
-    for k, c in enumerate(perm_coeff_vector(fam, sigma).coeffs):
+    for k, c in enumerate(perm_coeff_vector(fam, sigma)):
         if c.is_zero():
             limits.append(fam.field.zero)
             continue
@@ -872,7 +875,7 @@ class TestShiftedLimitsAgainstReducedForms:
             if spec == "Qzeta3":
                 texts = texts[:-1] + [rng.choice(["zeta3", "zeta3*t", "zeta3*t+1"])]
             try:
-                fam = RootFamily(field, T, [parse_ratfunc(x, field, T) for x in texts])
+                fam = RootFamily(field, [parse_ratfunc(x, field, T) for x in texts])
             except ValueError:
                 continue
             # the collisions, a root's pole (-1 or -2, or 1/2 over Q), and
@@ -884,12 +887,12 @@ class TestShiftedLimitsAgainstReducedForms:
 
     def test_named_rational_root_families(self):
         for texts in (["1/(t+1)", "t", "0", "1", "-1"], ["(t+2)/(2*t+1)", "t", "1", "2*t"]):
-            fam = RootFamily(QQ, T, [parse_ratfunc(x, QQ, T) for x in texts])
+            fam = RootFamily(QQ, [parse_ratfunc(x, QQ, T) for x in texts])
             for t0 in fam.critical_values() + [QQ.coerce(-1), QQ.coerce(Fraction(-1, 2))]:
                 assert_statuses_match(fam, t0)
 
     def test_non_permutation_raises_after_root_pole_check(self):
-        fam = RootFamily(QQ, T, [parse_ratfunc(x, QQ, T) for x in ["1/(t+1)", "t", "0"]])
+        fam = RootFamily(QQ, [parse_ratfunc(x, QQ, T) for x in ["1/(t+1)", "t", "0"]])
         with pytest.raises(ValueError, match="pole"):
             analyze_at(fam, (0, 0, 1), -1)
         with pytest.raises(ValueError, match="not a permutation"):
@@ -905,7 +908,7 @@ class TestShiftedLimitsAgainstReducedForms:
             "from test_families import *\n"
             "f7 = GF(7)\n"
             "texts = ['0', 't', '1', '2*t', '3', '-1']\n"
-            "fam = RootFamily(f7, T, [parse_ratfunc(x, f7, T) for x in texts])\n"
+            "fam = RootFamily(f7, [parse_ratfunc(x, f7, T) for x in texts])\n"
             "for t0 in (0, 3):\n"
             "    assert assert_statuses_match(fam, t0)\n"
             "    print(t0, len(surviving_subgroup(fam, t0).surviving))\n"
@@ -918,6 +921,6 @@ class TestShiftedLimitsAgainstReducedForms:
         assert proc.stdout.decode().split("\n")[0] == "0 12"
 
     def test_cap_is_seven_roots(self):
-        fam = RootFamily(QQ, T, [parse_ratfunc(x, QQ, T) for x in "0 t 1 2 3 4 5 6".split()])
+        fam = RootFamily(QQ, [parse_ratfunc(x, QQ, T) for x in "0 t 1 2 3 4 5 6".split()])
         with pytest.raises(ValueError, match="n <= 7"):
             surviving_subgroup(fam, 0)

@@ -17,7 +17,6 @@ from symlab.structure import (
     build_T,
     compose_pair,
     limit_map_at_zero,
-    pair_to_map,
     transport_aut,
 )
 
@@ -192,7 +191,7 @@ class TestMorphisms:
     def test_pair_map_is_morphism(self):
         f7 = GF(7)
         t1 = build_T(f7.one)
-        phi = pair_to_map(t1, AutPair(f7.coerce(5), f7.coerce(2)))
+        phi = transport_aut(f7.one, AutPair(f7.coerce(5), f7.coerce(2)), t1)
         assert phi.is_algebra_morphism() and phi.is_automorphism()
 
     def test_swap_is_not_morphism(self):
@@ -246,7 +245,7 @@ class TestBruteForce:
             composed = by_pair[(str(p2.b), str(p2.bp))].compose(
                 by_pair[(str(p1.b), str(p1.bp))]
             )
-            assert composed == pair_to_map(t1, combo)
+            assert composed == transport_aut(f5.one, combo, t1)
 
     def test_commutative_member_over_f3_is_gl2(self):
         f3 = GF(3)
@@ -311,7 +310,8 @@ class TestPairModel:
         p1 = AutPair(f5.coerce(3), f5.coerce(4))
         combo = compose_pair(p2, p1)
         assert (combo.b, combo.bp) == (f5.coerce(2), f5.coerce(3))
-        assert pair_to_map(t1, p2).compose(pair_to_map(t1, p1)) == pair_to_map(t1, combo)
+        map2, map1 = (transport_aut(f5.one, p, t1) for p in (p2, p1))
+        assert map2.compose(map1) == transport_aut(f5.one, combo, t1)
 
     def test_nonzero_bp_required(self):
         with pytest.raises(ValueError):
@@ -349,7 +349,7 @@ class TestTransport:
         pair = AutPair(f7.coerce(4), f7.coerce(6))
         e2, e3 = t1.basis(1), t1.basis(2)
         by_hand = LinearAlgebraMap.from_images(t1, t1, [t1.one(), e2 + 4 * e3, 6 * e3])
-        assert transport_aut(f7.one, pair, t1) == pair_to_map(t1, pair) == by_hand
+        assert transport_aut(f7.one, pair, t1) == by_hand
 
     def test_limit_is_group_homomorphism_with_kernel_b_one(self):
         # (b, b') -> limit map forgets b; kernel = {(b, 1)}
@@ -375,7 +375,7 @@ class TestTransport:
 
     def test_transport_requires_nonzero_t(self):
         with pytest.raises(ValueError):
-            transport_aut(QQ.zero, AutPair(QQ.one, QQ.one))
+            transport_aut(QQ.zero, AutPair(QQ.one, QQ.one), build_T(QQ.zero))
 
 
 class TestJsonInterface:

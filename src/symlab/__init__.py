@@ -46,7 +46,6 @@ from .families import (
     Survives,
     analyze_at,
     conjugate_through_iso,
-    normalize_scaled_triple,
     perm_coeff_vector,
     specialize_scaled,
     survival_condition,

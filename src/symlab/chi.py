@@ -113,7 +113,6 @@ def all_chis(field: Field):
 class OrderClassReport:
     """Case analysis of the order-2 and order-3 elements over one field."""
 
-    field: Field
     case_label: str
     order2_description: str
     order3_description: str
@@ -177,7 +176,6 @@ def order_class(field: Field) -> OrderClassReport:
         )
 
     return OrderClassReport(
-        field=field,
         case_label=label,
         order2_description=order2[0],
         order3_description=order3[0],

@@ -49,6 +49,7 @@ from .quotient import (
     SubstitutionMap,
     aut_description,
     brute_force_automorphisms,
+    check_idempotent_weight,
     fpa_decompose,
     idempotents,
     root_differences,
@@ -231,7 +232,9 @@ def _text_aut(res: dict) -> list[str]:
 def _cmd_idem(args) -> dict:
     base, symbols = _field_and_symbols(args)
     field = _working_field(base, symbols)
-    roots = _as_field_values(parse_ratfunc_list(args.roots, base, symbols), field, symbols)
+    ratfuncs = parse_ratfunc_list(args.roots, base, symbols)
+    check_idempotent_weight(ratfuncs)
+    roots = _as_field_values(ratfuncs, field, symbols)
     algebra = MonogenicAlgebra.from_roots(field, roots)
     es = idempotents(algebra, roots)
     det = root_differences(roots, field.one)

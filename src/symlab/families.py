@@ -461,19 +461,6 @@ def specialize_scaled(field: Field, xs) -> RootFamily:
     return RootFamily(field, [RationalFunction.from_poly(t * x) for x in xs])
 
 
-def normalize_scaled_triple(xs) -> list:
-    """Translate and rescale a distinct triple to (0, 1, x3'); the survival
-    conditions are invariant under this affine normalization."""
-    if len(xs) != 3:
-        raise ValueError("expected three values")
-    x1, x2, x3 = xs
-    if x2 == x1:
-        raise ValueError("x1 and x2 must differ to normalize")
-    scale = (x2 - x1).inverse()
-    field = x1.field
-    return [field.zero, field.one, (x3 - x1) * scale]
-
-
 @dataclass(frozen=True)
 class SurvivalCondition:
     """For a permutation of the scaled family: the polynomial in x1..x3

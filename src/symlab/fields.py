@@ -1,12 +1,16 @@
 """Exact scalar arithmetic: rationals, prime fields, and small extension fields.
 
-A field object is a descriptor; two descriptors built from the same data
-compare equal, so elements of independently constructed copies of F_7
-interoperate.  Elements are immutable wrappers around a canonical raw value
-(over Q an int when integral and a reduced Fraction otherwise, a residue in
-[0, p), or a tuple of those for extensions), so Python's own ==, hash and <
-on raw values are the field's equality, hash and order (an int and a
-Fraction compare and hash alike): the raw value is the element's key.
+A field object is a descriptor whose identity is a key of the data it is
+built from, so two descriptors built from the same data compare equal and
+elements of independently constructed copies of F_7 interoperate.  One
+coercion, on the base descriptor, serves every kind: an element of the
+field as it is, an element of its base field lifted, an int or a Fraction
+by its value.  Elements are immutable wrappers around a canonical raw
+value (over Q an int when integral and a reduced Fraction otherwise, a
+residue in [0, p), or a tuple of those for extensions), so Python's own
+==, hash and < on raw values are the field's equality, hash and order (an
+int and a Fraction compare and hash alike): the raw value is the
+element's key.
 
 Supported extensions are quotients base[Y]/(m(Y)) with m monic of degree 2
 or 3.  Over a finite base, irreducibility is certified by the absence of
@@ -240,28 +244,57 @@ class FieldElement(Arithmetic):
 
 
 class Field:
-    """Base descriptor. Subclasses implement the raw-value protocol and set
-    the immutable elements `zero` and `one` once, at construction.
+    """Base descriptor.  Each field kind sets the immutable elements `zero`
+    and `one` once, at construction.  They are plain attributes, not a
+    cached_property: writing the instance __dict__ directly turns off
+    CPython 3.11's specialized attribute lookups on that object, and field
+    attributes are read on every operation.
 
-    The protocol is arithmetic only (`_add`, `_sub`, `_mul`, `_neg`,
-    `_inv`), plus the three hooks Python's operators cannot replace:
-    `_is_zero` (a function-field zero is a zero numerator), `_canonical`
-    (reduction mod p) and `_fmt` (rendering, under the digit bound).  Raw values are
-    canonical, so equality, hashing and ordering are Python's own on them.
+    A descriptor is its `_key`, the tuple of data it is built from, whose
+    equality and hash are the descriptor's.  `base` is the field it is
+    built over (None for Q and F_p), whose characteristic it has.  `coerce`
+    rests on two hooks that return raw values: `_lift` of a raw value of
+    `base`, and `_number` of an int or Fraction (by default `_lift` of the
+    base's `_number`).
 
-    They are plain attributes, not a cached_property: writing the instance
-    __dict__ directly turns off CPython 3.11's specialized attribute lookups
-    on that object, and field attributes are read on every operation.
+    Each kind implements the raw-value protocol: arithmetic only (`_add`,
+    `_sub`, `_mul`, `_neg`, `_inv`), plus the hooks Python's operators cannot
+    replace: `_is_zero` (a function-field zero is a zero numerator),
+    `_canonical` (over Q and F_p only: the raw value of a value computed
+    with Python's own +, - and * from raw values) and `_fmt` (rendering,
+    under the digit bound).  Raw values are canonical, so equality, hashing
+    and ordering are Python's own on them.
     """
 
     zero: FieldElement
     one: FieldElement
+    base: "Field | None" = None
+    _key: tuple
 
     def coerce(self, x) -> FieldElement:
-        raise NotImplementedError
+        """`x` as an element of this field: an element of it unchanged, an
+        element of `base` lifted, an int or Fraction by its value."""
+        if isinstance(x, FieldElement):
+            if x.field is self or x.field == self:
+                return x
+            if x.field == self.base:
+                return FieldElement(self, self._lift(x.value))
+            raise FieldError(f"mixed fields: {self} and {x.field}")
+        if isinstance(x, (int, Fraction)):
+            return FieldElement(self, self._number(x))
+        raise TypeError(f"cannot coerce {x!r} into {self}")
+
+    def _number(self, x):
+        return self._lift(self.base._number(x))
+
+    def __eq__(self, other):
+        return other is self or isinstance(other, Field) and other._key == self._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def characteristic(self) -> int:
-        raise NotImplementedError
+        return self.base.characteristic()
 
     def size(self):
         """Number of elements, or None when infinite."""
@@ -270,30 +303,6 @@ class Field:
     def elements(self):
         """Iterate all elements in a fixed canonical order (finite fields only)."""
         raise FieldError(f"{self} is not finite")
-
-    # raw-value protocol
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _sub(self, a, b):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
-
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def _canonical(self, a):
-        """The raw value of `a`, a value computed from raw values with
-        Python's own +, - and * (prime fields and Q only)."""
-        raise NotImplementedError
 
     def _fmt(self, a) -> str:
         return str(a)
@@ -308,17 +317,11 @@ class RationalField(Field):
     """The rational numbers; a raw value is an int when integral, a reduced
     Fraction otherwise."""
 
+    _key = ("Q",)
+    _number = staticmethod(_rational)
+
     def __init__(self):
         self.zero, self.one = self.coerce(0), self.coerce(1)
-
-    def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldError(f"mixed fields: {self} and {x.field}")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return FieldElement(self, _rational(x))
-        raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def characteristic(self):
         return 0
@@ -349,12 +352,6 @@ class RationalField(Field):
     def _is_zero(self, a):
         return a == 0
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
     def __repr__(self):
         return "Q"
 
@@ -368,22 +365,16 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
+        self._key = ("Fp", p)
         self.zero, self.one = self.coerce(0), self.coerce(1)
 
-    def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldError(f"mixed fields: {self} and {x.field}")
-            return x
+    def _number(self, x):
         if isinstance(x, int):
-            return FieldElement(self, x % self.p)
-        if isinstance(x, Fraction):
-            num = x.numerator % self.p
-            den = x.denominator % self.p
-            if den == 0:
-                raise FieldError(f"{x} has no image in {self}")
-            return FieldElement(self, num * pow(den, -1, self.p) % self.p)
-        raise TypeError(f"cannot coerce {x!r} into {self}")
+            return x % self.p
+        den = x.denominator % self.p
+        if den == 0:
+            raise FieldError(f"{x} has no image in {self}")
+        return x.numerator * pow(den, -1, self.p) % self.p
 
     def characteristic(self):
         return self.p
@@ -415,12 +406,6 @@ class PrimeField(Field):
 
     def _is_zero(self, a):
         return a == 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
     def __repr__(self):
         return f"F{self.p}"
@@ -454,6 +439,7 @@ class ExtensionField(Field):
         self.degree = deg
         self.generator_name = generator_name
         self._check_irreducible()
+        self._key = ("ext", base, self.modulus)
         self.zero, self.one = self.coerce(0), self.coerce(1)
 
     def _check_irreducible(self):
@@ -476,25 +462,11 @@ class ExtensionField(Field):
         )
 
     def generator(self) -> FieldElement:
-        return self._from_list([self.base.zero.value, self.base.one.value])
+        z = self.base.zero.value
+        return FieldElement(self, (z, self.base.one.value) + (z,) * (self.degree - 2))
 
-    def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field == self:
-                return x
-            if x.field == self.base:
-                return self._from_list([x.value])
-            raise FieldError(f"mixed fields: {self} and {x.field}")
-        if isinstance(x, (int, Fraction)):
-            return self._from_list([self.base.coerce(x).value])
-        raise TypeError(f"cannot coerce {x!r} into {self}")
-
-    def _from_list(self, cs):
-        """Pad fewer than `degree` base values with zeros."""
-        return FieldElement(self, tuple(cs) + (self.base.zero.value,) * (self.degree - len(cs)))
-
-    def characteristic(self):
-        return self.base.characteristic()
+    def _lift(self, raw):
+        return (raw,) + (self.base.zero.value,) * (self.degree - 1)
 
     def size(self):
         b = self.base.size()
@@ -547,16 +519,6 @@ class ExtensionField(Field):
             for i in range(len(a) - 1, -1, -1)
             if not self.base._is_zero(a[i])
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.base == self.base
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("ext", self.base, self.modulus))
 
     def __repr__(self):
         return f"{self.base}[{self.generator_name}]/({self._fmt(self.modulus)})"

@@ -24,7 +24,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import Arithmetic, Field, FieldElement, FieldError, RationalField, power, signed_sum
 
@@ -703,36 +702,25 @@ class FunctionField(Field):
     def __init__(self, base: Field, symbols):
         self.base = base
         self.symbols = tuple(symbols)
+        self._key = ("funcfield", base, self.symbols)
         self.zero, self.one = self.coerce(0), self.coerce(1)
 
     def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field == self:
-                return x
-            if x.field == self.base:
-                return FieldElement(
-                    self, RationalFunction.constant(self.base, self.symbols, x)
-                )
-            raise FieldError(f"mixed fields: {self} and {x.field}")
         if isinstance(x, (MultiPoly, RationalFunction)):
             if x.field == self:  # over this field: its own operators apply
                 raise TypeError(f"{x} is over {self}, not an element of it")
             if x.field != self.base or x.symbols != self.symbols:
                 raise FieldError("rational function from a different context")
             return FieldElement(self, RationalFunction.from_poly(x) if isinstance(x, MultiPoly) else x)
-        if isinstance(x, (int, Fraction)):
-            return FieldElement(
-                self, RationalFunction.constant(self.base, self.symbols, x)
-            )
-        raise TypeError(f"cannot coerce {x!r} into {self}")
+        return Field.coerce(self, x)
+
+    def _lift(self, raw):
+        return RationalFunction.constant(self.base, self.symbols, FieldElement(self.base, raw))
 
     def symbol(self, name) -> FieldElement:
         return FieldElement(
             self, RationalFunction.symbol(self.base, self.symbols, name)
         )
-
-    def characteristic(self):
-        return self.base.characteristic()
 
     def _add(self, a, b):
         return a + b
@@ -751,16 +739,6 @@ class FunctionField(Field):
 
     def _is_zero(self, a):
         return a.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FunctionField)
-            and other.base == self.base
-            and other.symbols == self.symbols
-        )
-
-    def __hash__(self):
-        return hash(("funcfield", self.base, self.symbols))
 
     def __repr__(self):
         return f"{self.base}({', '.join(self.symbols)})"

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import Field, FieldError, check_budget, power
-from .linalg import CoordinateVector, Matrix
+from .linalg import MAX_DIMENSION, CoordinateVector, Matrix
 from .poly import FunctionField, MultiPoly, UniPoly, _mul_values, _reduce_values, lagrange_numerator
 
 
@@ -49,8 +49,12 @@ class MonogenicAlgebra:
     def element(self, coeffs) -> "AlgebraElement":
         return self.from_poly(UniPoly(self.field, coeffs))
 
+    def reduce(self, p: UniPoly) -> UniPoly:
+        """p mod the modulus, dividing only when deg p >= deg f."""
+        return p if p.degree < self.dim else p % self.modulus
+
     def from_poly(self, p: UniPoly) -> "AlgebraElement":
-        cs = (p % self.modulus).coeffs
+        cs = self.reduce(p).coeffs
         return AlgebraElement._wrap(self, cs + (self.field.zero.value,) * (self.dim - len(cs)))
 
     def zero(self):
@@ -118,7 +122,7 @@ class AlgebraHom:
             raise FieldError("image polynomial over a different field")
         self.source = source
         self.target = target
-        self.image = image % target.modulus
+        self.image = target.reduce(image)
 
     @functools.cached_property
     def _power_table(self) -> list:
@@ -223,7 +227,7 @@ class SubstitutionMap(AlgebraHom):
         return SubstitutionMap(self.algebra, self.inverse_image())
 
     def is_identity(self) -> bool:
-        return self.image == UniPoly.x(self.algebra.field) % self.algebra.modulus
+        return self.image == self.algebra.reduce(UniPoly.x(self.algebra.field))
 
     def order(self, max_order: int = 64):
         """Smallest k <= max_order with the k-fold composite equal to the
@@ -339,6 +343,33 @@ def _product_mod(a, b, f):
         for j, y in enumerate(b):
             out[i + j] = x * y if out[i + j] is None else out[i + j] + x * y
     return _reduce_monic(out, f)
+
+
+# Most weight an `idem` run may carry.  verify_idempotents forms about n^2
+# products of polynomials of n coefficients, each a polynomial in the s
+# symbols of total degree up to m = (n - 1) * D, with D the top degree of a
+# root times the product of the distinct root denominators; C(m + s, s)
+# terms at most.  A run weighs n^2 * C(m + s, s) and takes time about its
+# square: in-process CPU time, Python 3.11 on a shared 2-vCPU VM, 5
+# fractional roots in a,t weigh 5,775 and take 2.2 s, 6 weigh 17,856 and
+# take 21.6 s; 9 roots t/(t + i) weigh 5,913 (6.3 s), 10 roots 1/(t + i)
+# 8,200 (12.8 s).  Past MAX_DIMENSION roots are refused too: 14 integers
+# take 0.6 s, 60 take 18 s.
+IDEMPOTENT_BUDGET = 6000
+
+
+def check_idempotent_weight(ratfuncs):
+    """Raise ValueError past MAX_DIMENSION roots or IDEMPOTENT_BUDGET, for
+    the roots as rational functions from the parser."""
+    n, s = len(ratfuncs), len(ratfuncs[0].symbols)
+    if n > MAX_DIMENSION:
+        raise ValueError(f"{n} roots are past MAX_DIMENSION = {MAX_DIMENSION}")
+    deg = lambda p: max(map(sum, p.terms), default=0)
+    dens = [r.den for i, r in enumerate(ratfuncs) if all(r.den != o.den for o in ratfuncs[:i])]
+    top = sum(map(deg, dens)) + max(deg(r.num) - deg(r.den) for r in ratfuncs)
+    weight = n * n * math.comb((n - 1) * top + s, s)
+    if weight > IDEMPOTENT_BUDGET:
+        raise ValueError(f"idempotent weight {weight} is past IDEMPOTENT_BUDGET = {IDEMPOTENT_BUDGET}")
 
 
 def verify_idempotents(roots, es) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symlab import chi, cli, fields, linalg, parse
+from symlab import chi, cli, fields, linalg, parse, quotient
 from symlab.cli import build_parser, emit_report, main, run
 from symlab.fields import parse_field_spec
 from symlab.linalg import Matrix
@@ -260,7 +260,9 @@ def test_chi_over_a_large_prime_field_in_subprocess():
 
 
 @pytest.mark.parametrize(
-    "roots", ["0,a,t,1", "0,a,t,1,a+t", "1/(a-t),a,t,0"], ids=["four", "five", "fractional"]
+    "roots",
+    ["0,a,t,1", "0,a,t,1,a+t", "1/(a-t),a,t,0", "1/(a-t),a,t,0,(a+2)/(t+3)"],
+    ids=["four", "five", "fractional", "five_fractional"],
 )
 def test_two_symbol_idempotents_verified_in_subprocess(roots):
     # the idempotents are checked as identities over Q[a,t], not by
@@ -268,6 +270,24 @@ def test_two_symbol_idempotents_verified_in_subprocess(roots):
     proc = run_subprocess(["idem", "--roots", roots, "--symbols", "a,t"], 10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(b"X*e_i = z_i*e_i: verified\n")
+
+
+@pytest.mark.parametrize(
+    "roots, symbols, bound",
+    [
+        (",".join(map(str, range(60))), "t", f"MAX_DIMENSION = {linalg.MAX_DIMENSION}"),
+        (
+            "1/(t+1),t/(a+1),1/(a-t),(a+2)/(t+3),1/(a+2*t),a/(t-2),(t+1)/(a+3)",
+            "a,t",
+            f"IDEMPOTENT_BUDGET = {quotient.IDEMPOTENT_BUDGET}",
+        ),
+    ],
+    ids=["sixty_integers", "seven_fractional"],
+)
+def test_idem_past_its_bound_exits_1_in_subprocess(roots, symbols, bound):
+    proc = run_subprocess(["idem", "--roots", roots, "--symbols", symbols], 10)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and bound.encode() in proc.stderr
 
 
 def test_nesting_beyond_the_bound_exits_1_in_subprocess():

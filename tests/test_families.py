@@ -554,32 +554,22 @@ def test_perm_to_cycles():
 
 class TestNormalizeTriple:
     def test_affine_normalization_preserves_conditions(self):
-        from symlab.families import normalize_scaled_triple
-
+        # whether sigma survives depends on the triple only up to
+        # x -> alpha*x + beta, so a triple may be normalized to (0, 1, x3')
         rng = random.Random(31)
-        for _ in range(20):
-            xs = [QQ.coerce(v) for v in rng.sample(range(-9, 10), 3)]
-            normalized = normalize_scaled_triple(xs)
-            assert normalized[0] == QQ.zero and normalized[1] == QQ.one
-            for sigma in all_perms(3):
-                sc = survival_condition(sigma)
-                if sc.condition.is_zero():
-                    continue
-                assert sc.holds_at(xs) == sc.holds_at(normalized)
-
-    def test_zeta3_witness_already_normalized(self):
-        from symlab.families import normalize_scaled_triple
-
-        qz = rationals_with_cube_root()
-        z = primitive_cube_root(qz)
-        xs = [qz.zero, qz.one, -z]
-        assert normalize_scaled_triple(xs) == xs
-
-    def test_degenerate_pair_rejected(self):
-        from symlab.families import normalize_scaled_triple
-
-        with pytest.raises(ValueError):
-            normalize_scaled_triple([QQ.one, QQ.one, QQ.zero])
+        seen = set()
+        for field in (QQ, GF(5), GF(7)):
+            conditions = [survival_condition(sigma, field) for sigma in all_perms(3)]
+            values = list(dict.fromkeys(field.coerce(v) for v in range(-9, 10)))
+            for _ in range(100):
+                xs = rng.sample(values, 3)
+                alpha = rng.choice([v for v in values if v])
+                beta = rng.choice(values)
+                for sc in conditions:
+                    held = sc.holds_at(xs)
+                    assert held == sc.holds_at([alpha * x + beta for x in xs])
+                    seen.add(held)
+        assert seen == {True, False}
 
 
 # -- differential test: adjugate table against Gauss-Jordan ------------------

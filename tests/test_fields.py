@@ -11,6 +11,7 @@ from symlab.fields import (
     GF,
     PrimeField,
     QQ,
+    RationalField,
     parse_field_spec,
     power,
     primitive_cube_root,
@@ -229,6 +230,70 @@ def test_descriptor_equality_and_sharing():
     assert GF(5) != GF(7)
     # elements of independently built descriptors interoperate
     assert GF(7).coerce(3) + GF(7).coerce(5) == GF(7).coerce(1)
+    # a descriptor is its key: equal copies compare equal and hash alike
+    copies = [
+        RationalField,
+        lambda: GF(7),
+        lambda: GF(3, 2),
+        rationals_with_cube_root,
+        lambda: FunctionField(QQ, ("t",)),
+        lambda: FunctionField(GF(7), ("a", "t")),
+    ]
+    for make in copies:
+        a, b = make(), make()
+        assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+    kinds = [
+        QQ,
+        GF(7),
+        GF(7, 2),
+        FunctionField(GF(7), ("t",)),
+        FunctionField(QQ, ("t",)),
+        FunctionField(QQ, ("a", "t")),
+        FunctionField(QQ, ("t", "a")),
+    ]
+    for i, a in enumerate(kinds):
+        for j, b in enumerate(kinds):
+            assert (a == b) is (i == j) and (a != b) is (i != j)
+    for field in kinds:
+        assert (field == 0) is False and field != 0
+
+
+COERCION_CASES = {
+    "Q": QQ,
+    "F7": GF(7),
+    "F49": GF(7, 2),
+    "Qzeta3": rationals_with_cube_root(),
+    "Q(t)": FunctionField(QQ, ("t",)),
+    "F7(a,t)": FunctionField(GF(7), ("a", "t")),
+}
+
+
+@pytest.mark.parametrize("field", COERCION_CASES.values(), ids=COERCION_CASES.keys())
+def test_coerce_by_kind_of_value(field):
+    x = field.one + field.one
+    assert field.coerce(x) is x
+    base = getattr(field, "base", None)
+    if base is not None:
+        # a base element lifts to the constant of the same value, and an
+        # element of the field is foreign to its base
+        assert field.coerce(base.coerce(3)) == field.coerce(3) != field.zero
+        with pytest.raises(FieldError, match="mixed fields"):
+            base.coerce(x)
+    foreign = GF(11) if field.characteristic() != 11 else GF(13)
+    for other in (foreign, FunctionField(foreign, ("t",))):
+        with pytest.raises(FieldError, match="mixed fields"):
+            field.coerce(other.one)
+    assert field.coerce(-4) == -field.coerce(4) and field.coerce(0) == field.zero
+    assert field.coerce(Fraction(2, 3)) * field.coerce(3) == field.coerce(2)
+    assert field.coerce(Fraction(6, 3)) == field.coerce(2)
+    if field.characteristic() == 7:
+        with pytest.raises(FieldError):
+            field.coerce(Fraction(1, 7))
+    else:
+        assert field.coerce(Fraction(1, 7)) * 7 == field.one
+    for bad in ("3", 3.0):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            field.coerce(bad)
 
 
 def test_parse_field_spec():

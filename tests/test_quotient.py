@@ -9,16 +9,18 @@ import pytest
 
 from symlab.cli import run
 from symlab.fields import GF, QQ, FieldError, rationals_with_cube_root
-from symlab.linalg import Matrix, laplace_det
-from symlab.parse import parse_ratfunc
+from symlab.linalg import MAX_DIMENSION, Matrix, laplace_det
+from symlab.parse import parse_ratfunc, parse_ratfunc_list
 from symlab.poly import FunctionField, MultiPoly, UniPoly
 from symlab.quotient import (
+    IDEMPOTENT_BUDGET,
     AlgebraElement,
     AlgebraHom,
     MonogenicAlgebra,
     SubstitutionMap,
     aut_description,
     brute_force_automorphisms,
+    check_idempotent_weight,
     fpa_decompose,
     idempotents,
     lagrange_basis,
@@ -421,6 +423,32 @@ class TestVerifyIdempotents:
         assert verify_idempotents(zs, idempotents(algebra, zs))
 
 
+FRACTIONAL_ROOTS = ["1/(t+1)", "t/(a+1)", "1/(a-t)", "(a+2)/(t+3)", "1/(a+2*t)", "a/(t-2)", "(t+1)/(a+3)"]
+
+
+class TestIdempotentWeight:
+    @staticmethod
+    def check(roots, symbols):
+        check_idempotent_weight(parse_ratfunc_list(roots, QQ, symbols))
+
+    def test_admitted(self):
+        self.check(",".join(map(str, range(MAX_DIMENSION))), ())
+        self.check(",".join(f"{i}*t+{i}^2" for i in range(MAX_DIMENSION)), ("t",))
+        for roots in ("0,a,t,1,a+t", "1/(a-t),a,t,0,(a+2)/(t+3)", ",".join(FRACTIONAL_ROOTS[:5])):
+            self.check(roots, ("a", "t"))
+
+    def test_refused_past_the_root_count(self):
+        with pytest.raises(ValueError, match=f"15 roots are past MAX_DIMENSION = {MAX_DIMENSION}"):
+            self.check(",".join(map(str, range(15))), ())
+
+    def test_refused_past_the_weight(self):
+        # six fractional roots in a,t: n^2 * C(5*6 + 2, 2) = 36 * 496
+        with pytest.raises(ValueError, match=f"17856 is past IDEMPOTENT_BUDGET = {IDEMPOTENT_BUDGET}"):
+            self.check(",".join(FRACTIONAL_ROOTS[:6]), ("a", "t"))
+        with pytest.raises(ValueError, match="IDEMPOTENT_BUDGET"):
+            self.check(",".join(f"1/(t+{i})" for i in range(10)), ("t",))
+
+
 class TestVandermonde:
     def test_symbolic_inverse_of_three_roots(self):
         ff = FunctionField(QQ, ("t",))
@@ -734,6 +762,27 @@ class TestAlgebraHom:
         assert squaring.is_homomorphism() and not squaring.matrix().is_invertible()
         with pytest.raises(ValueError, match="singular"):
             squaring.inverse_image()
+
+    def test_reduced_by_the_modulus_only_from_its_degree(self, monkeypatch):
+        # an image or element of degree < n is its own remainder mod the
+        # modulus of degree n, so it is taken as it is, with no division
+        divisions = []
+        divide = UniPoly.__divmod__
+
+        def counted(p, q):
+            divisions.append(p.degree)
+            return divide(p, q)
+
+        monkeypatch.setattr(UniPoly, "__divmod__", counted)
+        low, high = UniPoly(QQ, [0, 1, 1]), UniPoly(QQ, [1, 0, 0, 0, 1])
+        assert AlgebraHom(X3, X3, low).image == low
+        assert [X3.from_poly(low).coeff(k) for k in range(3)] == [0, 1, 1]
+        assert SubstitutionMap(X3, [0, 1]).is_identity()
+        assert divisions == []
+        # X^4 + 1 = 1 mod X^3
+        assert AlgebraHom(X3, X3, high).image == UniPoly(QQ, [1])
+        assert X3.from_poly(high) == X3.one()
+        assert divisions == [4, 4]
 
     def test_one_power_table_per_map(self, monkeypatch):
         builds = count_evaluations(monkeypatch, "_power_table")

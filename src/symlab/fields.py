@@ -189,7 +189,8 @@ class FieldElement(Arithmetic):
 
     def _check(self, other):
         if isinstance(other, FieldElement):
-            # the identity test spares a call to the field's __eq__ per operation
+            # the identity test spares a call to the field's __eq__ per operation;
+            # a base element is refused, not lifted as coerce would, so a + b and b + a agree
             if other.field is not self.field and other.field != self.field:
                 raise FieldError(f"mixed fields: {self.field} and {other.field}")
             return other

@@ -326,35 +326,16 @@ def _ring_parts(field):
     return field.one, lambda x: (x, field.one)
 
 
-def _reduce_monic(p, f):
-    """p mod the monic f, coefficient lists X^0 first over a ring."""
-    p, n = list(p), len(f) - 1
-    for k in range(len(p) - 1, n - 1, -1):
-        c = p.pop()
-        for j in range(n):
-            p[k - n + j] = p[k - n + j] - c * f[j]
-    return p
-
-
-def _product_mod(a, b, f):
-    """a*b mod the monic f over a ring."""
-    out = [None] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = x * y if out[i + j] is None else out[i + j] + x * y
-    return _reduce_monic(out, f)
-
-
-# Most weight an `idem` run may carry.  verify_idempotents forms about n^2
-# products of polynomials of n coefficients, each a polynomial in the s
-# symbols of total degree up to m = (n - 1) * D, with D the top degree of a
-# root times the product of the distinct root denominators; C(m + s, s)
-# terms at most.  A run weighs n^2 * C(m + s, s) and takes time about its
-# square: in-process CPU time, Python 3.11 on a shared 2-vCPU VM, 5
-# fractional roots in a,t weigh 5,775 and take 2.2 s, 6 weigh 17,856 and
-# take 21.6 s; 9 roots t/(t + i) weigh 5,913 (6.3 s), 10 roots 1/(t + i)
-# 8,200 (12.8 s).  Past MAX_DIMENSION roots are refused too: 14 integers
-# take 0.6 s, 60 take 18 s.
+# Most weight an `idem` run may carry.  verify_idempotents evaluates n
+# numerators of n coefficients at n points by Horner, about n^3 products in
+# the s symbols of total degree up to m = (n - 1) * D, with D the top degree
+# of a root times the product of the distinct root denominators; C(m + s, s)
+# terms at most.  A run weighs n^2 * C(m + s, s).  In-process CPU time,
+# Python 3.11 on a shared 2-vCPU VM: admitted, 5 fractional roots in a,t
+# weigh 5,775 and take 0.5 s, 9 roots t/(t + i) 5,913 (0.6 s); refused, 6
+# fractional roots weigh 17,856 (4.5 s), 10 roots 1/(t + i) 8,200 (0.6 s).
+# Past MAX_DIMENSION roots are refused too: 14 integers take 0.14 s, 60 take
+# 8.6 s.
 IDEMPOTENT_BUDGET = 6000
 
 
@@ -376,22 +357,15 @@ def verify_idempotents(roots, es) -> bool:
     """True iff es are the orthogonal idempotents, summing to 1, with
     X*e_i = z_i*e_i, of the split algebra k[X]/(prod (X - z_i)).
 
-    Everything is checked by polynomial identities over the ring R of the
-    roots' numerators and denominators, with no division.  With q the
-    product of the distinct root denominators, w_i = q*z_i,
-    f_w = prod (Y - w_i), N_i = prod_{j != i} (Y - w_j) and
-    d_i = prod_{j != i} (w_i - w_j), the X^k coefficient of each e_i must
-    equal q^k*N_i[k]/d_i, so that e_i(X) = N_i(qX)/d_i, and modulo f_w
-
-        N_i*N_j = 0 (i != j),  N_i^2 = d_i*N_i,  Y*N_i = w_i*N_i,
-        sum_i N_i * prod_{j != i} d_j = prod_j d_j.
-
-    The last identity is checked divided by s*V, with V = prod_{j<l}
-    (w_l - w_j), nonzero once every d_i is, and s = (-1)^(n(n-1)/2):
-    prod_j d_j = s*V^2 and prod_{j != i} d_j * N_i = s*V * (column i of the
-    Vandermonde adjugate of the w_i), so the rows of that adjugate must sum
-    to (V, 0, ..., 0).  This keeps the products at the degree of V instead
-    of V^2.
+    With the z_i distinct, evaluation at them maps k[X]/(prod (X - z_i))
+    isomorphically onto k^n (Chinese remainder theorem), so those four
+    properties hold iff e_i(z_k) = delta_ik.  Both steps run over the ring
+    R of the roots' numerators and denominators, with no division.  With q
+    the product of the distinct root denominators, w_i = q*z_i and
+    (N_i, d_i) the Lagrange pairs of the w_i, the X^k coefficient of each
+    e_i must equal q^k*N_i[k]/d_i, so that e_i(z_k) = N_i(w_k)/d_i; then
+    Horner must give N_i(w_k) = d_i for k = i and 0 otherwise, with every
+    d_i nonzero, which also makes the z_i distinct.
     """
     n = len(roots)
     if len(es) != n or any(len(e.coeffs) != n for e in es):
@@ -399,24 +373,22 @@ def verify_idempotents(roots, es) -> bool:
     one, split = _ring_parts(roots[0].field)
     q, ws = common_denominator([split(z) for z in roots], one)
     zero = one - one
-    nums, ds = zip(*lagrange_pairs(ws, one))
-    for e, num, d in zip(es, nums, ds):
+    for i, (e, (num, d)) in enumerate(zip(es, lagrange_pairs(ws, one))):
+        if d == zero:
+            return False
         qk = one
         for k, nk in enumerate(num):
             cn, cd = split(e.coeff(k))
             if cn * d != cd * qk * nk:
                 return False
             qk = qk * q
-    f = lagrange_numerator(ws, None, one)
-    for i in range(n):
-        for j in range(i, n):
-            want = [ds[i] * c for c in nums[i]] if i == j else [zero] * n
-            if _product_mod(nums[i], nums[j], f) != want:
+        for k, w in enumerate(ws):
+            acc = zero
+            for c in reversed(num):
+                acc = acc * w + c
+            if acc != (d if k == i else zero):
                 return False
-        if _reduce_monic([zero] + nums[i], f) != [ws[i] * c for c in nums[i]]:
-            return False
-    adj, det = vandermonde_adjugate(ws, one)
-    return [sum(row[1:], row[0]) for row in adj] == [det] + [zero] * (n - 1)
+    return True
 
 
 def vandermonde_adjugate(roots, one):

@@ -265,9 +265,17 @@ def test_chi_over_a_large_prime_field_in_subprocess():
     ids=["four", "five", "fractional", "five_fractional"],
 )
 def test_two_symbol_idempotents_verified_in_subprocess(roots):
-    # the idempotents are checked as identities over Q[a,t], not by
-    # products in the algebra over Q(a,t)
+    # the idempotents are checked by their values at the roots over
+    # Q[a,t], not by products in the algebra over Q(a,t)
     proc = run_subprocess(["idem", "--roots", roots, "--symbols", "a,t"], 10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(b"X*e_i = z_i*e_i: verified\n")
+
+
+def test_nine_dense_roots_verified_in_subprocess():
+    # nine roots t/(t+i) weigh 5,913: the slowest admitted run measured
+    roots = ",".join(f"t/(t+{i})" for i in range(1, 10))
+    proc = run_subprocess(["idem", "--roots", roots, "--symbols", "t"], 5)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(b"X*e_i = z_i*e_i: verified\n")
 

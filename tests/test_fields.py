@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -222,6 +223,17 @@ def test_prime_field_fraction_coercion():
 def test_mixed_field_arithmetic_raises():
     with pytest.raises(FieldError):
         GF(5).one + GF(7).one
+
+
+def test_a_base_element_is_foreign_to_its_extension_in_either_order():
+    # coerce lifts a base element, but arithmetic refuses it both ways
+    for ext in (GF(7, 2), rationals_with_cube_root()):
+        x, y = ext.base.coerce(2), ext.generator()
+        for op in (operator.add, operator.mul):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(FieldError, match="mixed fields"):
+                    op(a, b)
+        assert ext.coerce(x) == ext.coerce(2)
 
 
 def test_descriptor_equality_and_sharing():

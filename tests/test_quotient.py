@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from symlab import quotient
 from symlab.cli import run
 from symlab.fields import GF, QQ, FieldError, rationals_with_cube_root
 from symlab.linalg import MAX_DIMENSION, Matrix, laplace_det
@@ -416,6 +417,46 @@ class TestVerifyIdempotents:
         assert verify_idempotents(zs, es)
         assert not verify_idempotents(zs, [es[1], es[0], es[2]])
         assert not verify_idempotents(zs, es[:2])
+
+    def test_consistent_wrong_pairs_fail_at_the_values(self, monkeypatch):
+        # idempotents and the coefficient step read the same lagrange_pairs,
+        # so only the values at the roots tell e_i + 1 from e_i: N_i[0] + d_i
+        # is consistent under the scaling by q
+        honest = quotient.lagrange_pairs
+
+        def wrong(zs, one):
+            pairs = honest(zs, one)
+            num, d = pairs[-1]
+            pairs[-1] = ([num[0] + d] + num[1:], d)
+            return pairs
+
+        monkeypatch.setattr(quotient, "lagrange_pairs", wrong)
+        kinds = set()
+        for algebra, zs, es in _verify_cases(30, seed=6):
+            assert verify_idempotents(zs, es) is False
+            assert not product_verification(algebra, zs, es)
+            kinds.add(str(algebra.field))
+        assert len(kinds) >= 6
+
+    def test_a_zero_d_i_fails(self, monkeypatch):
+        # N_i = 0 and d_i = 0 pass both the coefficient and the value
+        # comparisons; only the nonzero test on d_i refuses them
+        honest = quotient.lagrange_pairs
+
+        def zero_pair(zs, one):
+            pairs = honest(zs, one)
+            pairs[1] = ([one - one] * len(zs), one - one)
+            return pairs
+
+        cases = _verify_cases(10, seed=7)
+        monkeypatch.setattr(quotient, "lagrange_pairs", zero_pair)
+        for algebra, zs, es in cases:
+            assert verify_idempotents(zs, es) is False
+
+    def test_repeated_roots_fail(self):
+        algebra = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
+        es = idempotents(algebra, [QQ.coerce(z) for z in (0, 1, 2)])
+        assert not verify_idempotents([QQ.coerce(z) for z in (1, 1, 2)], es)
 
     def test_single_root(self):
         algebra = MonogenicAlgebra.from_roots(GF(5), [3])

@@ -26,12 +26,10 @@ from .quotient import (
     AlgebraElement,
     AlgebraHom,
     AutDescription,
-    FpaDecomposition,
     MonogenicAlgebra,
     SubstitutionMap,
     aut_description,
     brute_force_automorphisms,
-    fpa_decompose,
     idempotents,
     vandermonde_adjugate,
     vandermonde_pair,

@@ -50,7 +50,6 @@ from .quotient import (
     aut_description,
     brute_force_automorphisms,
     check_idempotent_weight,
-    fpa_decompose,
     idempotents,
     root_differences,
     verify_idempotents,
@@ -152,11 +151,10 @@ def _cmd_aut(args) -> dict:
     for r, m in zip(roots, mults):
         flat.extend([r] * m)
     algebra = MonogenicAlgebra.from_roots(field, flat)
-    dec = fpa_decompose(list(zip(roots, mults)))
-    desc = aut_description(dec)
+    desc = aut_description(zip(roots, mults))
     results = {
         "modulus": str(algebra.modulus),
-        "decomposition": [[m, r] for m, r in dec.parts],
+        "decomposition": [[m, r] for m, r in desc.parts],
         "automorphisms": {
             "permutation_part": desc.permutation_part,
             "factors": [
@@ -235,11 +233,10 @@ def _cmd_idem(args) -> dict:
     ratfuncs = parse_ratfunc_list(args.roots, base, symbols)
     check_idempotent_weight(ratfuncs)
     roots = _as_field_values(ratfuncs, field, symbols)
-    algebra = MonogenicAlgebra.from_roots(field, roots)
-    es = idempotents(algebra, roots)
+    es = idempotents(field, roots)
     det = root_differences(roots, field.one)
     results = {
-        "modulus": str(algebra.modulus),
+        "modulus": str(es[0].algebra.modulus),
         "idempotents": [str(e) for e in es],
         "vandermonde_det": str(det),
         "verified": verify_idempotents(roots, es),

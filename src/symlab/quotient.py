@@ -1,6 +1,6 @@
 """Quotient algebras k[X]/(f): arithmetic, substitution maps, idempotent
-bases, Vandermonde transitions, and the per-multiplicity decomposition of a
-split modulus with its automorphism-group description.
+bases, Vandermonde transitions, and the automorphism-group description of
+a split modulus from its (root, multiplicity) pairs.
 
 A substitution map is determined by the image polynomial of X.  Composition
 is polynomial composition of the images: compose(outer, inner) has image
@@ -261,17 +261,12 @@ class SubstitutionMap(AlgebraHom):
         return self.__str__()
 
 
-def idempotents(algebra: MonogenicAlgebra, roots) -> list[AlgebraElement]:
-    """Lagrange idempotents prod_{j != i} (X - z_j)/(z_i - z_j) for a
-    multiplicity-free split modulus with the given roots."""
-    field = algebra.field
+def idempotents(field: Field, roots) -> list[AlgebraElement]:
+    """Lagrange idempotents prod_{j != i} (X - z_j)/(z_i - z_j) of the split
+    algebra k[X]/(prod (X - z_i)) on the distinct roots z_i, each an element
+    of that algebra."""
     zs = [field.coerce(z) for z in roots]
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if zs[i] == zs[j]:
-                raise ValueError("roots must be pairwise distinct")
-    if UniPoly.from_roots(field, zs) != algebra.modulus:
-        raise ValueError("roots do not multiply out to the modulus")
+    algebra = MonogenicAlgebra.from_roots(field, zs)
     return [algebra.from_poly(l) for l in lagrange_basis(field, zs)]
 
 
@@ -292,8 +287,14 @@ def lagrange_pairs(zs, one):
 
 
 def lagrange_basis(field: Field, zs) -> list[UniPoly]:
-    """The Lagrange basis N_i/d_i on the distinct field elements zs."""
-    return [UniPoly(field, num) * d.inverse() for num, d in lagrange_pairs(zs, field.one)]
+    """The Lagrange basis N_i/d_i on the field elements zs; a repeated one
+    makes some d_i zero, and raises ValueError."""
+    basis = []
+    for num, d in lagrange_pairs(zs, field.one):
+        if d.is_zero():
+            raise ValueError("roots must be pairwise distinct")
+        basis.append(UniPoly(field, num) * d.inverse())
+    return basis
 
 
 def common_denominator(pairs, one):
@@ -332,8 +333,8 @@ def _ring_parts(field):
 # of a root times the product of the distinct root denominators; C(m + s, s)
 # terms at most.  A run weighs n^2 * C(m + s, s).  In-process CPU time,
 # Python 3.11 on a shared 2-vCPU VM: admitted, 5 fractional roots in a,t
-# weigh 5,775 and take 0.5 s, 9 roots t/(t + i) 5,913 (0.6 s); refused, 6
-# fractional roots weigh 17,856 (4.5 s), 10 roots 1/(t + i) 8,200 (0.6 s).
+# weigh 5,775 and take 0.4 s, 9 roots t/(t + i) 5,913 (0.6 s); refused, 6
+# fractional roots weigh 17,856 (2.8 s), 10 roots 1/(t + i) 8,200 (0.5 s).
 # Past MAX_DIMENSION roots are refused too: 14 integers take 0.14 s, 60 take
 # 8.6 s.
 IDEMPOTENT_BUDGET = 6000
@@ -445,33 +446,6 @@ def vandermonde_pair(field: Field, roots) -> tuple[Matrix, Matrix]:
 
 
 @dataclass(frozen=True)
-class FpaDecomposition:
-    """Multiplicity profile of a split modulus: ((m_1, r_1), ..., (m_s, r_s))
-    with distinct multiplicities m_i, each occurring for r_i roots."""
-
-    parts: tuple
-    degree: int
-
-
-def fpa_decompose(root_multiplicities) -> FpaDecomposition:
-    """Group explicit (root, multiplicity) data by multiplicity."""
-    seen = []
-    counts: dict[int, int] = {}
-    total = 0
-    for root, mult in root_multiplicities:
-        if mult < 1:
-            raise ValueError("multiplicities must be >= 1")
-        for other in seen:
-            if other == root:
-                raise ValueError("repeated root in multiplicity data")
-        seen.append(root)
-        counts[mult] = counts.get(mult, 0) + 1
-        total += mult
-    parts = tuple(sorted(counts.items()))
-    return FpaDecomposition(parts=parts, degree=total)
-
-
-@dataclass(frozen=True)
 class AutFactor:
     multiplicity: int
     count: int
@@ -481,10 +455,13 @@ class AutFactor:
 
 @dataclass(frozen=True)
 class AutDescription:
-    """Automorphism group of a product of one-root local algebras: a
+    """Automorphism group of a product of one-root local algebras.  Its
+    multiplicity profile parts = ((m_1, r_1), ..., (m_s, r_s)) lists the
+    distinct multiplicities m_i, each occurring for r_i roots; the group is a
     permutation part S_{r_1} x ... x S_{r_s} and, per local factor, the
     connected group of that factor."""
 
+    parts: tuple
     factors: tuple
     permutation_part: str
     finite_order: int | None
@@ -502,21 +479,25 @@ def _connected_description(m: int) -> tuple[str, int]:
     )
 
 
-def aut_description(dec: FpaDecomposition) -> AutDescription:
-    factors = []
-    finite = True
-    order = 1
-    for m, r in dec.parts:
-        label, dim = _connected_description(m)
-        factors.append(AutFactor(m, r, label, dim))
-        order *= math.factorial(r)
-        if m > 1:
-            finite = False
-    perm = " x ".join(f"S{r}" for _, r in dec.parts) or "S0"
+def aut_description(root_multiplicities) -> AutDescription:
+    """Aut(k[X]/(prod (X - r)^m)) from explicit (root, multiplicity) pairs,
+    grouped by multiplicity."""
+    seen = []
+    counts: dict[int, int] = {}
+    for root, mult in root_multiplicities:
+        if mult < 1:
+            raise ValueError("multiplicities must be >= 1")
+        if any(other == root for other in seen):
+            raise ValueError("repeated root in multiplicity data")
+        seen.append(root)
+        counts[mult] = counts.get(mult, 0) + 1
+    parts = tuple(sorted(counts.items()))
+    order = math.prod(math.factorial(r) for _, r in parts)
     return AutDescription(
-        factors=tuple(factors),
-        permutation_part=perm,
-        finite_order=order if finite else None,
+        parts=parts,
+        factors=tuple(AutFactor(m, r, *_connected_description(m)) for m, r in parts),
+        permutation_part=" x ".join(f"S{r}" for _, r in parts) or "S0",
+        finite_order=order if all(m == 1 for m, _ in parts) else None,
     )
 
 
@@ -524,13 +505,15 @@ def brute_force_automorphisms(algebra: MonogenicAlgebra) -> list[SubstitutionMap
     """All substitution automorphisms of a quotient algebra over a finite
     field, by enumeration of image polynomials g of degree < n.
 
-    For each root r of the modulus f in the field, X - r divides f(g(X)),
-    so g(r) must again be a root of f.  Only the images meeting this
-    necessary condition are enumerated, each once: with R the roots of f in
-    the field, l_i the Lagrange basis on R and P = prod_{r in R} (X - r),
-    they are g = sum_i v_i*l_i + P*h for v in R^|R| and h of degree
-    < n - |R|.  A modulus without a root in the field has P = 1, so every
-    image is enumerated.  Each one is checked in full by is_automorphism.
+    With R the roots of f in the field, Hom(A, k) for A = k[X]/(f) is R,
+    the map X -> r for each root r.  An automorphism X -> g of A acts by
+    precomposition as a bijection on Hom(A, k), sending X -> r to
+    X -> g(r), so g permutes R.  Only the images meeting this necessary
+    condition are enumerated, each once: with l_i the Lagrange basis on R
+    and P = prod_{r in R} (X - r), they are g = sum_i v_i*l_i + P*h for v a
+    permutation of R and h of degree < n - |R|, |R|! * q^(n - |R|) of them.
+    A modulus without a root in the field has P = 1, so every image is
+    enumerated.  Each one is checked in full by is_automorphism.
     """
     field = algebra.field
     q = field.size()
@@ -545,7 +528,7 @@ def brute_force_automorphisms(algebra: MonogenicAlgebra) -> list[SubstitutionMap
     vanishing = UniPoly.from_roots(field, roots)
     lows = [
         sum((l * v for l, v in zip(basis, vs)), UniPoly.zero(field))
-        for vs in itertools.product(roots, repeat=len(roots))
+        for vs in itertools.permutations(roots)
     ]
     highs = [vanishing * UniPoly(field, h) for h in itertools.product(elems, repeat=n - len(roots))]
     out = []

@@ -672,7 +672,7 @@ def test_idem_adjugate_determinant_against_laplace():
         laplace = Matrix(field, [[z**k for k in range(len(zs))] for z in zs]).det()
         assert det == laplace, (spec, roots)
         algebra = MonogenicAlgebra.from_roots(field, zs)
-        es = [str(e) for e in idempotents(algebra, zs)]
+        es = [str(e) for e in idempotents(algebra.field, zs)]
         assert es == _product_idempotent_strings(algebra, zs), (spec, roots)
         polynomial = all(list(r.den.terms) == [(0,) * len(symbols)] for r in rfs)
         canonical = len(symbols) == 1 or polynomial

@@ -163,7 +163,7 @@ class TestPermCoeffVector:
                 coeffs = [c.limit_at("t", t0).as_constant() for c in pa]
                 g = SubstitutionMap(algebra, UniPoly(QQ, coeffs))
                 assert g.is_automorphism()
-                es = idempotents(algebra, roots)
+                es = idempotents(algebra.field, roots)
                 # g moves e_i to e_{sigma^(-1)(i)}: g(X) has e-coordinates
                 # z_{sigma(i)} in slot i
                 for i in range(3):

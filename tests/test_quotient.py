@@ -22,7 +22,6 @@ from symlab.quotient import (
     aut_description,
     brute_force_automorphisms,
     check_idempotent_weight,
-    fpa_decompose,
     idempotents,
     lagrange_basis,
     lagrange_numerator,
@@ -193,12 +192,12 @@ class TestSubstitutionMaps:
 class TestIdempotents:
     def test_degree_one_lagrange(self):
         a = MonogenicAlgebra.from_roots(QQ, [0, 1])
-        e1, e2 = idempotents(a, [0, 1])
+        e1, e2 = idempotents(a.field, [0, 1])
         assert e1 == a.element([1, -1]) and e2 == a.element([0, 1])
 
     def test_cubic_example(self):
         a = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
-        es = idempotents(a, [0, 1, 2])
+        es = idempotents(a.field, [0, 1, 2])
         # oracle: e0 = (X^2 - 3X + 2)/2, then e0^2 = e0
         assert es[0] == a.element([1, Fraction(-3, 2), Fraction(1, 2)])
         assert es[0] * es[0] == es[0]
@@ -207,7 +206,7 @@ class TestIdempotents:
         ff = FunctionField(QQ, ("t",))
         t = ff.symbol("t")
         a = MonogenicAlgebra.from_roots(ff, [ff.zero, t, ff.one])
-        es = idempotents(a, [ff.zero, t, ff.one])
+        es = idempotents(a.field, [ff.zero, t, ff.one])
         # e_t = (X^2 - X)/(t^2 - t)
         d = (t * t - t).inverse()
         assert es[1] == a.element([ff.zero, -d, d])
@@ -219,7 +218,7 @@ class TestIdempotents:
             n = rng.choice([3, 4])
             roots = rng.sample(range(-5, 6), n)
             a = MonogenicAlgebra.from_roots(QQ, roots)
-            es = idempotents(a, roots)
+            es = idempotents(a.field, roots)
             for i in range(n):
                 for j in range(n):
                     expected = es[i] if i == j else a.zero()
@@ -250,7 +249,7 @@ class TestIdempotents:
             a = MonogenicAlgebra.from_roots(field, zs)
             adj, det = vandermonde_adjugate(zs, field.one)
             inv = det.inverse()
-            for i, e in enumerate(idempotents(a, zs)):
+            for i, e in enumerate(idempotents(a.field, zs)):
                 assert [e.coeff(k) for k in range(len(zs))] == [adj[k][i] * inv for k in range(len(zs))]
 
     def test_lagrange_numerator(self):
@@ -318,9 +317,32 @@ class TestIdempotents:
     def test_errors(self):
         a = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
         with pytest.raises(ValueError):
-            idempotents(a, [0, 1, 1])
-        with pytest.raises(ValueError):
-            idempotents(a, [0, 1, 3])
+            idempotents(a.field, [0, 1, 1])
+
+    def test_repeated_roots_refused_by_their_zero_d_i(self):
+        ff = FunctionField(QQ, ("t",))
+        t = ff.symbol("t")
+        for field, roots in [(QQ, [0, 1, 1]), (GF(7), [2, 5, 9]), (ff, [t, ff.one, t])]:
+            zs = [field.coerce(z) for z in roots]
+            with pytest.raises(ValueError, match="^roots must be pairwise distinct$"):
+                lagrange_basis(field, zs)
+            with pytest.raises(ValueError, match="^roots must be pairwise distinct$"):
+                idempotents(field, zs)
+
+    def test_idem_multiplies_its_modulus_out_once(self, monkeypatch):
+        # idempotents builds the algebra of its roots, and the CLI reads it
+        # from the basis
+        honest = UniPoly.from_roots
+        calls = []
+
+        def counted(cls, field, roots):
+            calls.append(roots)
+            return honest(field, roots)
+
+        monkeypatch.setattr(UniPoly, "from_roots", classmethod(counted))
+        code, out = run(["idem", "--roots", "0,t,1", "--symbols", "t"])
+        assert code == 0 and "verified" in out
+        assert len(calls) == 1
 
 
 def product_verification(algebra, roots, es):
@@ -366,7 +388,7 @@ def _verify_cases(count, seed):
             rfs = [parse_ratfunc(r, base, symbols) for r in rng.sample(VERIFY_ROOTS[symbols], n)]
             zs = [field.coerce(r) if symbols else r.as_constant() for r in rfs]
             algebra = MonogenicAlgebra.from_roots(field, zs)
-            out.append((algebra, zs, idempotents(algebra, zs)))
+            out.append((algebra, zs, idempotents(algebra.field, zs)))
         except (FieldError, ValueError, ZeroDivisionError):
             continue
     return out
@@ -393,7 +415,7 @@ class TestVerifyIdempotents:
             field = FunctionField(base, ("a", "t"))
             zs = [field.coerce(parse_ratfunc(r, base, ("a", "t"))) for r in roots]
             algebra = MonogenicAlgebra.from_roots(field, zs)
-            es = idempotents(algebra, zs)
+            es = idempotents(algebra.field, zs)
             assert verify_idempotents(zs, es) is True
             assert product_verification(algebra, zs, es), roots
 
@@ -413,7 +435,7 @@ class TestVerifyIdempotents:
         # given, and for no permutation of them
         algebra = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
         zs = [QQ.coerce(z) for z in (0, 1, 2)]
-        es = idempotents(algebra, zs)
+        es = idempotents(algebra.field, zs)
         assert verify_idempotents(zs, es)
         assert not verify_idempotents(zs, [es[1], es[0], es[2]])
         assert not verify_idempotents(zs, es[:2])
@@ -455,13 +477,13 @@ class TestVerifyIdempotents:
 
     def test_repeated_roots_fail(self):
         algebra = MonogenicAlgebra.from_roots(QQ, [0, 1, 2])
-        es = idempotents(algebra, [QQ.coerce(z) for z in (0, 1, 2)])
+        es = idempotents(algebra.field, [QQ.coerce(z) for z in (0, 1, 2)])
         assert not verify_idempotents([QQ.coerce(z) for z in (1, 1, 2)], es)
 
     def test_single_root(self):
         algebra = MonogenicAlgebra.from_roots(GF(5), [3])
         zs = [GF(5).coerce(3)]
-        assert verify_idempotents(zs, idempotents(algebra, zs))
+        assert verify_idempotents(zs, idempotents(algebra.field, zs))
 
 
 FRACTIONAL_ROOTS = ["1/(t+1)", "t/(a+1)", "1/(a-t)", "(a+2)/(t+3)", "1/(a+2*t)", "a/(t-2)", "(t+1)/(a+3)"]
@@ -555,30 +577,30 @@ class TestVandermonde:
 
 class TestDecomposition:
     def test_examples(self):
-        d = fpa_decompose([(0, 2), (1, 3), (2, 3)])
-        assert d.parts == ((2, 1), (3, 2)) and d.degree == 8
-        assert fpa_decompose([(0, 1), (1, 1), (2, 1)]).parts == ((1, 3),)
-        assert fpa_decompose([(0, 3)]).parts == ((3, 1),)
+        d = aut_description([(0, 2), (1, 3), (2, 3)])
+        assert d.parts == ((2, 1), (3, 2))
+        assert aut_description([(0, 1), (1, 1), (2, 1)]).parts == ((1, 3),)
+        assert aut_description([(0, 3)]).parts == ((3, 1),)
 
     def test_repeated_roots_rejected(self):
         with pytest.raises(ValueError):
-            fpa_decompose([(0, 2), (0, 3)])
+            aut_description([(0, 2), (0, 3)])
         with pytest.raises(ValueError):
-            fpa_decompose([(0, 0)])
+            aut_description([(0, 0)])
 
     def test_aut_description(self):
-        d = aut_description(fpa_decompose([(0, 1), (1, 1), (2, 1)]))
+        d = aut_description([(0, 1), (1, 1), (2, 1)])
         assert d.permutation_part == "S3"
         assert d.finite_order == 6
         assert d.factors[0].connected == "trivial"
 
-        d = aut_description(fpa_decompose([(0, 3)]))
+        d = aut_description([(0, 3)])
         assert d.permutation_part == "S1"
         assert d.finite_order is None
         assert d.factors[0].connected_dim == 2
         assert "extended 1 time" in d.factors[0].connected
 
-        d = aut_description(fpa_decompose([(0, 2), (1, 3), (2, 3)]))
+        d = aut_description([(0, 2), (1, 3), (2, 3)])
         assert d.permutation_part == "S1 x S2"
         assert d.finite_order is None
 
@@ -586,7 +608,7 @@ class TestDecomposition:
         f5 = GF(5)
         for roots in [[0], [0, 1], [0, 1, 2]]:
             a = MonogenicAlgebra.from_roots(f5, roots)
-            desc = aut_description(fpa_decompose([(z, 1) for z in roots]))
+            desc = aut_description([(z, 1) for z in roots])
             assert desc.finite_order == len(brute_force_automorphisms(a))
 
 
@@ -701,16 +723,16 @@ class TestBruteForce:
 
     def test_order_profile_checks_no_map_again(self, monkeypatch):
         # the CLI's order profile reads each map's verdict from the search:
-        # the only full checks are the 27 of the 3^3 images enumerated
+        # the only full checks are the 6 of the 3! images enumerated
         calls = count_evaluations(monkeypatch, "_isomorphic")
         code, out = run(["aut", "--field", "Fp(5)", "--poly", "factored:(X)(X-1)(X-2)", "--brute-force"])
         assert code == 0 and "order profile: order 1: 1, order 2: 3, order 3: 2" in out
-        assert len(calls) == 27
+        assert len(calls) == 6
         a = MonogenicAlgebra.from_roots(GF(7), [1, 1, 1])
         auts = brute_force_automorphisms(a)
         searched = len(calls)
         assert Counter(g.order(len(auts)) for g in auts) == {1: 1, 2: 7, 3: 14, 6: 14, 7: 6}
-        assert len(calls) == searched == 27 + 7**2
+        assert len(calls) == searched == 6 + 7**2
 
     @pytest.mark.parametrize(
         "q,coeffs",
@@ -723,7 +745,7 @@ class TestBruteForce:
 
     def test_matches_unpruned_enumeration_on_random_moduli(self):
         pytest.importorskip("hypothesis")
-        from hypothesis import given, settings, strategies as st
+        from hypothesis import example, given, settings, strategies as st
 
         moduli = st.sampled_from([3, 5]).flatmap(
             lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
@@ -731,9 +753,12 @@ class TestBruteForce:
 
         @settings(max_examples=60, deadline=None, database=None)
         @given(moduli)
+        @example((5, [0, 4, 1, 4]))  # X(X - 1)(X - 2)(X - 3): S4 on the roots
+        @example((3, [0, 0, 1, 1]))  # X^2 (X - 1)^2: the two roots swap
+        @example((5, [0, 0, 2, 2]))  # X^2 (X - 1)(X - 2): 1 and 2 swap
         def check(case):
             q, lower = case
-            a = algebra(GF(q), lower + [1])  # monic of degree 1 to 3
+            a = algebra(GF(q), lower + [1])  # monic of degree 1 to 4
             assert images(brute_force_automorphisms(a)) == images(unpruned_automorphisms(a))
 
         check()
@@ -741,16 +766,16 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "q,coeffs,checked",
         [
-            (7, UniPoly.from_roots(GF(7), [0, 1, 2]).coeffs, 3**3),  # R = {0, 1, 2}: 27 of 343
+            (7, UniPoly.from_roots(GF(7), [0, 1, 2]).coeffs, 3 * 2),  # R = {0, 1, 2}: 6 of 343
             (7, UniPoly.from_roots(GF(7), [3] * 4).coeffs, 7**3),  # R = {3}: 343 of 2,401
-            (5, UniPoly.from_roots(GF(5), [1, 1, 4]).coeffs, 2**2 * 5),  # R = {1, 4}
+            (5, UniPoly.from_roots(GF(5), [1, 1, 4]).coeffs, 2 * 5),  # R = {1, 4}
             (3, [1, 0, 1], 3**2),  # X^2 + 1 has no root in F_3
             (5, [1, 0, 0, 0, 1], 5**4),  # nor X^4 + 1 in F_5
         ],
         ids=["(1,1,1)/F7", "(4,)/F7", "(2,1)/F5", "X^2+1/F3", "X^4+1/F5"],
     )
     def test_maps_checked_in_full(self, monkeypatch, q, coeffs, checked):
-        # g(R) inside R leaves |R|^|R| value tuples on the distinct roots R,
+        # g permuting R leaves |R|! value tuples on the distinct roots R,
         # each reached by q^(n - |R|) images of degree < n, since evaluation
         # at |R| <= n distinct points is onto; only those build a map
         full_check = SubstitutionMap.is_automorphism

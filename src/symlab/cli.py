@@ -18,7 +18,6 @@ from fractions import Fraction
 from .chi import NO_S3_BOUND, no_s3_check, order_class
 from .families import (
     InternalInconsistencyError,
-    PoleAt,
     RootFamily,
     Survives,
     all_perms,
@@ -318,10 +317,16 @@ def _cmd_family(args) -> dict:
             entry["surviving_subgroup"] = surviving
             entry["surviving_order"] = len(surviving)
         results["at"].append(entry)
+    unsearched = [
+        f"the roots of the critical factor {g.to_str('t')} are not searched, "
+        "so they are not listed among the critical values"
+        for g in fam.unsearched_factors()
+    ]
     return _report(
         "family",
         {"field": args.field, "roots": args.roots, "at": args.at or "", "perm": args.perm or ""},
         results,
+        warnings=unsearched,
     )
 
 

@@ -30,7 +30,9 @@ The critical values are the t where two roots collide.  They are read off
 the numerator of each difference r_i - r_j separately, never from their
 product: linear factors give their root exactly over any field, and only
 factors of degree >= 2 need a search (all elements of a finite field; over
-Q the discriminant for degree 2, the rational root theorem from degree 3).
+Q the discriminant for degree 2, the rational root theorem from degree 3;
+over Q(zeta3) only quadratics with rational coefficients, and the factors
+left unsearched are listed by RootFamily.unsearched_factors).
 
 Permutation convention: a permutation sigma acts on the coordinate vector
 of X in the idempotent basis by (v_1, ..., v_n) -> (v_{sigma(1)}, ...,
@@ -40,6 +42,7 @@ position i; compose_perm(p, q)[i] = p[q[i]].
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -212,11 +215,21 @@ class RootFamily:
         >= 3, within DIVISOR_SEARCH_BOUND steps, else ValueError).  Over
         Q(zeta3) a quadratic g with rational coefficients is solved from its
         discriminant; the roots of a g of degree >= 3, or of a quadratic
-        with zeta3 in its coefficients, are not searched there.  Listed 0
-        first, then over Q by (|numerator|, denominator, positive first)
-        and otherwise by sort_key, which over a finite field is the order
-        of field.elements().
+        with zeta3 in its coefficients, are not searched there, and such a
+        g is listed by unsearched_factors.  Listed 0 first, then over Q by
+        (|numerator|, denominator, positive first) and otherwise by
+        sort_key, which over a finite field is the order of
+        field.elements().
         """
+        return list(self._collisions[0])
+
+    def unsearched_factors(self) -> list[UniPoly]:
+        """The factors g, made monic, whose roots critical_values does not
+        search, so that some critical values may be missing."""
+        return list(self._collisions[1])
+
+    @functools.cached_property
+    def _collisions(self):
         field = self.field
         found = set()
         factors = {}  # distinct g, each searched once
@@ -228,6 +241,7 @@ class RootFamily:
                     found.add(field.zero)
                 g = UniPoly._wrap(field, num.split(self.param)[()][lo:])
                 factors[g] = None
+        unsearched = []
         for g in factors:
             if g.degree == 1:
                 found.add(-g.coeff(0) / g.coeff(1))
@@ -241,6 +255,7 @@ class RootFamily:
                     candidates = _quadratic_roots(field, *rational)
                 else:
                     candidates = ()
+                    unsearched.append(g * g.coeff(g.degree).inverse())
                 found.update(z for z in candidates if g(z).is_zero())
 
         def order(z):
@@ -248,7 +263,7 @@ class RootFamily:
                 return (abs(z.value.numerator), z.value.denominator, z.value < 0)
             return (not z.is_zero(), z.sort_key())
 
-        return sorted(found, key=order)
+        return sorted(found, key=order), unsearched
 
 
 def _quadratic_roots(field: Field, c: int, b: int, a: int) -> set:
@@ -513,16 +528,14 @@ def conjugate_through_iso(
     iso_image: UniPoly,
     aut_image: UniPoly,
 ) -> SubstitutionMap:
-    """Pull an automorphism of `target` back to `source` through the
-    isomorphism source -> target with the given image of X."""
+    """Pull an automorphism alpha of `target` back to `source` through the
+    isomorphism iota: source -> target with the given image of X, by one
+    solve: the pull-back sends X to the h with iota(h) = alpha(iota(X))."""
     iso = AlgebraHom(source, target, iso_image)
     if not iso.is_isomorphism():
         raise ValueError("the given map is not an isomorphism")
     alpha = SubstitutionMap(target, aut_image)
     if not alpha.is_automorphism():
         raise ValueError("the given map is not an automorphism of the target")
-    back = iso.inverse_image()  # image of X under target -> source
-    # X -> iso -> alpha -> iso^(-1), at the level of image polynomials
-    step = iso.image.compose_mod(alpha.image, target.modulus)
-    result = step.compose_mod(back, source.modulus)
-    return SubstitutionMap(source, result)
+    w = alpha(target.from_poly(iso.image))
+    return SubstitutionMap(source, iso.matrix().solve([w.coeff(k) for k in range(target.dim)]))

@@ -20,9 +20,10 @@ from .poly import FunctionField
 # small fractions takes 0.006 s.  Shared minors on dense affine entries:
 # 0.25, 1.5, 6.3 and 37 s for n = 8 to 14 by twos over Q(t), 0.6, 3.2 and
 # 18 s for n = 8 to 12 over Q(a,t).  The maps `aut --check-map` checks at
-# n = 14 cost far less: 0.49 s over Q(t) and 1.0 s over Q(a,t) for the
-# triangular matrices of k[X]/(X^14), 4.9 s over Q(t) for a transposition
-# of 14 distinct roots.
+# n = 14: 0.49 s over Q(t) and 1.0 s over Q(a,t) for the triangular
+# matrices of k[X]/(X^14), and 34 s over Q(t) for the swap of the first two
+# of the 14 distinct roots 0, t, 1, ..., 12 (its coefficients from
+# families.perm_coeff_vector), most of it in the map's power table.
 MAX_DIMENSION = 14
 
 

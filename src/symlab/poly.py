@@ -609,6 +609,10 @@ class RationalFunction(Arithmetic):
             return None
 
     def _plus(self, o):
+        # over a shared denominator the sum keeps it; with several symbols,
+        # where _canonical cancels no gcd, den^2 would stay
+        if self.den == o.den:
+            return RationalFunction(self.num + o.num, self.den)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def _times(self, o):

@@ -10,7 +10,8 @@ composition law on X -> aX + bX^2 maps coefficient for coefficient.
 A map (AlgebraHom) owns its homomorphism and isomorphism verdicts and
 reaches each at most once.  They run on raw field values: a map's powers
 image^k mod f are computed once, and the verdicts, the matrix behind the
-determinant test, the inverse and the order all read them.
+determinant test, the inverse, the order, the map applied to an element
+and composition all read them: the one way p(g) mod f is computed.
 """
 
 from __future__ import annotations
@@ -172,9 +173,7 @@ class AlgebraHom:
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
         if u.algebra != self.source:
             raise ValueError("element of a different algebra")
-        return self.target.from_poly(
-            u.as_poly().compose_mod(self.image, self.target.modulus)
-        )
+        return AlgebraElement._wrap(self.target, self._substitute(u.coeffs))
 
     def matrix(self) -> Matrix:
         """Induced linear map, columns = coordinates of images of X^k."""
@@ -216,12 +215,10 @@ class SubstitutionMap(AlgebraHom):
         return self._isomorphic
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
-        """Map with image self.image(inner.image(X)) mod f."""
+        """Map with image self.image(inner.image(X)) mod f: inner applied to it."""
         if inner.algebra != self.algebra:
             raise ValueError("maps on different algebras")
-        return SubstitutionMap(
-            self.algebra, self.image.compose_mod(inner.image, self.algebra.modulus)
-        )
+        return SubstitutionMap(self.algebra, inner(self.algebra.from_poly(self.image)).as_poly())
 
     def inverse(self) -> "SubstitutionMap":
         return SubstitutionMap(self.algebra, self.inverse_image())
@@ -429,20 +426,11 @@ def root_differences(zs, one, skip=None):
 
 def vandermonde_pair(field: Field, roots) -> tuple[Matrix, Matrix]:
     """Vandermonde matrix with rows (1, z_i, ..., z_i^(n-1)) and its exact
-    inverse adj/det; raises ValueError on repeated roots."""
+    inverse, whose column i holds the coefficients of the Lagrange basis
+    polynomial l_i; raises ValueError on repeated roots."""
     zs = [field.coerce(z) for z in roots]
-    n = len(zs)
-    rows = []
-    for z in zs:
-        row = [field.one]
-        for _ in range(n - 1):
-            row.append(row[-1] * z)
-        rows.append(row)
-    adj, det = vandermonde_adjugate(zs, field.one)
-    if det.is_zero():
-        raise ValueError("repeated roots make the Vandermonde matrix singular")
-    inv = det.inverse()
-    return Matrix(field, rows), Matrix(field, [[a * inv for a in row] for row in adj])
+    inverse = Matrix._wrap(field, zip(*(l.coeffs for l in lagrange_basis(field, zs))))
+    return Matrix(field, [[z**k for k in range(len(zs))] for z in zs]), inverse
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ from symlab.fields import GF, QQ, primitive_cube_root, rationals_with_cube_root
 from symlab.linalg import Matrix
 from symlab.parse import parse_ratfunc
 from symlab.poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly
-from symlab.quotient import AlgebraHom, MonogenicAlgebra, SubstitutionMap, idempotents
+from symlab.quotient import (
+    AlgebraHom, MonogenicAlgebra, SubstitutionMap, idempotents, lagrange_basis,
+)
 from test_linalg import gauss_jordan_inverse
 
 T = ("t",)
@@ -545,6 +547,89 @@ class TestConjugation:
             conjugate_through_iso(a3, a3, UniPoly(QQ, [0, 1]), UniPoly(QQ, [0, 0, 1]))
 
 
+def conj_oracle(source, target, iso_image, aut_image):
+    """The earlier construction, kept as the oracle: invert the isomorphism,
+    then compose the image polynomials twice by Horner."""
+    iso = AlgebraHom(source, target, iso_image)
+    alpha = SubstitutionMap(target, aut_image)
+    back = iso.inverse_image()
+    step = iso.image.compose_mod(alpha.image, target.modulus)
+    return SubstitutionMap(source, step.compose_mod(back, source.modulus))
+
+
+def random_conjugation(rng, field):
+    """(source, target, iota(X), alpha(X)) from small random elements (over a
+    function field, affine polynomials in its symbols): iota: X -> c*X + d
+    is an affine isomorphism source -> target, and alpha an automorphism of
+    the target, on distinct roots z_i the Lagrange interpolant of a
+    permutation of them, on (X - z)^m a map X -> z + c_1 (X - z) + ...
+    with c_1 != 0."""
+    if field.size() is not None:
+        elem = lambda: field.coerce(rng.randrange(field.size()))
+    elif field == QQ:
+        elem = lambda: field.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    else:
+        gens = [field.one] + [field.symbol(s) for s in field.symbols]
+        elem = lambda: sum((rng.randint(-3, 3) * g for g in gens), field.zero)
+    nonzero = lambda: next(x for x in iter(elem, None) if not x.is_zero())
+    c, d = nonzero(), elem()
+    if rng.random() < 0.5:
+        zs, n = [], rng.randint(2, 3)
+        while len(zs) < n:
+            z = elem()
+            if z not in zs:
+                zs.append(z)
+        perm = rng.sample(zs, len(zs))
+        basis = lagrange_basis(field, zs)
+        aut = sum((l * w for l, w in zip(basis, perm)), UniPoly.zero(field))
+        flat = zs
+    else:
+        z, m = elem(), rng.randint(2, 3)
+        shift = UniPoly(field, [-z, 1])
+        aut = UniPoly.constant(field, z)
+        for k in range(1, m):
+            aut = aut + shift**k * (nonzero() if k == 1 else elem())
+        flat = [z] * m
+    target = MonogenicAlgebra.from_roots(field, flat)
+    source = MonogenicAlgebra.from_roots(field, [c * z + d for z in flat])
+    return source, target, UniPoly(field, [d, c]), aut
+
+
+class TestConjugationAgainstInverseAndHorner:
+    @pytest.mark.parametrize(
+        "field",
+        [QQ, GF(7), FunctionField(QQ, ("t",)), FunctionField(QQ, ("a", "t"))],
+        ids=["Q", "F7", "Qt", "Qat"],
+    )
+    def test_same_map_as_the_earlier_construction(self, field):
+        rng = random.Random(f"conj-{field}")
+        for _ in range(12):
+            source, target, iso_image, aut_image = random_conjugation(rng, field)
+            got = conjugate_through_iso(source, target, iso_image, aut_image)
+            want = conj_oracle(source, target, iso_image, aut_image)
+            assert got == want
+            # in one symbol equal rational functions print alike; in two,
+            # with no multivariate gcd, only their values are compared
+            assert len(getattr(field, "symbols", ())) > 1 or str(got) == str(want)
+            assert got.is_automorphism()
+
+    def test_readme_row_neither_inverts_nor_composes_by_horner(self, monkeypatch):
+        calls = []
+        for owner, name in [(UniPoly, "compose_mod"), (AlgebraHom, "inverse_image")]:
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        code, out = run(["conj", "--field", "Q", "--symbols", "a,t", "--source-roots", "0,0,t",
+                         "--target-roots", "0,0,1", "--iso", "0,t", "--aut", "0,a,1-a",
+                         "--limit", "0"])
+        assert code == 0 and "X -> a*X + ((-a + 1)/t)*X^2" in out
+        assert calls == []
+
+
 def test_perm_to_cycles():
     assert perm_to_cycles((0, 1, 2)) == "id"
     assert perm_to_cycles(SWAP12) == "(12)"
@@ -800,6 +885,39 @@ class TestCriticalValuesAgainstExpandedProduct:
         # t = 0, 1, zeta3 and the roots of (zeta3*t + 2) - r for r = 0, t, 1, zeta3
         others = {qz.one, z, -2 / z, 2 / (1 - z), -1 / z, (z - 2) / z}
         assert got == [qz.zero] + sorted(others, key=lambda c: c.sort_key())
+
+
+class TestUnsearchedCriticalFactors:
+    """Over Q(zeta3) a critical factor of degree >= 3, or a quadratic with
+    zeta3 in its coefficients, is not searched; the run says so."""
+
+    NOTE = ("note: the roots of the critical factor {} are not searched, "
+            "so they are not listed among the critical values")
+
+    # t^3 - 1 has the roots 1, zeta3, zeta3^2; t^2 - zeta3 has +-zeta3^2
+    @pytest.mark.parametrize("roots,factor", [("0,t^3-1", "t^3 - 1"), ("0,t^2-zeta3", "t^2 - zeta3")])
+    def test_one_note_per_unsearched_factor(self, roots, factor):
+        code, out = run(["family", "--field", "Qzeta3", "--roots", roots])
+        assert code == 0
+        assert "critical values: none found" in out
+        assert out.splitlines()[-1] == self.NOTE.format(factor)
+        assert out.count("note:") == 1
+        code, js = run(["family", "--field", "Qzeta3", "--roots", roots, "--json"])
+        assert json.loads(js)["warnings"] == [self.NOTE.format(factor)[len("note: "):]]
+
+    def test_the_factor_is_named_monic(self):
+        qz = rationals_with_cube_root()
+        fam = RootFamily(qz, [parse_ratfunc(x, qz, T) for x in ["0", "t^3-1", "2*t^3+3"]])
+        assert fam.critical_values() == []
+        assert [str(g) for g in fam.unsearched_factors()] == ["X^3 - 1", "X^3 + (3/2)", "X^3 + 4"]
+
+    # 0,t^2-2: a searched quadratic without a root; 0,t,1,zeta3: the golden
+    @pytest.mark.parametrize("roots", ["0,t^2-2", "0,t,1,zeta3"])
+    def test_no_note_when_every_factor_is_searched(self, roots):
+        code, out = run(["family", "--field", "Qzeta3", "--roots", roots])
+        assert code == 0 and "note:" not in out
+        code, js = run(["family", "--field", "Qzeta3", "--roots", roots, "--json"])
+        assert "warnings" not in json.loads(js)
 
 
 # -- differential test: shifted-table limits against reduced forms -----------

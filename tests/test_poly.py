@@ -190,6 +190,20 @@ class TestRationalFunction:
         assert tfrac([-1, -1, 1], [1, -1]) != tfrac([-1, -1, 1], [-1, 1])
         assert tfrac([0, 2], [2]) == tfrac([0, 1], [1])
 
+    def test_a_shared_denominator_stays_in_a_sum(self):
+        # with two symbols _canonical cancels no gcd, so a sum over the
+        # product of the denominators would keep (1 + a*t)^2
+        syms = ("a", "t")
+        a, t = (MultiPoly.symbol(QQ, syms, s) for s in syms)
+        den = 1 + a * t
+        x, y = RationalFunction(a, den), RationalFunction(t, den)
+        assert (x + y).den == den and (x + y).num == a + t
+        assert (x - y).den == den and (x - y).num == a - t
+        assert str(x + y) == "(a + t)/(a*t + 1)"
+        # different denominators still meet over their product
+        z = RationalFunction(t, 1 + a)
+        assert (x + z).den == den * (1 + a)
+
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(tpoly([1]), tpoly([]))

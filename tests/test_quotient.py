@@ -553,8 +553,22 @@ class TestVandermonde:
         assert m * m_inv == Matrix.identity(QQ, 4)
 
     def test_repeated_roots_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="roots must be pairwise distinct"):
             vandermonde_pair(QQ, [1, 1, 2])
+
+    def test_inverse_is_the_lagrange_basis(self, monkeypatch):
+        # column i of the inverse holds l_i; no adjugate and no inversion
+        def refuse(*args):
+            raise AssertionError("vandermonde_pair needs no adjugate and no inverse")
+
+        monkeypatch.setattr(quotient, "vandermonde_adjugate", refuse)
+        monkeypatch.setattr(Matrix, "inverse", refuse)
+        for field, roots in [(QQ, [2, 3, 5, 7]), (GF(7), [0, 1, 3]), (FunctionField(QQ, ("t",)), [0, 1])]:
+            zs = [field.coerce(z) for z in roots]
+            m, m_inv = vandermonde_pair(field, zs)
+            assert m * m_inv == Matrix.identity(field, len(zs))
+            for i, l in enumerate(lagrange_basis(field, zs)):
+                assert [m_inv[k, i] for k in range(len(zs))] == [l.coeff(k) for k in range(len(zs))]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_adjugate_equals_cofactors_for_polynomial_roots(self, n):

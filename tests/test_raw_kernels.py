@@ -5,7 +5,9 @@ as the oracle:
 - UniPoly.compose_mod (Horner on raw values) against Horner on UniPolys,
   and the UniPoly product against the schoolbook on wrapped coefficients;
 - AlgebraHom.matrix and is_homomorphism (one power table per map) against
-  repeated (acc * image) % f and against compose_mod;
+  repeated (acc * image) % f and against compose_mod, and applying a map
+  (AlgebraHom.__call__) and composing two (SubstitutionMap.compose), which
+  read the same table, against compose_mod;
 - ExtensionField._mul (native products, one reduction per coefficient)
   against the schoolbook on the base field's operations;
 - StructElement._times and is_algebra_morphism (sparse raw cells)
@@ -30,7 +32,7 @@ from symlab.chi import NoS3Report, all_chis, no_s3_check  # noqa: E402
 from symlab.fields import GF, QQ, FieldElement, rationals_with_cube_root  # noqa: E402
 from symlab.linalg import Matrix  # noqa: E402
 from symlab.poly import FunctionField, UniPoly  # noqa: E402
-from symlab.quotient import AlgebraHom, MonogenicAlgebra  # noqa: E402
+from symlab.quotient import AlgebraHom, MonogenicAlgebra, SubstitutionMap  # noqa: E402
 from symlab.structure import (  # noqa: E402
     LinearAlgebraMap, StructElement, StructureConstAlgebra, brute_force_automorphisms, build_T,
 )
@@ -227,12 +229,22 @@ def test_power_table_matches_repeated_products_and_compose_mod(field):
     seen = set()
 
     @raw_settings
-    @given(split_homs(field))
-    def check(hom):
+    @given(split_homs(field), unipolys(field, 4), unipolys(field, small(field, 4)))
+    def check(hom, p, outer_image):
         is_hom = hom.is_homomorphism()
         assert is_hom == hom_oracle(hom)
         assert is_hom == hom.source.modulus.compose_mod(hom.image, hom.target.modulus).is_zero()
         seen.add(is_hom)
+        # the map applied to an element, and composition, read the table too
+        modulus = hom.target.modulus
+        u = hom.source.from_poly(p)
+        assert hom(u) == hom.target.from_poly(u.as_poly().compose_mod(hom.image, modulus))
+        inner = SubstitutionMap(hom.target, hom.image)
+        outer = SubstitutionMap(hom.target, outer_image)
+        composite = outer.compose(inner)
+        assert composite.image == outer.image.compose_mod(inner.image, modulus)
+        want = SubstitutionMap(hom.target, compose_mod_oracle(outer.image, inner.image, modulus))
+        assert str(composite) == str(want)
         if hom.source.dim == hom.target.dim:
             got, want = hom.matrix(), matrix_oracle(hom)
             assert got == want

@@ -16,13 +16,14 @@ roots, so c(sigma) = adj(M) (r_sigma(1), ..., r_sigma(n)) / det(M).  Each
 family builds adj(M) and det(M) once, as polynomials and without division
 (quotient.vandermonde_adjugate), over one common denominator q of its roots
 r_j = p_j/q: since g_r(X) = g_p(qX)/q, the X^k coefficient for the roots
-r_j is c_k(p) * q^(k-1).  Listing a permutation's generic map then costs
-polynomial products and sums plus one rational-function construction per
-coefficient, and is computed once per family.
+r_j is c_k(p) * q^(k-1).  The table holds dense polynomials in t (UniPoly),
+and a listing forms each product adj_k[i] * p_j once per family, at most
+n^3 for all n! maps; each coefficient is then a sum of n memoized lists put
+in canonical form by one dense kernel (RationalFunction._from_values).
 
 Limits need no rational function: at each parameter value t0 the table is
 Taylor-shifted to t0 once, by the one Taylor kernel poly.taylor, and
-truncated at each denominator's order there, read from its leading term
+truncated at each denominator's order there, read from its own series
 (RootFamily.shifted_table), so a permutation's pole orders and limits are
 read from truncated products of series, with no gcd (analyze_at).
 
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldElement, RationalField
-from .poly import MultiPoly, Pole, RationalFunction, UniPoly, clear_denominators, taylor
+from .poly import MultiPoly, Pole, RationalFunction, UniPoly, _mul_values, clear_denominators, taylor
 from .quotient import (
     AlgebraHom,
     MonogenicAlgebra,
@@ -124,9 +125,10 @@ class RootFamily:
                         f"roots {i + 1} and {j + 1} coincide as rational functions"
                     )
         self.roots = rs
-        # per-family memo: interpolation table, and per parameter value the
-        # specialized algebra and the shifted table, freed with the family
+        # per-family memo: interpolation table and its products, and per
+        # parameter value the specialized algebra and the shifted table
         self._table = None
+        self._products = {}
         self._algebras = {}
         self._shifted = {}
 
@@ -154,15 +156,18 @@ class RootFamily:
     def interpolation_table(self):
         """Rows (adj_k, den_k), k = 0..n-1, with the X^k coefficient of
         sigma's map equal to sum_i adj_k[i] * p_sigma(i) / den_k, and the
-        root numerators p_j over one common denominator q.
+        root numerators p_j over one common denominator q, all of them
+        UniPoly in t over the base field.
 
         adj_k is row k of the Vandermonde adjugate of the p_j scaled by
         q^(k-1); den_k is det * q for k = 0 and det otherwise.  Built once
         per family, without division.
         """
         if self._table is None:
-            one = MultiPoly.constant(self.field, self.symbols, 1)
-            q, ps = common_denominator([(r.num, r.den) for r in self.roots], one)
+            f, one = self.field, UniPoly.constant(self.field, 1)
+            dense = [[UniPoly._wrap(f, p.split(self.param).get((), [])) for p in (r.num, r.den)]
+                     for r in self.roots]
+            q, ps = common_denominator(dense, one)
             adj, det = vandermonde_adjugate(ps, one)
             rows = [(adj[0], det * q)]
             scale = one
@@ -179,27 +184,24 @@ class RootFamily:
         order of den_k at t0, inv_k the inverse of its coefficient of s^e_k,
         and adj_k[i] the Taylor coefficients of adj_k[i] up to s^e_k;
         series[j] holds those of p_j up to s^max(e_k).  A series is a tuple
-        of its nonzero terms (index, raw field value) by rising index.
-        Built once per t0.
+        of its nonzero terms (index, raw field value) by rising index, read
+        from the table's coefficient lists by the Taylor kernel.  Built once
+        per t0.
         """
         t0 = self.field.coerce(t0)
         if t0 not in self._shifted:
-            field, param = self.field, self.param
+            field = self.field
 
             def terms(p, count):
-                # a polynomial in the parameter alone splits into one list
-                series = enumerate(taylor(field, p.split(param).get((), []), t0.value))
-                return tuple(
-                    (i, c) for i, c in itertools.islice(series, count)
-                    if not field._is_zero(c)
-                )
+                series = itertools.islice(taylor(field, list(p.coeffs), t0.value), count)
+                return tuple((i, c) for i, c in enumerate(series) if not field._is_zero(c))
 
             rows, ps = self.interpolation_table()
             shifted = []
             for adj_k, den in rows:
-                e, lead = den.leading_term(param, t0)
+                e, lead = terms(den, len(den.coeffs))[0]
                 adj = tuple(terms(a, e + 1) for a in adj_k)
-                shifted.append((e, field._inv(lead.as_constant().value), adj))
+                shifted.append((e, field._inv(lead), adj))
             top = max(e for e, _, _ in shifted) + 1
             self._shifted[t0] = (tuple(shifted), tuple(terms(p, top) for p in ps))
         return self._shifted[t0]
@@ -357,13 +359,24 @@ def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> tuple:
     c = adj(M) (r_{sigma(1)}, ..., r_{sigma(n)}) / det(M), read off the
     family's interpolation table: with the roots written r_j = p_j/q,
     c_k = c_k(p) * q^(k-1), where c_k(p) = sum_i adj(M_p)[k][i] p_sigma(i)
-    / det(M_p).  Each entry is one RationalFunction construction.
+    / det(M_p).  Each product adj_k[i] * p_j is formed once per family, so
+    a listing of all n! permutations forms at most n^3 of them, and each
+    entry is one call of the dense canonical kernel on their summed lists.
     """
     sigma = tuple(sigma)
     _check_perm(fam, sigma)
     rows, ps = fam.interpolation_table()
-    images = [ps[j] for j in sigma]
-    return tuple(RationalFunction(MultiPoly.dot(adj_k, images), den) for adj_k, den in rows)
+    field, products = fam.field, fam._products
+    out = []
+    for k, (adj_k, den) in enumerate(rows):
+        num = []
+        for i, j in enumerate(sigma):
+            prod = products.get((k, i, j))
+            if prod is None:
+                prod = products[k, i, j] = _mul_values(field, adj_k[i].coeffs, ps[j].coeffs)
+            num = [*map(field._add, num, prod), *num[len(prod) :], *prod[len(num) :]]
+        out.append(RationalFunction._from_values(field, fam.symbols, num, list(den.coeffs)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -513,8 +526,8 @@ def survival_condition(sigma: tuple, field: Field = None) -> SurvivalCondition:
         raise ValueError("sigma must be a permutation of three slots")
     xs = [MultiPoly.symbol(field, SCALED_SYMBOLS, name) for name in SCALED_SYMBOLS]
     adj, det = vandermonde_adjugate(xs, MultiPoly.constant(field, SCALED_SYMBOLS, 1))
-    permuted = [xs[j] for j in sigma]
-    linear, condition = (MultiPoly.dot(adj[k], permuted) for k in (1, 2))
+    permuted, zero = [xs[j] for j in sigma], MultiPoly.zero(field, SCALED_SYMBOLS)
+    linear, condition = (sum((a * x for a, x in zip(adj[k], permuted)), zero) for k in (1, 2))
     return SurvivalCondition(
         condition=condition,
         denominator=det,

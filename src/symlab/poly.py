@@ -8,14 +8,17 @@ is ever needed.  Both polynomial types hold the field's raw values, so
 each operation runs once, on those values, through the field's raw-value
 protocol; a FieldElement is built only where one coefficient leaves
 (`coeff`, `as_constant`, evaluation).  Every construction reads the one
-canonical form `_canonical`, a single pass on raw values: it strips shared
-monomial content, over Q clears both denominators together, and makes the
-content and the denominator's leading coefficient canonical, which keeps
-printed output stable and fraction growth tame.  In a single symbol it
-also cancels the gcd of numerator and denominator: over Q in Z[t], by a
+canonical form `_canonical` on raw values: it strips shared monomial
+content, over Q clears both denominators together, and makes the content
+and the denominator's leading coefficient canonical, which keeps printed
+output stable and fraction growth tame.  In a single symbol it is one
+dense kernel on raw coefficient lists, `_dense_canonical`, which also
+cancels the gcd of numerator and denominator: over Q in Z[t], by a
 primitive pseudo-remainder sequence on Python ints, and over other fields
-by Euclid on raw field values, taking remainders only.  Every evaluation,
-expansion and limit at a point reads the one Taylor kernel `taylor`.
+by Euclid on raw field values, taking remainders only;
+`RationalFunction._from_values` builds from such lists through it.  Every
+evaluation, expansion and limit at a point reads the one Taylor kernel
+`taylor`.
 """
 
 from __future__ import annotations
@@ -256,7 +259,16 @@ class MultiPoly(Arithmetic):
         return MultiPoly._wrap(f, self.symbols, out)
 
     def _times(self, o):
-        return MultiPoly.dot((self,), (o,))
+        f = self.field
+        mul, add, is_zero = f._mul, f._add, f._is_zero
+        out = {}
+        o_terms = list(o.terms.items())
+        for e1, a in self.terms.items():
+            for e2, b in o_terms:
+                e = tuple(map(operator.add, e1, e2))
+                prev = out.get(e)
+                out[e] = mul(a, b) if prev is None else add(prev, mul(a, b))
+        return MultiPoly._wrap(f, self.symbols, {e: v for e, v in out.items() if not is_zero(v)})
 
     def _equals(self, o):
         return self.terms == o.terms
@@ -264,22 +276,6 @@ class MultiPoly(Arithmetic):
     def __neg__(self):
         neg = self.field._neg
         return MultiPoly._wrap(self.field, self.symbols, {e: neg(c) for e, c in self.terms.items()})
-
-    @staticmethod
-    def dot(ps, qs) -> "MultiPoly":
-        """sum_i ps[i] * qs[i] for nonempty, equally long sequences of
-        polynomials in one context, summed on raw values."""
-        f, symbols = ps[0].field, ps[0].symbols
-        mul, add, is_zero = f._mul, f._add, f._is_zero
-        out = {}
-        for p, q in zip(ps, qs):
-            q_terms = list(q.terms.items())
-            for e1, a in p.terms.items():
-                for e2, b in q_terms:
-                    e = tuple(map(operator.add, e1, e2))
-                    prev = out.get(e)
-                    out[e] = mul(a, b) if prev is None else add(prev, mul(a, b))
-        return MultiPoly._wrap(f, symbols, {e: v for e, v in out.items() if not is_zero(v)})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -516,23 +512,43 @@ def lagrange_numerator(zs, i, one):
 
 
 def _canonical(num: MultiPoly, den: MultiPoly):
-    """(num, den) in canonical form, den nonzero, read once as raw values.  The largest monomial dividing every term of both is
-    stripped.  Over Q both are cleared of denominators together; in a single
-    symbol their primitive gcd in Z[t] is divided out, and then the joint
-    integer content, with the sign that makes den's leading term (in
-    `_sorted_terms` order) positive.  Over other fields, in a single symbol,
-    the monic gcd is divided out, and both are scaled by the inverse of
-    den's leading coefficient.  In one symbol the coprime pair so scaled is
-    unique, so equal values print alike."""
+    """(num, den) in canonical form, den nonzero: in a single symbol by the
+    dense kernel `_dense_canonical`; in several, with the largest monomial
+    dividing every term of both stripped, over Q both cleared of
+    denominators together, and both `_scaled` on den's leading term, its
+    first in `_sorted_terms` order."""
     f, symbols = num.field, num.symbols
+    if len(symbols) == 1:
+        return _dense_canonical(f, symbols, *(p.split(symbols[0]).get((), []) for p in (num, den)))
     if num.is_zero():
         return num, MultiPoly._wrap(f, symbols, {(0,) * len(symbols): f.one.value})
-    rational = isinstance(f, RationalField)
     lows = [min(e) for e in zip(*num.terms, *den.terms)]
-    if len(symbols) == 1:
-        a, b = (p.split(symbols[0])[()][lows[0] :] for p in (num, den))
-        if rational:
-            ints = clear_denominators(a + b)
+    exps = [[tuple(map(operator.sub, e, lows)) for e in p.terms] for p in (num, den)]
+    vals, k = [*num.terms.values(), *den.terms.values()], len(num.terms)
+    if isinstance(f, RationalField):
+        vals = clear_denominators(vals)
+    lead = max(range(len(exps[1])), key=lambda i: (sum(exps[1][i]), exps[1][i]))
+    vals = _scaled(f, vals, k + lead)
+    parts = dict(zip(exps[0], vals)), dict(zip(exps[1], vals[k:]))
+    return tuple(MultiPoly._wrap(f, symbols, p) for p in parts)
+
+
+def _dense_canonical(f: Field, symbols: tuple, a: list, b: list):
+    """The canonical (num, den) in the one symbol of `symbols` from raw
+    coefficient lists a and b, lowest degree first, b ending in a nonzero
+    value: the common power of the symbol stripped, the gcd cancelled (over
+    Q by the primitive PRS in Z[t] after clearing both of denominators
+    together, elsewhere by Euclid), and both `_scaled` on b's leading
+    coefficient.  The coprime pair so scaled is unique, so equal values
+    print alike."""
+    is_zero = f._is_zero
+    while a and is_zero(a[-1]):
+        a = a[:-1]
+    if a:
+        low = min(next(k for k, v in enumerate(p) if not is_zero(v)) for p in (a, b))
+        a, b = a[low:], b[low:]
+        if isinstance(f, RationalField):
+            ints = clear_denominators([*a, *b])
             a, b = ints[: len(a)], ints[len(a) :]
             g = _int_gcd(a, b)
             if len(g) > 1:
@@ -541,24 +557,26 @@ def _canonical(num: MultiPoly, den: MultiPoly):
             g = _poly_gcd(UniPoly._wrap(f, a), UniPoly._wrap(f, b))
             if g.degree > 0:
                 a, b = ((UniPoly._wrap(f, p) // g).coeffs for p in (a, b))
-        parts = [{(k,): v for k, v in enumerate(p) if not f._is_zero(v)} for p in (a, b)]
+        vals = _scaled(f, [*a, *b], -1)
+        a, b = vals[: len(a)], vals[len(a) :]
     else:
-        parts = [
-            {tuple(map(operator.sub, e, lows)): c for e, c in p.terms.items()}
-            for p in (num, den)
-        ]
-        if rational:
-            ints = clear_denominators([v for p in parts for v in p.values()])
-            parts = [dict(zip(parts[0], ints)), dict(zip(parts[1], ints[len(parts[0]) :]))]
-    lead = parts[1][max(parts[1], key=lambda e: (sum(e), e))]
-    if rational:
-        s = math.gcd(*parts[0].values(), *parts[1].values())
-        s = -s if lead < 0 else s
-        parts = [{e: v // s for e, v in p.items()} for p in parts]
-    else:
-        inv = f._inv(lead)
-        parts = [{e: f._mul(v, inv) for e, v in p.items()} for p in parts]
-    return tuple(MultiPoly._wrap(f, symbols, p) for p in parts)
+        b = [f.one.value]
+    return tuple(
+        MultiPoly._wrap(f, symbols, {(k,): v for k, v in enumerate(p) if not is_zero(v)}) for p in (a, b)
+    )
+
+
+def _scaled(f: Field, vals: list, lead: int) -> list:
+    """The raw values of a numerator and a denominator scaled so that, over
+    Q on integers, their joint content is 1 and vals[lead], the
+    denominator's leading coefficient, positive; elsewhere vals[lead] is 1."""
+    c = vals[lead]
+    if isinstance(f, RationalField):
+        s = math.gcd(*vals)
+        s = -s if c < 0 else s
+        return [v // s for v in vals]
+    inv = f._inv(c)
+    return [f._mul(v, inv) for v in vals]
 
 
 class RationalFunction(Arithmetic):
@@ -572,6 +590,14 @@ class RationalFunction(Arithmetic):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num, self.den = _canonical(num, den)
+
+    @classmethod
+    def _from_values(cls, field, symbols, num: list, den: list):
+        """num/den from raw coefficient lists in the one symbol of `symbols`,
+        as `_dense_canonical` takes them."""
+        r = cls.__new__(cls)
+        r.num, r.den = _dense_canonical(field, symbols, num, den)
+        return r
 
     @classmethod
     def from_poly(cls, p: MultiPoly):
@@ -668,7 +694,7 @@ class RationalFunction(Arithmetic):
         return self.num.as_constant() / self.den.as_constant()
 
     def __str__(self):
-        if self.den == MultiPoly.constant(self.field, self.symbols, 1):
+        if self.den.terms == {(0,) * len(self.symbols): self.field.one.value}:
             return str(self.num)
         ns, ds = str(self.num), str(self.den)
         if not _is_wrapped(ns) and (any(ch in ns for ch in "+ ") or "-" in ns[1:]):

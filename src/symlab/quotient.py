@@ -396,8 +396,8 @@ def vandermonde_adjugate(roots, one):
     det = prod_{j<l} (z_l - z_j).  Column i of adj holds the coefficients
     (X^0 first) of the Lagrange numerator prod_{j != i} (X - z_j), times
     (-1)^(n-1-i) and the product of the differences z_l - z_j (j < l) that
-    do not involve i.  Entries need only +, -, *: FieldElement and
-    MultiPoly entries work alike, with `one` the unit of their ring.
+    do not involve i.  Entries need only +, -, *: FieldElement, UniPoly
+    and MultiPoly entries work alike, with `one` the unit of their ring.
     """
     zs = list(roots)
     n = len(zs)

@@ -151,6 +151,26 @@ class TestPermCoeffVector:
         assert pa[1] == tfrac([1, 0, -1, 1], [0, -1, 1])
         assert pa[2] == tfrac([-1, 1, -1], [0, 0, -1, 1])
 
+    def test_a_listing_forms_each_product_of_the_table_once(self, monkeypatch):
+        # each product adj_k[i] * p_j is formed on first use and kept, so the
+        # 24 maps of a 4-root family need n^3 = 64 products, not 24 * n^2 =
+        # 384, and one --perm map needs n^2 = 16
+        formed = []
+
+        def counted(field, a, b):
+            formed.append((a, b))
+            return kernel(field, a, b)
+
+        kernel = families._mul_values
+        monkeypatch.setattr(families, "_mul_values", counted)
+        base = ["family", "--roots", "0,t,1,2*t", "--json"]
+        code, text = run(base)
+        assert code == 0 and len(json.loads(text)["results"]["generic_maps"]) == 24
+        assert len(formed) == 64
+        formed.clear()
+        assert run(base + ["--perm", "(1234)"])[0] == 0
+        assert len(formed) == 16
+
     def test_specialization_is_automorphism_permuting_idempotents(self):
         rng = random.Random(21)
         fam = RootFamily(QQ, [tconst(0), tsym(), tconst(1)])
@@ -659,7 +679,10 @@ class TestNormalizeTriple:
 
 # -- differential test: adjugate table against Gauss-Jordan ------------------
 
-DIFF_FIELDS = [("Q", QQ), ("Fp(5)", GF(5)), ("Fp(7)", GF(7)), ("Fp(11)", GF(11))]
+DIFF_FIELDS = [
+    ("Q", QQ), ("Fp(5)", GF(5)), ("Fp(7)", GF(7)), ("Fp(11)", GF(11)), ("F(3,2)", GF(3, 2)),
+    ("Qzeta3", rationals_with_cube_root()),
+]
 
 
 def gauss_jordan_vectors(fam, perms):
@@ -845,8 +868,14 @@ def random_collision_family(rng, field, n):
             continue
 
 
+# The expanded-product oracle searches rational roots, while over Q(zeta3)
+# critical_values solves quadratics in Q(zeta3) and leaves cubics unsearched
+# (TestUnsearchedCriticalFactors covers that field).
+CRITICAL_FIELDS = [f for f in DIFF_FIELDS if f[0] != "Qzeta3"]
+
+
 class TestCriticalValuesAgainstExpandedProduct:
-    @pytest.mark.parametrize("spec,field", DIFF_FIELDS, ids=[f[0] for f in DIFF_FIELDS])
+    @pytest.mark.parametrize("spec,field", CRITICAL_FIELDS, ids=[f[0] for f in CRITICAL_FIELDS])
     def test_same_values_in_same_order(self, spec, field):
         rng = random.Random(f"critical-{spec}")
         nonempty = 0
@@ -965,12 +994,11 @@ def assert_statuses_match(fam, t0):
     return 1
 
 
-SHIFT_FIELDS = DIFF_FIELDS + [("Qzeta3", rationals_with_cube_root())]
 RATIONAL_ROOTS = ["1/(t+1)", "(t+2)/(2*t+1)"]
 
 
 class TestShiftedLimitsAgainstReducedForms:
-    @pytest.mark.parametrize("spec,field", SHIFT_FIELDS, ids=[f[0] for f in SHIFT_FIELDS])
+    @pytest.mark.parametrize("spec,field", DIFF_FIELDS, ids=[f[0] for f in DIFF_FIELDS])
     def test_every_permutation_matches_oracle(self, spec, field):
         # Q(zeta3) arithmetic is slow, so its families stop at four roots,
         # one of them with a zeta3 coefficient

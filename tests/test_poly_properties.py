@@ -197,8 +197,16 @@ def test_canonical_form_is_scaled_and_keeps_the_value(field, symbols):
     check()
 
 
+def coefficient_list(p):
+    """The raw coefficients of p in t, lowest first, with one trailing zero."""
+    zero = p.field.zero.value
+    return [p.terms.get((k,), zero) for k in range(p.degree_in("t") + 1 if p.terms else 0)] + [zero]
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_canonical_form_cancels_a_common_factor_in_one_symbol(field):
+    t2, zero = MultiPoly(field, ("t",), {(2,): 1}), MultiPoly.zero(field, ("t",))
+
     @kernel_settings
     @given(*[multipolys(field, ("t",), 4)] * 3)
     def check(num, den, h):
@@ -207,6 +215,13 @@ def test_canonical_form_cancels_a_common_factor_in_one_symbol(field):
         r, cancelled = RationalFunction(num, den), RationalFunction(num * h, den * h)
         assert_canonical(cancelled, num, den)
         assert [raw_terms(cancelled.num), raw_terms(cancelled.den)] == [raw_terms(r.num), raw_terms(r.den)]
+        # the coefficient-list entry runs the same kernel: the same terms
+        # and the same string, also with a zero numerator and a shared t^2
+        for a, b in ((num, den), (num * h, den * h), (num * h * t2, den * t2), (zero, den * h)):
+            direct = RationalFunction(a, b)
+            listed = RationalFunction._from_values(field, ("t",), coefficient_list(a), coefficient_list(b)[:-1])
+            assert [raw_terms(listed.num), raw_terms(listed.den)] == [raw_terms(direct.num), raw_terms(direct.den)]
+            assert str(listed) == str(direct)
 
     check()
 

@@ -34,10 +34,10 @@ class FieldError(ValueError):
 # 40-80 us per image up to degree 4 (F_13, rootless X^3 - 2: 2,197 images in
 # 0.11 s) and about 5*n^2 us at degree n past that (F_2: 320 us at degree 8,
 # 810 us at 12, 880 us at 14), so it counts all q^n images of X, each
-# weighted n^2 // 16 (at least 1).  `talg` costs about 100 us per
-# combination of its pruned columns (F_13 at t = 0: 28,561 in 2.8 s) and 17
-# us per vector of its pruning pass (T(1) over F_31: 29,791 in 0.51 s).  So
-# a run stays under about 10 s.
+# weighted n^2 // 16 (at least 1).  `talg` costs about 35 us per
+# combination of its pruned columns, printing included (F_13 at t = 0:
+# 28,561 in 1.0 s), and about 2.5 us per vector of its pruning pass (T(1)
+# over F_31: 29,791 in 0.08 s).  So a run stays under about 10 s.
 ENUMERATION_BUDGET = 5 * 10**4
 
 

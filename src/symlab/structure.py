@@ -178,31 +178,11 @@ class LinearAlgebraMap:
         return LinearAlgebraMap(inner.source, self.target, self.matrix * inner.matrix)
 
     def is_algebra_morphism(self) -> bool:
-        """phi(1) = 1 and phi(b_i b_j) = phi(b_i) phi(b_j) for all pairs.
-
-        Runs on raw values: b_i b_j is read from the source's sparse cells,
-        and phi(b_i) phi(b_j) is the target's product of two columns.
-        """
-        f = self.source.field
-        mul, add = f._mul, f._add
-        images = list(zip(*self.matrix.rows))
-
-        def image(cell):
-            out = [f.zero.value] * self.target.dim
-            for k, c in cell:
-                for r, x in enumerate(images[k]):
-                    out[r] = add(out[r], mul(x, c))
-            return out
-
-        unit = [(k, c) for k, c in enumerate(self.source.unit) if not f._is_zero(c)]
-        if image(unit) != list(self.target.unit):
-            return False
-        product = self.target.product_values
-        for i, row in enumerate(self.source.cells):
-            for j, cell in enumerate(row):
-                if image(cell) != product(images[i], images[j]):
-                    return False
-        return True
+        """phi(1) = 1 and phi(b_i b_j) = phi(b_i) phi(b_j) for all pairs,
+        by `_respects` on the raw columns."""
+        n = self.source.dim
+        return _respects(self.source, self.target, list(zip(*self.matrix.rows)),
+                         itertools.product(range(n), repeat=2), unit=True)
 
     def is_invertible(self) -> bool:
         return self.matrix.is_invertible()
@@ -233,6 +213,27 @@ class LinearAlgebraMap:
         return self.__str__()
 
 
+def _respects(source, target, images, pairs, unit: bool) -> bool:
+    """Whether the linear map with raw columns images[k] = phi(b_k) sends
+    1 to 1 (when `unit`) and has phi(b_i b_j) = phi(b_i) phi(b_j) for each
+    (i, j) in `pairs`: b_i b_j is read from the source's sparse cells, and
+    phi(b_i) phi(b_j) is the target's product of two columns."""
+    f = source.field
+    mul, add, zero = f._mul, f._add, f.zero.value
+
+    def image(cell):
+        out = [zero] * target.dim
+        for k, c in cell:
+            for r, x in enumerate(images[k]):
+                out[r] = add(out[r], mul(x, c))
+        return out
+
+    if unit and image((k, c) for k, c in enumerate(source.unit) if not f._is_zero(c)) != list(target.unit):
+        return False
+    cells, product = source.cells, target.product_values
+    return all(image(cells[i][j]) == product(images[i], images[j]) for i, j in pairs)
+
+
 def build_T(t: FieldElement) -> StructureConstAlgebra:
     """The triangular family member T(t) over the field of t, a function
     field for symbolic checks; its unit is a basis vector, so construction
@@ -249,8 +250,8 @@ def build_T(t: FieldElement) -> StructureConstAlgebra:
 
 
 def _self_span_profile(algebra: StructureConstAlgebra, i: int):
-    """Raw (alpha, beta) with basis_i^2 = alpha*1 + beta*basis_i, or None:
-    alpha from the first nonzero unit coordinate off i, beta from
+    """Raw (alpha*1, beta) with basis_i^2 = alpha*1 + beta*basis_i, or
+    None: alpha from the first nonzero unit coordinate off i, beta from
     coordinate i, then the whole square compared once."""
     f, u = algebra.field, algebra.unit
     k = next((k for k, c in enumerate(u) if k != i and not f._is_zero(c)), None)
@@ -259,22 +260,29 @@ def _self_span_profile(algebra: StructureConstAlgebra, i: int):
     prod = (algebra.basis(i) * algebra.basis(i)).coeffs
     alpha = f._mul(prod[k], f._inv(u[k]))
     beta = f._sub(prod[i], f._mul(alpha, u[i]))
-    span = [f._mul(alpha, c) for c in u]
-    span[i] = f._add(span[i], beta)
-    return (alpha, beta) if prod == tuple(span) else None
+    au = [f._mul(alpha, c) for c in u]
+    span = (*au[:i], f._add(au[i], beta), *au[i + 1:])
+    return (au, beta) if prod == span else None
 
 
 def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlgebraMap]:
-    """All unital algebra automorphisms over a finite field.
-
-    When some basis vector equals the unit its image is pinned, so only the
-    remaining columns are enumerated.  Per column, candidates failing the
-    necessary condition phi(b_i)^2 = phi(b_i^2) are discarded up front
-    whenever b_i^2 lies in the span of 1 and b_i; the final morphism and
-    invertibility check stays complete.  Columns are enumerated as tuples
-    of raw values and tested with the algebra's raw product.  Both the q^n
-    vectors of the pruning pass and the combinations of the pruned columns
-    must stay within ENUMERATION_BUDGET.
+    """All unital algebra automorphisms over a finite field, each identity
+    of an automorphism phi proved once:
+    - phi(1) = 1: when a basis vector b_u is the unit its column is pinned
+      to it, else each combination checks it;
+    - pairs with b_u: phi(b_u b_j) = phi(b_j) = phi(b_u) phi(b_j) on either
+      side, by the unit axiom that construction checks;
+    - squares: when b_i^2 = alpha*1 + beta*b_i (its self-span profile),
+      the pruning pass, which reads each of the q^n squares v^2 from the
+      symmetric table c_ii, c_ij + c_ji (i < j), keeps only the columns
+      with v^2 = alpha*1 + beta*v, that is phi(b_i)^2 = phi(b_i^2) given
+      phi(1) = 1;
+    - the pairs left, i != j and the squares without a profile: checked
+      per combination of pruned columns by `_respects`, the raw kernel of
+      `is_algebra_morphism`, and then `is_invertible`.
+    So every map returned is an automorphism, and as each stage only
+    tests identities an automorphism has, none is missed.  Both the q^n
+    vectors and the combinations must stay within ENUMERATION_BUDGET.
     """
     field = algebra.field
     q = field.size()
@@ -286,32 +294,42 @@ def brute_force_automorphisms(algebra: StructureConstAlgebra) -> list[LinearAlge
     )
     free = [i for i in range(n) if i != unit_idx]
     check_budget(q**n, "vectors in the pruning pass")
-    mul, add = field._mul, field._add
+    mul, add, is_zero, zero = field._mul, field._add, field._is_zero, field.zero.value
     all_vectors = list(itertools.product([e.value for e in field.elements()], repeat=n))
     unit_col = algebra.unit
     profiles = {i: _self_span_profile(algebra, i) for i in free}
     if any(p is not None for p in profiles.values()):
-        squares = [algebra.product_values(v, v) for v in all_vectors]
+        sym = []  # (i, j, k, c) with v^2 = sum of c v_i v_j e_k
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            s = [zero] * n
+            for k, c in algebra.cells[i][j] + (algebra.cells[j][i] if i < j else ()):
+                s[k] = add(s[k], c)
+            sym += [(i, j, k, c) for k, c in enumerate(s) if not is_zero(c)]
+        squares = []
+        for v in all_vectors:
+            sq = [zero] * n
+            for i, j, k, c in sym:
+                sq[k] = add(sq[k], mul(mul(v[i], v[j]), c))
+            squares.append(sq)
     candidates = {}
     for i, prof in profiles.items():
         if prof is None:
             candidates[i] = all_vectors
         else:
-            alpha, beta = prof
+            au, beta = prof
             candidates[i] = [
                 v for v, sq in zip(all_vectors, squares)
-                if sq == [add(mul(alpha, u), mul(beta, x)) for u, x in zip(unit_col, v)]
+                if sq == (au if is_zero(beta) else [add(a, mul(beta, x)) for a, x in zip(au, v)])
             ]
     check_budget(math.prod(len(candidates[i]) for i in free), "combinations of pruned columns")
+    pairs = [(i, j) for i in free for j in free if i != j or profiles[i] is None]
     out = []
     for combo in itertools.product(*(candidates[i] for i in free)):
-        col_map = dict(zip(free, combo))
-        if unit_idx is not None:
-            col_map[unit_idx] = unit_col
-        rows = [[col_map[j][i] for j in range(n)] for i in range(n)]
-        phi = LinearAlgebraMap(algebra, algebra, Matrix._wrap(field, rows))
-        if phi.is_algebra_morphism() and phi.is_invertible():
-            out.append(phi)
+        images = combo if unit_idx is None else (*combo[:unit_idx], unit_col, *combo[unit_idx:])
+        if _respects(algebra, algebra, images, pairs, unit=unit_idx is None):
+            m = Matrix._wrap(field, zip(*images))
+            if m.is_invertible():
+                out.append(LinearAlgebraMap(algebra, algebra, m))
     out.sort(key=lambda m: tuple(x for col in zip(*m.matrix.rows) for x in col))
     return out
 

@@ -138,6 +138,17 @@ def test_largest_admitted_brute_force_in_subprocess():
     assert json.loads(proc.stdout)["results"]["brute_force"]["count"] == 222
 
 
+def test_largest_admitted_talg_brute_force_in_subprocess():
+    # T(0) keeps the 13^2 columns (0, a, b) with square 0 for each of e2
+    # and e3: 28,561 combinations, just under the budget; |GL2(F_13)| of
+    # them are automorphisms
+    assert 13**4 == 28561 <= fields.ENUMERATION_BUDGET
+    argv = ["talg", "--t", "0", "--field", "Fp(13)", "--brute-force", "--json"]
+    proc = run_subprocess(argv, 10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["brute_force"]["count"] == 26208 == (13**2 - 1) * (13**2 - 13)
+
+
 def test_brute_force_budget_weighs_the_degree_in_subprocess():
     # both elements of F_2 are roots, so all 2^14 images are checked in
     # full, each weighing 14^2 // 16 = 12: 196,608 past the budget

@@ -7,6 +7,7 @@ from symlab.fields import ENUMERATION_BUDGET, GF, QQ, FieldError, rationals_with
 from symlab.linalg import Matrix
 from symlab.poly import FunctionField
 from symlab.quotient import MonogenicAlgebra
+from symlab.quotient import brute_force_automorphisms as quotient_brute_force
 from symlab.structure import (
     AutPair,
     algebra_from_json,
@@ -280,6 +281,106 @@ class TestBruteForce:
             f"past ENUMERATION_BUDGET = {ENUMERATION_BUDGET}"
         )
         assert 17**3 <= ENUMERATION_BUDGET < 17**4
+
+
+def naive_automorphisms(algebra):
+    """The automorphisms as a set of raw matrices, found the long way: the
+    unit's column is pinned when the unit is a basis vector, every other
+    column runs over all q^n vectors, and each map gets the complete
+    `is_algebra_morphism` and `is_invertible`."""
+    field, n = algebra.field, algebra.dim
+    vectors = list(itertools.product([e.value for e in field.elements()], repeat=n))
+    columns = [[algebra.unit] if algebra.basis(i) == algebra.one() else vectors for i in range(n)]
+    found = set()
+    for cols in itertools.product(*columns):
+        phi = LinearAlgebraMap(algebra, algebra, Matrix._wrap(field, zip(*cols)))
+        if phi.is_algebra_morphism() and phi.is_invertible():
+            found.add(phi.matrix.rows)
+    return found
+
+
+def unit_off_the_basis(field):
+    """T(1) in the basis (1 + e2, e2, e3): no basis vector is the unit."""
+    from test_raw_kernels import rebased
+
+    algebra, _ = rebased(build_T(field.one), [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert all(algebra.basis(i) != algebra.one() for i in range(3))
+    return algebra
+
+
+def as_structure_constants(quotient):
+    """k[X]/(f) as a structure-constant algebra in the basis 1, X, ...,
+    X^(n-1)."""
+    n = quotient.dim
+    powers = [quotient.element([0] * i + [1]) for i in range(n)]
+    table = [[list((u * v).coeffs) for v in powers] for u in powers]
+    return StructureConstAlgebra(quotient.field, table, [1] + [0] * (n - 1))
+
+
+def oracle_cases():
+    for field in (GF(3), GF(5)):
+        for t in field.elements():
+            yield f"T({t}) over {field}", lambda t=t: build_T(t)
+    f4 = GF(2, 2)
+    for t in (f4.one, f4.generator()):
+        yield f"T({t}) over F4", lambda t=t: build_T(t)
+    yield "F3 x F3", lambda: k_plus_k(GF(3))
+    # X^2 is not in the span of 1 and X: a column without a profile
+    f3 = GF(3)
+    yield "F3[X]/(X^3)", lambda: as_structure_constants(MonogenicAlgebra.from_roots(f3, [f3.zero] * 3))
+    for p in (2, 3):
+        yield f"T(1) over F{p}, unit off the basis", lambda p=p: unit_off_the_basis(GF(p))
+
+
+ORACLE_CASES = list(oracle_cases())
+
+
+class TestBruteForceOracle:
+    """brute_force_automorphisms proves each identity once (pinned unit,
+    unit axiom, pruned squares, the remaining pairs); the naive search
+    checks every identity on every map.  They must find the same maps."""
+
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_CASES], ids=[i for i, _ in ORACLE_CASES])
+    def test_same_maps_as_the_naive_search(self, make):
+        algebra = make()
+        auts = brute_force_automorphisms(algebra)
+        assert {phi.matrix.rows for phi in auts} == naive_automorphisms(algebra)
+        assert len({phi.matrix.rows for phi in auts}) == len(auts)
+        assert all(phi.is_automorphism() for phi in auts)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_structure_constants_agree_with_the_quotient_engine(self, p):
+        # k[X]/(f) in the basis 1, X, ..., X^(n-1), for every multiplicity
+        # pattern of degree <= 3 on the roots 0, 1, 2
+        field = GF(p)
+        for pattern in ([1], [2], [1, 1], [3], [2, 1], [1, 1, 1]):
+            roots = [field.coerce(r) for r, m in enumerate(pattern) for _ in range(m)]
+            quotient = MonogenicAlgebra.from_roots(field, roots)
+            algebra = as_structure_constants(quotient)
+            assert len(brute_force_automorphisms(algebra)) == len(quotient_brute_force(quotient)), pattern
+
+    @pytest.mark.parametrize(
+        "field,at_zero,elsewhere",
+        [
+            (GF(3), 48, 6),
+            (GF(5), 480, 20),
+            (GF(7), 2016, 42),
+            (GF(2, 2), 180, 180),
+            (GF(3, 2), 5760, 72),
+        ],
+        ids=["F3", "F5", "F7", "F4", "F9"],
+    )
+    def test_closed_forms_of_aut_T(self, field, at_zero, elsewhere):
+        # q(q-1) pairs (b, b') off 0 in odd characteristic, |GL2(F_q)| at
+        # 0, and |GL2(F_4)| at every t in characteristic 2, where
+        # e2 -> e2 + t maps T(t) onto T(0)
+        q = field.size()
+        gl2 = (q * q - 1) * (q * q - q)
+        assert at_zero == gl2
+        assert elsewhere == (gl2 if q % 2 == 0 else q * (q - 1))
+        assert len(brute_force_automorphisms(build_T(field.zero))) == at_zero
+        nonzero = list(field.elements())[-1]
+        assert len(brute_force_automorphisms(build_T(nonzero))) == elsewhere
 
 
 class TestPairModel:

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field, FieldElement, FieldError, primitive_cube_root
-from .poly import UniPoly
-from .quotient import MonogenicAlgebra, SubstitutionMap
 
 # Largest field whose element lists order_class builds: F_q lists up to 3q
 # maps, and `chi` over F_9973 takes 0.2 s and prints 0.5 MB (F_100003: 1.8 s
@@ -87,12 +85,6 @@ class Chi:
                 return k
             acc = acc.compose(self)
         return None
-
-    def as_substitution(self) -> SubstitutionMap:
-        """The same map on field[X]/(X^3)."""
-        field = self.field
-        algebra = MonogenicAlgebra(field, UniPoly(field, [0, 0, 0, 1]))
-        return SubstitutionMap(algebra, [field.zero, self.a, self.b])
 
     def __str__(self):
         return f"chi({self.a}, {self.b})"

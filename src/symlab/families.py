@@ -17,15 +17,17 @@ family builds adj(M) and det(M) once, as polynomials and without division
 (quotient.vandermonde_adjugate), over one common denominator q of its roots
 r_j = p_j/q: since g_r(X) = g_p(qX)/q, the X^k coefficient for the roots
 r_j is c_k(p) * q^(k-1).  The table holds dense polynomials in t (UniPoly),
-and a listing forms each product adj_k[i] * p_j once per family, at most
-n^3 for all n! maps; each coefficient is then a sum of n memoized lists put
-in canonical form by one dense kernel (RationalFunction._from_values).
+and the family forms each product adj_k[i] * p_j once, on first use
+(RootFamily.product), at most n^3 for all n! maps.  A listed coefficient
+is a sum of n of them put in canonical form by one dense kernel
+(RationalFunction._from_values).
 
-Limits need no rational function: at each parameter value t0 the table is
-Taylor-shifted to t0 once, by the one Taylor kernel poly.taylor, and
-truncated at each denominator's order there, read from its own series
-(RootFamily.shifted_table), so a permutation's pole orders and limits are
-read from truncated products of series, with no gcd (analyze_at).
+Limits need no rational function: at each parameter value t0 the family
+reads each denominator's order there, and Taylor-shifts each product it is
+asked for to t0 once, by the one Taylor kernel poly.taylor, truncated at
+that order (RootFamily.taylor_at).  A permutation's pole orders and limits
+are read from sums of n shifted products, with no product of series and no
+gcd (analyze_at).
 
 The critical values are the t where two roots collide.  They are read off
 the numerator of each difference r_i - r_j separately, never from their
@@ -125,10 +127,9 @@ class RootFamily:
                         f"roots {i + 1} and {j + 1} coincide as rational functions"
                     )
         self.roots = rs
-        # per-family memo: interpolation table and its products, and per
-        # parameter value the specialized algebra and the shifted table
+        # per-family memo: interpolation table, and per parameter value the
+        # specialized algebra and the table's Taylor shift (taylor_at)
         self._table = None
-        self._products = {}
         self._algebras = {}
         self._shifted = {}
 
@@ -177,33 +178,31 @@ class RootFamily:
             self._table = (tuple(rows), tuple(ps))
         return self._table
 
-    def shifted_table(self, t0):
-        """The interpolation table as truncated Taylor series in s = t - t0.
+    @functools.cached_property
+    def product(self):
+        """product(k, i, j) is adj_k[i] * p_j of the interpolation table as
+        raw coefficients in t, lowest first: each formed once per family, on
+        first use, and read by both the listing and the limits."""
+        field, (rows, ps) = self.field, self.interpolation_table()
+        return functools.cache(lambda k, i, j: _mul_values(field, rows[k][0][i].coeffs, ps[j].coeffs))
 
-        Returns (rows, series): row k is (e_k, inv_k, adj_k) with e_k the
-        order of den_k at t0, inv_k the inverse of its coefficient of s^e_k,
-        and adj_k[i] the Taylor coefficients of adj_k[i] up to s^e_k;
-        series[j] holds those of p_j up to s^max(e_k).  A series is a tuple
-        of its nonzero terms (index, raw field value) by rising index, read
-        from the table's coefficient lists by the Taylor kernel.  Built once
-        per t0.
+    def taylor_at(self, t0):
+        """The interpolation table at the parameter value t0, built once per
+        t0: rows (e_k, inv_k), with e_k the order of den_k at t0 and inv_k
+        the inverse of its coefficient of (t - t0)^e_k, and shifted(k, i, j),
+        the Taylor coefficients of product(k, i, j) at t0 up to (t - t0)^e_k,
+        each shifted once by the Taylor kernel on first use.
         """
         t0 = self.field.coerce(t0)
         if t0 not in self._shifted:
-            field = self.field
-
-            def terms(p, count):
-                series = itertools.islice(taylor(field, list(p.coeffs), t0.value), count)
-                return tuple((i, c) for i, c in enumerate(series) if not field._is_zero(c))
-
-            rows, ps = self.interpolation_table()
-            shifted = []
-            for adj_k, den in rows:
-                e, lead = terms(den, len(den.coeffs))[0]
-                adj = tuple(terms(a, e + 1) for a in adj_k)
-                shifted.append((e, field._inv(lead), adj))
-            top = max(e for e, _, _ in shifted) + 1
-            self._shifted[t0] = (tuple(shifted), tuple(terms(p, top) for p in ps))
+            field, t, product = self.field, t0.value, self.product
+            rows = []
+            for _, den in self.interpolation_table()[0]:
+                series = enumerate(taylor(field, list(den.coeffs), t))
+                e, lead = next((e, c) for e, c in series if not field._is_zero(c))
+                rows.append((e, field._inv(lead)))
+            self._shifted[t0] = (tuple(rows), functools.cache(lambda k, i, j: list(
+                itertools.islice(taylor(field, product(k, i, j), t), rows[k][0] + 1))))
         return self._shifted[t0]
 
     def critical_values(self) -> list[FieldElement]:
@@ -365,15 +364,12 @@ def perm_coeff_vector(fam: RootFamily, sigma: tuple) -> tuple:
     """
     sigma = tuple(sigma)
     _check_perm(fam, sigma)
-    rows, ps = fam.interpolation_table()
-    field, products = fam.field, fam._products
+    field, product = fam.field, fam.product
     out = []
-    for k, (adj_k, den) in enumerate(rows):
+    for k, (_, den) in enumerate(fam.interpolation_table()[0]):
         num = []
         for i, j in enumerate(sigma):
-            prod = products.get((k, i, j))
-            if prod is None:
-                prod = products[k, i, j] = _mul_values(field, adj_k[i].coeffs, ps[j].coeffs)
+            prod = product(k, i, j)
             num = [*map(field._add, num, prod), *num[len(prod) :], *prod[len(num) :]]
         out.append(RationalFunction._from_values(field, fam.symbols, num, list(den.coeffs)))
     return tuple(out)
@@ -399,12 +395,12 @@ def analyze_at(fam: RootFamily, sigma: tuple, t0):
     that fails the automorphism check raises InternalInconsistencyError.
 
     Each coefficient c_k = num_k / den_k, num_k = sum_i adj_k[i] p_sigma(i),
-    is read from the family's table shifted to t0 (shifted_table), with no
-    rational function and no gcd: the Taylor coefficients of num_k up to
-    s^e_k, e_k = ord_t0(den_k), are truncated products of the shifted
-    entries.  Their lowest nonzero index a gives a pole of order e_k - a
-    when a < e_k, the limit num_k[e_k] / den_k[e_k] when a = e_k, and the
-    limit 0 when none is nonzero.
+    is read from the family's table at t0 (taylor_at), with no rational
+    function and no gcd: the Taylor coefficients of num_k at t0 up to
+    (t - t0)^e_k, e_k = ord_t0(den_k), are the sums of the n products'
+    shifted coefficients.  Their lowest nonzero index a gives a pole of
+    order e_k - a when a < e_k, the limit num_k[e_k] / den_k[e_k] when
+    a = e_k, and the limit 0 when none is nonzero.
     """
     t0 = fam.field.coerce(t0)
     algebra = fam.algebra_at(t0)
@@ -412,17 +408,11 @@ def analyze_at(fam: RootFamily, sigma: tuple, t0):
     _check_perm(fam, sigma)
     field = fam.field
     mul, add, is_zero, zero = field._mul, field._add, field._is_zero, field.zero.value
-    rows, series = fam.shifted_table(t0)
-    images = [series[j] for j in sigma]
+    rows, shifted = fam.taylor_at(t0)
     limits = []
-    for k, (e, inv_lead, adj) in enumerate(rows):
-        num = [zero] * (e + 1)
-        for a_terms, p_terms in zip(adj, images):
-            for a, x in a_terms:
-                for b, y in p_terms:
-                    if a + b > e:
-                        break
-                    num[a + b] = add(num[a + b], mul(x, y))
+    for k, (e, inv_lead) in enumerate(rows):
+        columns = zip(*(shifted(k, i, j) for i, j in enumerate(sigma)))
+        num = [functools.reduce(add, c) for c in columns]
         low = next((m for m, c in enumerate(num) if not is_zero(c)), None)
         if low is None:
             limits.append(zero)
@@ -448,12 +438,6 @@ class SurvivalReport:
 
     statuses: tuple  # pairs (sigma, Survives | PoleAt), lexicographic in sigma
     surviving: tuple  # the surviving permutations
-
-    def status_of(self, sigma):
-        for s, st in self.statuses:
-            if s == tuple(sigma):
-                return st
-        raise KeyError(sigma)
 
 
 def surviving_subgroup(fam: RootFamily, t0) -> SurvivalReport:

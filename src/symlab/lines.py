@@ -63,9 +63,6 @@ class Config4:
     def __getitem__(self, i):
         return self.lines[i]
 
-    def relabel(self, perm):
-        return Config4([self.lines[perm[i]] for i in range(4)])
-
     def __repr__(self):
         return "Config4(" + "; ".join(repr(l) for l in self.lines) + ")"
 

@@ -66,10 +66,6 @@ class UniPoly(Arithmetic):
         return cls(field, [0, 1])
 
     @classmethod
-    def monomial(cls, field, k, c=1):
-        return cls(field, [0] * k + [c])
-
-    @classmethod
     def from_roots(cls, field, roots):
         return cls(field, lagrange_numerator([field.coerce(r) for r in roots], None, field.one))
 
@@ -289,12 +285,6 @@ class MultiPoly(Arithmetic):
         if name not in self.symbols:
             raise ValueError(f"unknown symbol {name!r} (have {self.symbols})")
         return self.symbols.index(name)
-
-    def degree_in(self, name) -> int:
-        i = self._idx(name)
-        if self.is_zero():
-            raise ValueError("degree of the zero polynomial")
-        return max(e[i] for e in self.terms)
 
     def order_in(self, name) -> int:
         """Lowest exponent of `name` across nonzero terms."""

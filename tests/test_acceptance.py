@@ -192,11 +192,11 @@ def test_criterion_04_survival_conditions():
         repz = surviving_subgroup(famz, 0)
         assert set(repz.surviving) == {(0, 1, 2), CYCLE123, CYCLE132}
         images = {
-            repz.status_of(CYCLE123).limit_map.image.coeff(1),
-            repz.status_of(CYCLE132).limit_map.image.coeff(1),
+            dict(repz.statuses)[CYCLE123].limit_map.image.coeff(1),
+            dict(repz.statuses)[CYCLE132].limit_map.image.coeff(1),
         }
         assert images == {z, z * z}
-        assert repz.status_of(CYCLE132).limit_map.image == UniPoly(qz, [qz.zero, z])
+        assert dict(repz.statuses)[CYCLE132].limit_map.image == UniPoly(qz, [qz.zero, z])
 
 
 def test_criterion_05_order_class_tables():
@@ -246,12 +246,14 @@ def test_criterion_05_order_class_tables():
         rep = no_s3_check(GF(3))
         assert not rep.ok, "no witness pair over F3, where the group is S3"
         u, v = rep.counterexample
-        su, sv = u.as_substitution(), v.as_substitution()
+        f3 = GF(3)
+        cube = MonogenicAlgebra(f3, UniPoly(f3, [0, 0, 0, 1]))
+        su, sv = (SubstitutionMap(cube, [f3.zero, c.a, c.b]) for c in (u, v))
         assert su != sv
         assert su.is_automorphism() and sv.is_automorphism()
         assert su.order(6) == 2 and sv.order(6) == 2
         assert su.compose(sv).order(6) == 3
-        profile = Counter(c.as_substitution().order(6) for c in all_chis(GF(3)))
+        profile = Counter(SubstitutionMap(cube, [f3.zero, c.a, c.b]).order(6) for c in all_chis(f3))
         assert profile == {1: 1, 2: 3, 3: 2}  # six elements with this profile: S3
 
 

@@ -154,7 +154,8 @@ class TestPermCoeffVector:
     def test_a_listing_forms_each_product_of_the_table_once(self, monkeypatch):
         # each product adj_k[i] * p_j is formed on first use and kept, so the
         # 24 maps of a 4-root family need n^3 = 64 products, not 24 * n^2 =
-        # 384, and one --perm map needs n^2 = 16
+        # 384, and one --perm map needs n^2 = 16 for its listing and its
+        # limits at every critical value together
         formed = []
 
         def counted(field, a, b):
@@ -258,6 +259,30 @@ class TestSurvivingSubgroup:
         with pytest.raises(InternalInconsistencyError, match=r"^surviving set at t=1 .*: \(23\)$"):
             surviving_subgroup(fam_0_t_1, 1)
 
+    def test_limits_form_each_product_once_and_a_listing_reuses_them(self, monkeypatch):
+        # the limits add the family's memoized products adj_k[i] * p_j,
+        # Taylor-shifted to each t0, so the 24 maps at every critical value
+        # form at most n^3 = 64 products in all; in 0,t,1,t+1 some map
+        # reaches every row of the table, so each of the 64 is read, and the
+        # listing afterwards reads the same 64
+        formed = []
+
+        def counted(field, a, b):
+            formed.append((a, b))
+            return kernel(field, a, b)
+
+        kernel = families._mul_values
+        monkeypatch.setattr(families, "_mul_values", counted)
+        fam = RootFamily(QQ, [tconst(0), tsym(), tconst(1), tsym() + tconst(1)])
+        crit = fam.critical_values()
+        assert crit == [QQ.coerce(v) for v in (0, 1, -1)]
+        for t0 in crit:
+            surviving_subgroup(fam, t0)
+        assert len(formed) == 64
+        for sigma in all_perms(4):
+            perm_coeff_vector(fam, sigma)
+        assert len(formed) == 64
+
     def test_family_0_t_1(self, fam_0_t_1):
         rep = surviving_subgroup(fam_0_t_1, 0)
         assert set(rep.surviving) == {(0, 1, 2), SWAP12}
@@ -273,7 +298,7 @@ class TestSurvivingSubgroup:
         fam = specialize_scaled_two(QQ, [1, 2])
         rep = surviving_subgroup(fam, 0)
         assert set(rep.surviving) == {(0, 1), (1, 0)}
-        st = rep.status_of((1, 0))
+        st = dict(rep.statuses)[(1, 0)]
         assert st.limit_map.image == UniPoly(QQ, [0, -1])  # X -> -X
 
     def test_four_root_family(self):
@@ -295,7 +320,7 @@ class TestSurvivingSubgroup:
         # at t = 1 the roots (0, 1, 1, 2) are symmetric about 1 and the
         # double swap realizes the reflection X -> 2 - X
         rep1 = surviving_subgroup(fam, 1)
-        m = rep1.status_of((3, 2, 1, 0)).limit_map
+        m = dict(rep1.statuses)[(3, 2, 1, 0)].limit_map
         assert m.image == UniPoly(QQ, [2, -1])
         assert m.order() == 2
 
@@ -309,7 +334,7 @@ class TestSurvivingSubgroup:
         assert {str(v) for v in fam.critical_values()} == {"0", "1"}
         rep = surviving_subgroup(fam, 0)
         assert set(rep.surviving) == {(0, 1, 2), SWAP12}
-        assert rep.status_of(SWAP12).limit_map.image == UniPoly(f7, [0, 6, 2])
+        assert dict(rep.statuses)[SWAP12].limit_map.image == UniPoly(f7, [0, 6, 2])
 
     def test_char2_limit_collapses_to_identity(self):
         # the swap of (0, t) over F2 has limit X + t -> X at t = 0: the map
@@ -318,11 +343,11 @@ class TestSurvivingSubgroup:
         fam = specialize_scaled_two(f2, [0, 1])
         rep = surviving_subgroup(fam, 0)
         assert set(rep.surviving) == {(0, 1), (1, 0)}
-        swap_limit = rep.status_of((1, 0)).limit_map
+        swap_limit = dict(rep.statuses)[(1, 0)].limit_map
         assert swap_limit.is_identity()
         # over Q the same construction keeps a genuine involution
         fam_q = specialize_scaled_two(QQ, [0, 1])
-        swap_q = surviving_subgroup(fam_q, 0).status_of((1, 0)).limit_map
+        swap_q = dict(surviving_subgroup(fam_q, 0).statuses)[(1, 0)].limit_map
         assert not swap_q.is_identity() and swap_q.order() == 2
 
 
@@ -485,8 +510,8 @@ class TestSurvivalConditions:
         fam = specialize_scaled(qz, xs)
         rep = surviving_subgroup(fam, 0)
         assert set(rep.surviving) == {(0, 1, 2), CYCLE123, CYCLE132}
-        lim123 = rep.status_of(CYCLE123).limit_map
-        lim132 = rep.status_of(CYCLE132).limit_map
+        lim123 = dict(rep.statuses)[CYCLE123].limit_map
+        lim132 = dict(rep.statuses)[CYCLE132].limit_map
         # one cycle realizes X -> zeta3 X, the other X -> zeta3^2 X
         assert lim132.image == UniPoly(qz, [qz.zero, z])
         assert lim123.image == UniPoly(qz, [qz.zero, z * z])

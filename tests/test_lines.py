@@ -73,7 +73,7 @@ class TestGenericSymmetry:
             tau = list(range(4))
             rng.shuffle(tau)
             tau = tuple(tau)
-            relabeled = config.relabel(tau)
+            relabeled = Config4([config[tau[i]] for i in range(4)])
             inv = [0] * 4
             for i, v in enumerate(tau):
                 inv[v] = i

@@ -122,7 +122,7 @@ def test_compose_mod_matches_horner_on_unipolys(field):
     def check(p, g, low, lead):
         if lead.is_zero():
             return
-        modulus = low + UniPoly.monomial(field, low.degree + 1 if low.coeffs else 1, lead)
+        modulus = low + UniPoly(field, [0] * (low.degree + 1 if low.coeffs else 1) + [lead])
         got = p.compose_mod(g, modulus)
         want = compose_mod_oracle(p, g, modulus)
         assert got == want
@@ -166,7 +166,7 @@ def test_unipoly_coeffs_hold_raw_values_after_every_operation(field):
         if relation == "negated":
             b = -a
         elif relation == "same top":
-            b = a + b % UniPoly.monomial(field, max(a.degree, 0))
+            b = a + b % UniPoly(field, [0] * max(a.degree, 0) + [1])
         ea = coefficients(a)
         n = max(len(a.coeffs), len(b.coeffs))
         assert_raw_coeffs(a, ea)

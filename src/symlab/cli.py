@@ -32,7 +32,7 @@ from .families import (
 from .fields import MAX_POWER_DIGITS, QQ, Field, parse_field_spec
 from .lines import (
     INFINITE,
-    INTERSECTING,
+    PARALLEL,
     Config4,
     Line,
     design_isometries,
@@ -537,13 +537,13 @@ def _parse_config(text: str) -> Config4:
 
 
 def _two_parallel_pairs(config: Config4) -> bool:
-    non_int = [
+    parallel = [
         frozenset((i, j))
         for i in range(4)
         for j in range(i + 1, 4)
-        if pair_relation(config[i], config[j]) != INTERSECTING
+        if pair_relation(config[i], config[j]) == PARALLEL
     ]
-    return len(non_int) == 2 and not (non_int[0] & non_int[1])
+    return len(parallel) == 2 and not (parallel[0] & parallel[1])
 
 
 def _iso_str(iso) -> str:

@@ -3,9 +3,12 @@ critical parameter values.
 
 A family (RootFamily) is a list of pairwise-distinct rational functions
 r_i(t) in the one parameter t, defining the algebras A_t = k[X]/(prod (X -
-r_i(t))).  Away from critical values the automorphisms permute the Lagrange
-idempotents, so each permutation sigma yields a substitution map, its
-generic map, given by its coefficient vector: rational functions of t
+r_i(t))), each read once as its canonical pair (num, den) of dense
+polynomials in t: distinctness, the root values num(t0)/den(t0) and the
+interpolation table below read those pairs, with no limit taken.  Away
+from critical values the automorphisms permute the Lagrange idempotents,
+so each permutation sigma yields a substitution map, its generic map,
+given by its coefficient vector: rational functions of t
 (perm_coeff_vector).  Taking exact limits of those coefficients decides
 which permutations survive at a critical value, collapse (pole), or
 degenerate.
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldElement, RationalField
-from .poly import MultiPoly, Pole, RationalFunction, UniPoly, _mul_values, clear_denominators, taylor
+from .poly import MultiPoly, RationalFunction, UniPoly, _mul_values, clear_denominators, taylor
 from .quotient import (
     AlgebraHom,
     MonogenicAlgebra,
@@ -120,13 +123,16 @@ class RootFamily:
         for r in rs:
             if not isinstance(r, RationalFunction) or (r.field, r.symbols) != (field, self.symbols):
                 raise ValueError("root from a different context")
+        # canonical pairs (num, den) in t are unique: equal pairs, equal roots
+        pairs = tuple(tuple(UniPoly._wrap(field, p.split(self.param).get((), [])) for p in (r.num, r.den))
+                      for r in rs)
         for i in range(len(rs)):
             for j in range(i + 1, len(rs)):
-                if rs[i] == rs[j]:
+                if pairs[i] == pairs[j]:
                     raise ValueError(
                         f"roots {i + 1} and {j + 1} coincide as rational functions"
                     )
-        self.roots = rs
+        self.roots, self._pairs = rs, pairs
         # per-family memo: interpolation table, and per parameter value the
         # specialized algebra and the table's Taylor shift (taylor_at)
         self._table = None
@@ -138,14 +144,15 @@ class RootFamily:
         return len(self.roots)
 
     def roots_at(self, t0) -> list[FieldElement]:
-        """Exact root values at the parameter value t0."""
+        """Exact root values at the parameter value t0: num(t0)/den(t0) of
+        each canonical pair, the limit there, as num and den are coprime."""
         t0 = self.field.coerce(t0)
         out = []
-        for r in self.roots:
-            lim = r.limit_at(self.param, t0)
-            if isinstance(lim, Pole):
+        for num, den in self._pairs:
+            d = den(t0)
+            if d.is_zero():
                 raise ValueError(f"root has a pole at {self.param} = {t0}")
-            out.append(lim.as_constant())
+            out.append(num(t0) / d)
         return out
 
     def algebra_at(self, t0) -> MonogenicAlgebra:
@@ -165,10 +172,8 @@ class RootFamily:
         per family, without division.
         """
         if self._table is None:
-            f, one = self.field, UniPoly.constant(self.field, 1)
-            dense = [[UniPoly._wrap(f, p.split(self.param).get((), [])) for p in (r.num, r.den)]
-                     for r in self.roots]
-            q, ps = common_denominator(dense, one)
+            one = UniPoly.constant(self.field, 1)
+            q, ps = common_denominator(self._pairs, one)
             adj, det = vandermonde_adjugate(ps, one)
             rows = [(adj[0], det * q)]
             scale = one

@@ -8,14 +8,15 @@ is ever needed.  Both polynomial types hold the field's raw values, so
 each operation runs once, on those values, through the field's raw-value
 protocol; a FieldElement is built only where one coefficient leaves
 (`coeff`, `as_constant`, evaluation).  Every construction reads the one
-canonical form `_canonical` on raw values: it strips shared monomial
-content, over Q clears both denominators together, and makes the content
-and the denominator's leading coefficient canonical, which keeps printed
-output stable and fraction growth tame.  In a single symbol it is one
-dense kernel on raw coefficient lists, `_dense_canonical`, which also
-cancels the gcd of numerator and denominator: over Q in Z[t], by a
-primitive pseudo-remainder sequence on Python ints, and over other fields
-by Euclid on raw field values, taking remainders only;
+canonical form `_canonical` on raw values; a polynomial over 1 is its own
+and passes through.  Otherwise it strips shared monomial content, over Q
+clears both denominators together, and makes the content and the
+denominator's leading coefficient canonical, which keeps printed output
+stable and fraction growth tame.  In a single symbol it is one dense
+kernel on raw coefficient lists, `_dense_canonical`, which also cancels
+the gcd of numerator and denominator: over Q in Z[t], by a primitive
+pseudo-remainder sequence on Python ints, and over other fields by
+Euclid on raw field values, taking remainders only;
 `RationalFunction._from_values` builds from such lists through it.  Every
 evaluation, expansion and limit at a point reads the one Taylor kernel
 `taylor`.
@@ -506,8 +507,17 @@ def _canonical(num: MultiPoly, den: MultiPoly):
     dense kernel `_dense_canonical`; in several, with the largest monomial
     dividing every term of both stripped, over Q both cleared of
     denominators together, and both `_scaled` on den's leading term, its
-    first in `_sorted_terms` order."""
+    first in `_sorted_terms` order.
+
+    A polynomial over 1 is returned as given, over Q when its raw values are
+    all ints: their joint content with 1 is 1, 1 is positive, no power of a
+    symbol divides 1 and gcd(num, 1) = 1; over any other field `_scaled`
+    multiplies by 1^-1 = 1.  A Fraction is no such case: t/2 is (t, 2)."""
     f, symbols = num.field, num.symbols
+    if den.terms == {(0,) * len(symbols): f.one.value} and (
+        not isinstance(f, RationalField) or all(type(c) is int for c in num.terms.values())
+    ):
+        return num, den
     if len(symbols) == 1:
         return _dense_canonical(f, symbols, *(p.split(symbols[0]).get((), []) for p in (num, den)))
     if num.is_zero():

@@ -351,6 +351,19 @@ def test_lines_tol_is_echoed_and_decides_nothing():
         assert (code, text) == (1, "error: tolerance must be positive\n")
 
 
+def test_two_pair_note_counts_parallel_pairs_only():
+    # a coincident pair meets, as in the generic order, so it is no
+    # parallel pair: one coincident and one parallel pair give order 4, two
+    # coincident pairs order 24, and neither gets the rectangle's note
+    for config, order in (("1 0 0; 1 0 0; 0 1 0; 0 1 1", 4), ("1 0 0; 1 0 0; 0 1 0; 0 1 0", 24)):
+        code, text = run(["lines", "--config", config])
+        assert code == 0, text
+        assert f"generic symmetry order: {order}\n" in text
+        assert "note:" not in text
+    code, text = run(["lines", "--config", RECTANGLE])
+    assert code == 0 and f"note: {cli.TWO_PAIR_NOTE}\n" in text
+
+
 def test_nearly_parallel_line_is_not_parallel():
     # three lines x = 0, 2, 3 and one tilted by 10^-10: only the identity
     config = "1 0 0; 1 1/10000000000 1; 1 0 2; 1 0 3"

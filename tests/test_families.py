@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from symlab import families
+from symlab import families, poly
 from symlab.cli import run
 
 from symlab.families import (
@@ -31,7 +31,7 @@ from symlab.families import (
 )
 from symlab.fields import GF, QQ, primitive_cube_root, rationals_with_cube_root
 from symlab.linalg import Matrix
-from symlab.parse import parse_ratfunc
+from symlab.parse import parse_ratfunc, parse_ratfunc_list
 from symlab.poly import FunctionField, MultiPoly, Pole, RationalFunction, UniPoly
 from symlab.quotient import (
     AlgebraHom, MonogenicAlgebra, SubstitutionMap, idempotents, lagrange_basis,
@@ -1085,3 +1085,74 @@ class TestShiftedLimitsAgainstReducedForms:
         fam = RootFamily(QQ, [parse_ratfunc(x, QQ, T) for x in "0 t 1 2 3 4 5 6".split()])
         with pytest.raises(ValueError, match="n <= 7"):
             surviving_subgroup(fam, 0)
+
+
+class TestRootsFromCanonicalPairs:
+    """A family reads each root once as its canonical pair (num, den) in t;
+    the roots' own limits and RationalFunction equality are the oracles."""
+
+    @pytest.mark.parametrize("spec,field", DIFF_FIELDS, ids=[f[0] for f in DIFF_FIELDS])
+    def test_roots_at_is_the_limit_of_each_root(self, spec, field):
+        rng = random.Random(f"roots-at-{spec}")
+        texts = ["(t+2)/(2*t+1)", "t^2/(t+1)", "1/t", "(3*t+1)/2", "(t^2+1)/(t^2+2)"]
+        if field.size() is None:
+            values = [field.coerce(Fraction(a, b)) for a in range(-3, 4) for b in (1, 2)]
+        else:
+            values = list(field.elements())
+        poles = 0
+        for _ in range(6):
+            chosen = ["1/(t-1)", rng.choice(texts)] + [random_root_text(rng, (0, 1, 2, 3), 3) for _ in range(2)]
+            try:
+                fam = RootFamily(field, [parse_ratfunc(x, field, T) for x in chosen])
+            except ValueError:
+                continue
+            for t0 in values:
+                limits = [r.limit_at("t", t0) for r in fam.roots]
+                if any(isinstance(lim, Pole) for lim in limits):
+                    poles += 1
+                    with pytest.raises(ValueError) as err:
+                        fam.roots_at(t0)
+                    assert str(err.value) == f"root has a pole at t = {t0}"
+                else:
+                    assert fam.roots_at(t0) == [lim.as_constant() for lim in limits]
+        assert poles > 0
+
+    @pytest.mark.parametrize("spec,field", DIFF_FIELDS, ids=[f[0] for f in DIFF_FIELDS])
+    def test_equal_pairs_are_exactly_equal_roots(self, spec, field):
+        # each root written several ways, so equal roots arrive as different texts
+        texts = ["1/(t-1)", "2/(2*t-2)", "(t+1)/(t^2-1)", "t", "t^2/t", "(2*t+2)/2", "t+1", "0",
+                 "0/(t+1)", "(t^2+t)/(2*t)"]
+        rng = random.Random(f"distinct-{spec}")
+        seen = set()
+        for _ in range(60):
+            roots = [parse_ratfunc(x, field, T) for x in rng.sample(texts, 3)]
+            equal = [(i, j) for i in range(3) for j in range(i + 1, 3) if roots[i] == roots[j]]
+            seen.add(bool(equal))
+            if equal:
+                i, j = equal[0]
+                with pytest.raises(ValueError, match=rf"^roots {i + 1} and {j + 1} coincide as rational functions$"):
+                    RootFamily(field, roots)
+            else:
+                assert RootFamily(field, roots).roots == tuple(roots)
+        assert seen == {True, False}
+
+    def test_parsing_and_survival_run_no_canonical_kernel_and_no_limit(self, monkeypatch):
+        # a polynomial over 1 is its own canonical form, and root values
+        # are read from the canonical pairs by Horner
+        calls = []
+        for owner, name in [(poly, "_dense_canonical"), (RationalFunction, "limit_at")]:
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        roots = parse_ratfunc_list("0,t,1,2*t,3", QQ, T)
+        assert calls == []
+        fam = RootFamily(QQ, roots)
+        crit = fam.critical_values()
+        assert crit == [QQ.coerce(v) for v in (0, 1, Fraction(1, 2), 3, Fraction(3, 2))]
+        for t0 in crit:
+            surviving_subgroup(fam, t0)
+        assert "limit_at" not in calls

@@ -15,7 +15,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from symlab.fields import GF, QQ, FieldElement, rationals_with_cube_root  # noqa: E402
-from symlab.poly import FunctionField, MultiPoly, RationalFunction, UniPoly, _poly_gcd  # noqa: E402
+from symlab.poly import (  # noqa: E402
+    FunctionField, MultiPoly, RationalFunction, UniPoly, _canonical, _dense_canonical, _poly_gcd,
+)
 from test_fields import assert_rational_raw  # noqa: E402
 
 
@@ -222,6 +224,48 @@ def test_canonical_form_cancels_a_common_factor_in_one_symbol(field):
             listed = RationalFunction._from_values(field, ("t",), coefficient_list(a), coefficient_list(b)[:-1])
             assert [raw_terms(listed.num), raw_terms(listed.den)] == [raw_terms(direct.num), raw_terms(direct.den)]
             assert str(listed) == str(direct)
+
+    check()
+
+
+def kernel_over_one(num):
+    """The kernel's canonical pair of num/1: the dense kernel in one
+    symbol; in several, the several-symbol path, reached through a
+    monomial shared by num and 1, which it strips."""
+    field, symbols = num.field, num.symbols
+    if len(symbols) == 1:
+        return _dense_canonical(field, symbols, coefficient_list(num), [field.one.value])
+    m = MultiPoly(field, symbols, {(0,) * (len(symbols) - 1) + (1,): 1})
+    return _canonical(num * m, m)
+
+
+def from_pair(num, den):
+    r = RationalFunction.__new__(RationalFunction)
+    r.num, r.den = num, den
+    return r
+
+
+OVER_ONE_FIELDS = [QQ, QQ, GF(7), rationals_with_cube_root(), GF(3, 2)]
+OVER_ONE_IDS = ["Q-int", "Q", "F7", "Qzeta3", "F9"]
+
+
+@pytest.mark.parametrize("symbols", [("t",), ("a", "t"), ("a", "b", "t")], ids=["t", "a,t", "a,b,t"])
+@pytest.mark.parametrize("field,fid", list(zip(OVER_ONE_FIELDS, OVER_ONE_IDS)), ids=OVER_ONE_IDS)
+def test_a_polynomial_over_one_is_its_own_canonical_form(field, fid, symbols):
+    # over Q only integer coefficients pass through: t/2 over 1 is (t, 2)
+    exps = st.tuples(*[st.integers(0, 2)] * len(symbols))
+    coeffs = st.integers(-9, 9).map(field.coerce) if fid == "Q-int" else elements(field)
+    polys = st.dictionaries(exps, coeffs, max_size=4).map(lambda terms: MultiPoly(field, symbols, terms))
+    one = MultiPoly.constant(field, symbols, 1)
+
+    @kernel_settings
+    @given(polys, polys)
+    def check(a, b):
+        ra, rb = RationalFunction(a, one), RationalFunction(b, one)
+        for r, num in ((ra, a), (rb, b), (ra + rb, a + b), (ra - rb, a - b), (ra * rb, a * b), (-ra, -a)):
+            want = kernel_over_one(num)
+            assert [raw_terms(r.num), raw_terms(r.den)] == [raw_terms(p) for p in want]
+            assert str(r) == str(from_pair(*want))
 
     check()
 
